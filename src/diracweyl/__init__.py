@@ -22,7 +22,6 @@ from .foundation import (
     alpha_dirichlet,
     alpha_neumann,
     check_normal_form,
-    eval_potential,
     herm_defect,
     jmat,
     load_potential,

@@ -1,10 +1,9 @@
 """Command-line front end: dispatches to the library, sweeps z/lambda grids
-(optionally in parallel), and emits CSV plus a JSON run summary.
+point by point, and emits CSV plus a JSON run summary.
 
-Determinism: grid points are computed through an indexed work queue and
-written in index order with 17-significant-digit formatting, so identical
-configurations produce byte-identical outputs regardless of the thread
-count (set via DIRACWEYL_THREADS or --threads).
+Determinism: grid points are written in input order with
+17-significant-digit formatting, so identical configurations produce
+byte-identical outputs (only wall_time_s in the summary differs).
 """
 
 import argparse
@@ -13,7 +12,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,13 +71,6 @@ def _parse_alpha(text, m):
     return validate_boundary_data(mat[:, :m], mat[:, m:])
 
 
-def _pmap(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _complex_cols(prefix, mat):
     cols = []
     vals = []
@@ -134,12 +125,6 @@ class _Run:
         return 1 if self.failures else 0
 
 
-def _threads(args):
-    if args.threads:
-        return args.threads
-    return int(os.environ.get("DIRACWEYL_THREADS", "1"))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -152,20 +137,12 @@ def cmd_mfunc(args):
     sign = 1 if args.sign == "+" else -1
     tols = {"halfline_tol": args.tol}
 
-    def one(iz):
-        i, z = iz
-        try:
-            h = halfline_m(z, args.x0, alpha, spec, sign=sign, tol=args.tol)
-            return i, h, None
-        except DiracWeylError as exc:
-            return i, None, exc
-
-    results = _pmap(one, list(enumerate(zs)), _threads(args))
     rows = []
     header = None
-    for i, h, err in sorted(results):
-        z = zs[i]
-        if err is not None:
+    for z in zs:
+        try:
+            h = halfline_m(z, args.x0, alpha, spec, sign=sign, tol=args.tol)
+        except DiracWeylError as err:
             run.failures.append({"z": str(z), "category": err.category,
                                  "message": str(err)})
             continue
@@ -219,18 +196,11 @@ def cmd_fullline(args):
     zs = _parse_complex_list(args.z)
     tols = {"halfline_tol": args.tol}
 
-    def one(iz):
-        i, z = iz
-        try:
-            return i, fullline_m(z, args.x0, alpha, spec, tol=args.tol), None
-        except DiracWeylError as exc:
-            return i, None, exc
-
-    results = _pmap(one, list(enumerate(zs)), _threads(args))
     rows, header = [], None
-    for i, f, err in sorted(results):
-        z = zs[i]
-        if err is not None:
+    for z in zs:
+        try:
+            f = fullline_m(z, args.x0, alpha, spec, tol=args.tol)
+        except DiracWeylError as err:
             run.failures.append({"z": str(z), "category": err.category,
                                  "message": str(err)})
             continue
@@ -383,26 +353,19 @@ def cmd_upsilon(args):
     lams = _parse_grid(getattr(args, "lambda"))
     tols = {"halfline_tol": args.tol, "eps": args.eps}
 
-    def one(il):
-        i, lam = il
+    rows, header = [], None
+    for lam in lams:
         try:
             u = upsilon(lam, args.x0, alpha, spec, args.eps, tol=args.tol)
-            return i, u, None
-        except DiracWeylError as exc:
-            return i, None, exc
-
-    results = _pmap(one, list(enumerate(lams)), _threads(args))
-    rows, header = [], None
-    for i, u, err in sorted(results):
-        if err is not None:
-            run.failures.append({"lambda": float(lams[i]),
+        except DiracWeylError as err:
+            run.failures.append({"lambda": float(lam),
                                  "category": err.category,
                                  "message": str(err)})
             continue
         cols, vals = _complex_cols("Y", u.value)
         if header is None:
             header = ["lambda", "eps"] + cols
-        rows.append([_fmt(lams[i]), _fmt(args.eps)] + vals)
+        rows.append([_fmt(lam), _fmt(args.eps)] + vals)
     if header is None:
         header = ["lambda", "eps"]
     run.write_csv("upsilon.csv", header, rows, tols)
@@ -425,8 +388,6 @@ def build_parser():
                             help="potential JSON file")
         sp.add_argument("--out", default="diracweyl-out",
                         help="output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default DIRACWEYL_THREADS or 1)")
 
     sp = sub.add_parser("mfunc", help="half-line M-function on a z list")
     common(sp)

@@ -61,12 +61,6 @@ def mat_imag(x):
     return (x - x.conj().T) / 2j
 
 
-def mat_real(x):
-    """Matrix real part (X + X*) / 2 (Hermitian)."""
-    x = np.asarray(x)
-    return (x + x.conj().T) / 2
-
-
 def sigma(s, t, z):
     """Sign of (s - t) * Im(z), the orientation factor of the disk functional.
 
@@ -305,46 +299,56 @@ class PotentialSpec:
             return 0.0
         return max(p.bound() for p in self.pieces)
 
-    def breakpoints(self):
-        """Sorted finite piece edges (one period's worth when periodic)."""
-        pts = []
-        for p in self.pieces:
-            for v in (p.x_lo, p.x_hi):
-                if math.isfinite(v):
-                    pts.append(v)
-            if p.kind == "grid":
-                pts.extend(p.xs.tolist())
-        return sorted(set(pts))
-
     # -- evaluation ----------------------------------------------------------
 
-    def _wrap(self, x):
-        base = self.pieces[0].x_lo
-        y = base + (x - base) % self.period
-        snap = 1e-12 * (1.0 + abs(x))
-        for p in self.pieces:
-            for e in (p.x_lo, p.x_hi):
-                if abs(y - e) <= snap:
-                    return e
-        return y
+    def locate(self, x, side=0):
+        """(piece, offset) with B(x) = piece.eval(x - offset), or (None,
+        offset) where B vanishes.  ``side`` = +1 / -1 shifts x by 1e-12 to
+        pick the piece right / left of an edge; the last piece also owns
+        its closing edge."""
+        pieces = self.pieces
+        xq = x + (math.copysign(1e-12, side) if side else 0.0)
+        off = 0.0
+        if self.is_periodic:
+            base, w = pieces[0].x_lo, self.period
+            off = math.floor((xq - base) / w) * w
+            xq -= off
+        for p in pieces:
+            if p.x_lo <= xq < p.x_hi:
+                return p, off
+        if self.is_periodic:
+            # wrap roundoff left xq a hair outside [base, base + w)
+            return (pieces[0] if xq < base else pieces[-1]), off
+        if pieces and pieces[-1].x_hi <= xq <= pieces[-1].x_hi + 1e-12:
+            return pieces[-1], off
+        return None, off
+
+    def segments(self, lo, hi):
+        """Split [lo, hi] at the piece edges, unrolled across periods, into
+        (a, b, piece, offset) with B(x) = piece.eval(x - offset) on (a, b)
+        and piece None where B vanishes."""
+        edges = sorted({e for p in self.pieces for e in (p.x_lo, p.x_hi)
+                        if math.isfinite(e)})
+        if self.is_periodic:
+            base, w = self.pieces[0].x_lo, self.period
+            cell = [e - base for e in edges]
+            ks = range(math.floor((lo - base) / w) - 1,
+                       math.floor((hi - base) / w) + 2)
+            edges = [base + k * w + e for k in ks for e in cell]
+        pts = [lo] + sorted({e for e in edges if lo < e < hi}) + [hi]
+        return [(a, b, *self.locate(0.5 * (a + b)))
+                for a, b in zip(pts, pts[1:])]
 
     def eval(self, x, side=0):
         """B(x); ``side`` = +1 / -1 selects the one-sided limit at piece edges."""
         x = float(x)
         if self.domain is not None and not (self.domain[0] <= x <= self.domain[1]):
             raise OutOfDomain(f"x = {x} outside domain {self.domain}")
-        if self.is_periodic:
-            x = self._wrap(x)
-            if side < 0 and math.isclose(x, self.pieces[0].x_lo, abs_tol=1e-12):
-                x = self.pieces[-1].x_hi
-        zero = np.zeros((2 * self.m, 2 * self.m), dtype=complex)
-        shift = 0.0 if side == 0 else math.copysign(1e-12, side)
-        xq = x + shift
-        for p in self.pieces:
-            if p.x_lo <= xq < p.x_hi or (xq >= p.x_hi and p is self.pieces[-1]
-                                         and xq <= p.x_hi + 1e-12):
-                return np.asarray(p.eval(min(max(x, p.x_lo), p.x_hi)))
-        return zero
+        piece, off = self.locate(x, side)
+        if piece is None:
+            return np.zeros((2 * self.m, 2 * self.m), dtype=complex)
+        y = min(max(x - off, piece.x_lo), piece.x_hi)
+        return np.asarray(piece.eval(y))
 
     # -- constructors ----------------------------------------------------
 
@@ -375,11 +379,6 @@ class PotentialSpec:
                    period=period, name=name)
 
 
-def eval_potential(spec, x, side=0):
-    """Evaluate B(x) for a PotentialSpec (Hermitian 2m x 2m)."""
-    return spec.eval(x, side=side)
-
-
 def normal_form_matrix(b11, b12):
     """Assemble [[B11, B12], [B12, -B11]] from Hermitian blocks."""
     b11 = np.atleast_2d(np.asarray(b11, dtype=complex))
@@ -399,35 +398,17 @@ def truncate_potential(spec, x0, y0):
         raise EmptyWindow(f"window [{x0}, {y0}] is empty")
 
     out = []
-
-    def clip(piece, lo, hi, offset=0.0):
-        lo = max(lo, x0)
-        hi = min(hi, y0)
-        if hi - lo <= 1e-14:
-            return
+    for a, b, piece, off in spec.segments(x0, y0):
+        if piece is None or b - a <= 1e-14:
+            continue
         if piece.kind == "constant":
-            out.append(ConstantPiece(lo, hi, piece.value))
+            out.append(ConstantPiece(a, b, piece.value))
         else:
-            xs = piece.xs + offset
-            keep = (xs > lo + 1e-13) & (xs < hi - 1e-13)
-            nodes = np.concatenate([[lo], xs[keep], [hi]])
-            vals = np.array([piece.eval(t - offset) for t in nodes])
+            xs = piece.xs + off
+            keep = (xs > a + 1e-13) & (xs < b - 1e-13)
+            nodes = np.concatenate([[a], xs[keep], [b]])
+            vals = np.array([piece.eval(t - off) for t in nodes])
             out.append(GridPiece(nodes, vals))
-
-    if spec.is_periodic:
-        base = spec.pieces[0].x_lo
-        w = spec.period
-        k_lo = math.floor((x0 - base) / w)
-        k_hi = math.ceil((y0 - base) / w)
-        for k in range(k_lo, k_hi):
-            off = k * w
-            for p in spec.pieces:
-                clip(p, p.x_lo + off, p.x_hi + off, offset=off)
-    else:
-        for p in spec.pieces:
-            clip(p, p.x_lo, p.x_hi)
-
-    out.sort(key=lambda p: p.x_lo)
     name = f"{spec.name}|[{x0},{y0}]" if spec.name else f"truncated[{x0},{y0}]"
     return PotentialSpec(m=spec.m, pieces=tuple(out), name=name)
 

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import LogBranchFailure, SingularDifference
 from .foundation import alpha_dirichlet, hermitize, matnorm
-from .propagator import DEFAULT_ATOL, DEFAULT_RTOL, Propagator
+from .propagator import Propagator
 from .weyldisk import halfline_m
 
 _SING_COND = 1e12
@@ -40,18 +40,15 @@ class FullLineM:
         return np.block([[self.m11, self.m12], [self.m21, self.m22]])
 
 
-def fullline_m(z, x0, alpha, spec, tol=1e-10, rtol=DEFAULT_RTOL,
-               atol=DEFAULT_ATOL, max_range=1e8):
+def fullline_m(z, x0, alpha, spec, tol=1e-10, max_range=1e8):
     """Assemble M(z, x0, alpha) from M_minus and M_plus.
 
     M11 = (M_- - M_+)^{-1}, M12 = M11 (M_- + M_+)/2,
     M21 = (M_- + M_+)/2 M11, M22 = M_+- M11 M_-+ (both orderings averaged,
     their distance reported as m22_defect).
     """
-    mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol, rtol=rtol,
-                    atol=atol, max_range=max_range)
-    mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol, rtol=rtol,
-                    atol=atol, max_range=max_range)
+    mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol, max_range=max_range)
+    mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol, max_range=max_range)
     diff = mm.M - mp.M
     scale = 1.0 + max(matnorm(mp.M), matnorm(mm.M))
     smin = float(np.linalg.svd(diff, compute_uv=False)[-1])
@@ -138,19 +135,17 @@ class GreensEvaluator:
     (I_m 0) is supported.
     """
 
-    def __init__(self, z, x0, spec, tol=1e-10, rtol=DEFAULT_RTOL,
-                 atol=DEFAULT_ATOL):
+    def __init__(self, z, x0, spec, tol=1e-10):
         self.z = complex(z)
         self.x0 = float(x0)
         self.spec = spec
         alpha = alpha_dirichlet(spec.m)
         self.alpha = alpha
-        self.full = fullline_m(z, x0, alpha, spec, tol=tol, rtol=rtol,
-                               atol=atol)
+        self.full = fullline_m(z, x0, alpha, spec, tol=tol)
         diff = self.full.minus.M - self.full.plus.M
         self.dinv = np.linalg.inv(diff)
-        self._prop = Propagator(self.z, spec, rtol=rtol, atol=atol)
-        self._prop_bar = Propagator(np.conj(self.z), spec, rtol=rtol, atol=atol)
+        self._prop = Propagator(self.z, spec)
+        self._prop_bar = Propagator(np.conj(self.z), spec)
 
     def _weyl(self, x, sign, conjugate=False):
         # U_sign(z, x) = Psi(z, x, x0) (I; M_sign); at conj(z) the half-line

@@ -1,6 +1,7 @@
 """Unitary gauge reduction to the normal form B22 = -B11, B21 = B12.
 
-The diagonal gauge factors solve a linear ODE with skew-Hermitian generator
+The diagonal gauge factors solve a linear ODE with skew-Hermitian generator,
+propagated by the same fourth-order Magnus steps as the transfer matrices
 (so they stay unitary); the transformed off-diagonal datum
 U11^{-1} [(B12 + B21) - i(B11 - B22)] U22 splits into the Hermitian blocks
 of the reduced potential.  A constant Hermitian twist omega acts on that
@@ -12,27 +13,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
-from .errors import IntegrationFailure, NotHermitianOmega
+from .errors import NotHermitianOmega
 from .foundation import (
     GridPiece,
     PotentialSpec,
     herm_defect,
+    hermitize,
     mat_imag,
-    mat_real,
     matnorm,
 )
-from .propagator import DEFAULT_ATOL, DEFAULT_RTOL, _piece_edges
+from .propagator import magnus_steps, segment_cuts
 
 _REUNIT_TOL = 1e-10
 
 
 def _generator(b, m, j):
-    """(i/2) * [(-1)^j (B11 + B22) + i (B12 - B21)], skew-Hermitian."""
+    """(i/2) * [(-1)^j (B11 + B22) + i (B12 - B21)], skew-Hermitian; b may be
+    a stack of matrices."""
     sgn = -1.0 if j == 1 else 1.0
-    g = sgn * (b[:m, :m] + b[m:, m:]) + 1j * (b[:m, m:] - b[m:, :m])
+    g = (sgn * (b[..., :m, :m] + b[..., m:, m:])
+         + 1j * (b[..., :m, m:] - b[..., m:, :m]))
     return 0.5j * g
 
 
@@ -49,65 +50,43 @@ class GaugeFactors:
     drift: float              # worst unitarity defect seen before projection
 
 
-def _grid_nodes(spec, x0, x1, n_grid):
+def gauge_factors(spec, x0, x1, n_grid=None):
+    """Propagate the gauge ODE for U11, U22 with U(x0) = I to the output
+    nodes (n_grid equispaced points plus the piece edges).
+
+    Every piece takes one Magnus step per cell between consecutive cut
+    points: output nodes and sample nodes.  At each output node the factor
+    is re-projected onto the unitary group when its drift exceeds 1e-10;
+    the worst pre-projection drift is reported.
+    """
     if not x1 > x0:
         raise ValueError("gauge reduction needs x1 > x0")
     if n_grid is None:
         n_grid = max(201, int(50 * (x1 - x0)) + 1)
-    nodes = set(np.linspace(x0, x1, n_grid).tolist())
-    for e in _piece_edges(spec):
-        if x0 < e < x1:
-            nodes.add(float(e))
-    return np.array(sorted(nodes))
-
-
-def gauge_factors(spec, x0, x1, tol=1e-8, n_grid=None, rtol=DEFAULT_RTOL,
-                  atol=DEFAULT_ATOL):
-    """Integrate the gauge ODE for U11, U22 with U(x0) = I on a grid.
-
-    Constant pieces propagate by exact matrix exponentials; sampled pieces
-    by the adaptive integrator.  Nodes are re-projected onto the unitary
-    group when the accumulated drift exceeds 1e-10; the worst pre-projection
-    drift is reported.
-    """
     m = spec.m
-    xs = _grid_nodes(spec, x0, x1, n_grid)
+    segs = spec.segments(x0, x1)
+    xs = np.array(sorted({*np.linspace(x0, x1, n_grid).tolist(),
+                          *(seg[0] for seg in segs)}))
     out = {1: np.empty((len(xs), m, m), dtype=complex),
            2: np.empty((len(xs), m, m), dtype=complex)}
     drift = 0.0
     for j in (1, 2):
         u = np.eye(m, dtype=complex)
         out[j][0] = u
-        for i in range(len(xs) - 1):
-            a, b = xs[i], xs[i + 1]
-            mid = 0.5 * (a + b)
-            piece_b = spec.eval(mid)
-            if _is_constant_on(spec, a, b):
-                u = expm(_generator(piece_b, m, j) * (b - a)) @ u
-            else:
-                def rhs(x, y):
-                    return (_generator(spec.eval(x), m, j)
-                            @ y.reshape(m, m)).ravel()
-                sol = solve_ivp(rhs, (a, b), u.ravel(), method="DOP853",
-                                rtol=rtol, atol=atol)
-                if not sol.success:
-                    raise IntegrationFailure(
-                        f"gauge ODE failed on [{a}, {b}]: {sol.message}")
-                u = sol.y[:, -1].reshape(m, m)
-            d = matnorm(u.conj().T @ u - np.eye(m))
-            drift = max(drift, d)
-            if d > _REUNIT_TOL:
-                u = _polar_unitary(u)
-            out[j][i + 1] = u
+        i = 0
+        for seg in segs:
+            ts, vals = segment_cuts(spec, *seg, extra=xs)
+            for t, f in zip(ts[1:], magnus_steps(ts, _generator(vals, m, j))):
+                u = f @ u
+                if t != xs[i + 1]:
+                    continue
+                d = matnorm(u.conj().T @ u - np.eye(m))
+                drift = max(drift, d)
+                if d > _REUNIT_TOL:
+                    u = _polar_unitary(u)
+                i += 1
+                out[j][i] = u
     return GaugeFactors(xs=xs, u11=out[1], u22=out[2], drift=drift)
-
-
-def _is_constant_on(spec, a, b):
-    probe = 0.5 * (a + b)
-    for p in spec.pieces:
-        if p.x_lo <= probe < p.x_hi:
-            return p.kind == "constant"
-    return True   # zero extension
 
 
 def _reduced_blocks(spec, factors, twist=None):
@@ -122,7 +101,7 @@ def _reduced_blocks(spec, factors, twist=None):
         if twist is not None:
             y = twist @ y @ twist
         b11[i] = -0.5 * mat_imag(y)
-        b12[i] = 0.5 * mat_real(y)
+        b12[i] = 0.5 * hermitize(y)
     return b11, b12
 
 
@@ -144,21 +123,20 @@ def _assemble(spec, factors, b11, b12, name, keep_period):
                          period=period, name=name)
 
 
-def normal_form(spec, x0, x1, tol=1e-8, n_grid=None, keep_period=True, **kw):
+def normal_form(spec, x0, x1, n_grid=None, keep_period=True):
     """Gauge-reduce B to [[B11~, B12~], [B12~, -B11~]] on [x0, x1].
 
     The result is a sampled-grid potential (the transform has no closed form
     in general); it passes check_normal_form by construction and is a fixed
     point of this map.
     """
-    factors = gauge_factors(spec, x0, x1, tol=tol, n_grid=n_grid, **kw)
+    factors = gauge_factors(spec, x0, x1, n_grid=n_grid)
     b11, b12 = _reduced_blocks(spec, factors)
     name = f"normal({spec.name})" if spec.name else "normal-form"
     return _assemble(spec, factors, b11, b12, name, keep_period)
 
 
-def gauge_with_omega(spec, omega, x0, x1, tol=1e-8, n_grid=None,
-                     keep_period=True, **kw):
+def gauge_with_omega(spec, omega, x0, x1, n_grid=None, keep_period=True):
     """Normal form twisted by a constant Hermitian omega (both-sided factor
     e^{i omega}); omega = (pi/2) I flips the sign of the reduced potential."""
     omega = np.atleast_2d(np.asarray(omega, complex))
@@ -167,7 +145,7 @@ def gauge_with_omega(spec, omega, x0, x1, tol=1e-8, n_grid=None,
             f"omega has Hermiticity defect {herm_defect(omega):.3e}")
     w, v = np.linalg.eigh(omega)
     twist = (v * np.exp(1j * w)) @ v.conj().T
-    factors = gauge_factors(spec, x0, x1, tol=tol, n_grid=n_grid, **kw)
+    factors = gauge_factors(spec, x0, x1, n_grid=n_grid)
     b11, b12 = _reduced_blocks(spec, factors, twist=twist)
     name = f"normal({spec.name};twist)" if spec.name else "normal-form-twist"
     return _assemble(spec, factors, b11, b12, name, keep_period)

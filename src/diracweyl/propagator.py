@@ -4,9 +4,10 @@ The workhorse is the Propagator class, which produces transfer matrices
 T(xb <- xa) with an optional exponential rescale e^{i s z (xb - xa)} that
 keeps entries bounded when |Im z| * |xb - xa| is large (the rescale cancels
 in every M-function ratio).  Constant pieces propagate through cached
-eigendecompositions (exact up to roundoff for any span); sampled pieces go
-through an adaptive Runge-Kutta integration; periodic potentials reduce long
-spans to powers of the one-period transfer.
+eigendecompositions (exact up to roundoff for any span); sampled pieces take
+one fourth-order Magnus step per sample cell (magnus_steps, shared with the
+gauge reduction); periodic potentials reduce long spans to powers of the
+one-period transfer.
 
 The Volterra route (successive approximation of the integral equation for
 the decaying Weyl solution of a compactly supported potential) lives here as
@@ -18,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
-from scipy.signal import lfilter
 
 from .errors import (
     DegenerateArguments,
@@ -29,20 +28,18 @@ from .errors import (
     MismatchedEvaluation,
     NoCompactSupport,
 )
-from .foundation import ConstantPiece, alpha_dirichlet, jmat, matnorm
+from .foundation import alpha_dirichlet, jmat, matnorm
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
-# eigenbasis condition caps: diagonalization errors scale like eps * cond,
+# eigenbasis condition cap: diagonalization errors scale like eps * cond,
 # so beyond ~1e6 fall back to expm / binary powering
 _EIG_COND_MAX = 1e6
-_POW_COND_MAX = 1e6
 
 
 def system_matrix(z, b):
-    """Coefficient A(x) of Psi' = A Psi, i.e. J^{-1} (z I + B) = -J (z I + B)."""
+    """Coefficient A(x) of Psi' = A Psi, i.e. J^{-1} (z I + B) = -J (z I + B);
+    b may be a stack of matrices."""
     b = np.asarray(b)
-    d = b.shape[0]
+    d = b.shape[-1]
     return -jmat(d // 2) @ (z * np.eye(d) + b)
 
 
@@ -54,13 +51,22 @@ def auto_scale(z, xa, xb):
     return 1 if s > 0 else -1
 
 
+def _eig_guarded(a):
+    """Eigendecomposition w, v of a matrix or a stack of them, with ``ok``
+    marking where the eigenbasis is conditioned well enough to use."""
+    w, v = np.linalg.eig(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = np.isfinite(w).all(axis=-1) & (np.linalg.cond(v) < _EIG_COND_MAX)
+    return w, v, ok
+
+
 def _matpow(t, k):
     """t**k for integer k, eigendecomposition first, binary powering fallback."""
     d = t.shape[0]
     if k == 0:
         return np.eye(d, dtype=complex)
-    w, v = np.linalg.eig(t)
-    if np.all(np.isfinite(v)) and np.linalg.cond(v) < _POW_COND_MAX:
+    w, v, ok = _eig_guarded(t)
+    if ok:
         return v @ np.diag(w ** k) @ np.linalg.inv(v)
     base = t if k > 0 else np.linalg.inv(t)
     n = abs(k)
@@ -73,62 +79,80 @@ def _matpow(t, k):
     return out
 
 
+def segment_cuts(spec, a, b, piece, off, extra=()):
+    """Cut points from a to b inside one segment of spec.segments: the ends,
+    the piece's sample nodes strictly between them and any extra points,
+    ordered from a to b, with B at each of them."""
+    lo, hi = min(a, b), max(a, b)
+    ts = [a, b] + [t for t in extra if lo < t < hi]
+    if piece is None:
+        d = 2 * spec.m
+        vals = np.zeros((len(ts), d, d), dtype=complex)
+    else:
+        vals = np.array([piece.eval(min(max(t - off, piece.x_lo), piece.x_hi))
+                         for t in ts])
+    if piece is not None and piece.kind == "grid":
+        inner = (piece.xs + off > lo) & (piece.xs + off < hi)
+        ts += (piece.xs[inner] + off).tolist()
+        vals = np.concatenate([vals, piece.values[inner]])
+    ts, idx = np.unique(ts, return_index=True)
+    if b < a:
+        return ts[::-1], vals[idx[::-1]]
+    return ts, vals[idx]
+
+
+def magnus_steps(ts, acoef):
+    """Exponentials of one fourth-order Magnus step of Y' = A(x) Y per cell
+    [ts[i], ts[i+1]] (either direction), for A linear on each cell and given
+    at the cut points as the stack acoef.
+
+    Omega = h (A1 + A2) / 2 + (sqrt(3) / 12) h^2 [A2, A1] at the two Gauss
+    points, which for linear A equals h (A(t0) + A(t1)) / 2
+    + h^2 / 12 [A(t1), A(t0)] (Iserles & Norsett 1999; Blanes, Casas, Oteo
+    & Ros 2009).  Skew-Hermitian A gives unitary factors, Hamiltonian A
+    symplectic ones.
+    """
+    h = np.diff(ts)[:, None, None]
+    a0, a1 = acoef[:-1], acoef[1:]
+    omega = 0.5 * h * (a0 + a1) + (h * h / 12.0) * (a1 @ a0 - a0 @ a1)
+    w, v, ok = _eig_guarded(omega)
+    out = np.empty(omega.shape, dtype=complex)
+    out[ok] = (v[ok] * np.exp(w[ok])[:, None, :]) @ np.linalg.inv(v[ok])
+    if not ok.all():
+        out[~ok] = expm(omega[~ok])
+    return out
+
+
 class Propagator:
     """Transfer matrices for one (z, spec) pair, with caching.
 
     Not thread-safe per instance (it memoizes); build one per worker.
     """
 
-    def __init__(self, z, spec, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                 method="DOP853"):
+    def __init__(self, z, spec):
         self.z = complex(z)
         self.spec = spec
-        self.rtol = rtol
-        self.atol = atol
-        self.method = method
         self.m = spec.m
-        self._zero = ConstantPiece(-math.inf, math.inf,
-                                   np.zeros((2 * spec.m, 2 * spec.m)))
-        self._eig = {}        # (piece id, scale) -> (w, v, vinv) or None
+        self._eig = {}        # (piece id, scale) -> (acoef, w, v, vinv)
         self._seg = {}        # (piece id, a, b, scale) -> transfer
-        self._rhs = {}        # (piece id, scale) -> interpolated coefficient
         self._period_t = {}   # (phase, scale) -> one-period transfer
-        self.ode_steps = 0
 
-    # -- geometry helpers -----------------------------------------------------
-
-    def _piece_at(self, x):
-        """Piece owning the point x (segments are identified by their
-        midpoint, which is immune to boundary roundoff)."""
-        for p in self.spec.pieces:
-            if p.x_lo <= x < p.x_hi:
-                return p
-        return self._zero
-
-    def _edges_in(self, lo, hi):
-        edges = []
-        for e in _piece_edges(self.spec):
-            if lo < e < hi:
-                edges.append(e)
-        return sorted(set(edges))
-
-    # -- elementary transfers -------------------------------------------------
+    def _coefficient(self, b, scale):
+        acoef = system_matrix(self.z, b)
+        if scale:
+            acoef = acoef + 1j * scale * self.z * np.eye(2 * self.m)
+        return acoef
 
     def _const_transfer(self, piece, a, b, scale):
+        """Transfer across [a, b] where B is constant (zero for piece None)."""
         key = (id(piece), scale)
         if key not in self._eig:
-            acoef = system_matrix(self.z, piece.value)
-            if scale:
-                acoef = acoef + 1j * scale * self.z * np.eye(2 * self.m)
-            try:
-                w, v = np.linalg.eig(acoef)
-                cond = np.linalg.cond(v)
-            except np.linalg.LinAlgError:
-                cond = math.inf
-            if np.all(np.isfinite(w)) and cond < _EIG_COND_MAX:
-                self._eig[key] = (acoef, w, v, np.linalg.inv(v))
-            else:
-                self._eig[key] = (acoef, None, None, None)
+            d = 2 * self.m
+            acoef = self._coefficient(
+                np.zeros((d, d)) if piece is None else piece.value, scale)
+            w, v, ok = _eig_guarded(acoef)
+            self._eig[key] = ((acoef, w, v, np.linalg.inv(v)) if ok
+                              else (acoef, None, None, None))
         acoef, w, v, vinv = self._eig[key]
         span = b - a
         if w is not None:
@@ -138,87 +162,32 @@ class Propagator:
                 return (v * np.exp(w * span)) @ vinv
         return expm(acoef * span)
 
-    def _grid_rhs(self, piece, scale):
-        """Interpolated coefficient A(x) at the piece nodes, cached per
-        (piece, scale); A is affine in B so the linear interpolant of the
-        node coefficients equals the coefficient of the interpolated B."""
-        key = (id(piece), scale)
-        if key not in self._rhs:
-            xs = piece.xs
-            nodes = np.array([system_matrix(self.z, v) for v in piece.values])
-            if scale:
-                nodes = nodes + 1j * scale * self.z * np.eye(2 * self.m)
-            self._rhs[key] = (xs, nodes)
-        xs, nodes = self._rhs[key]
-        d = 2 * self.m
-        last = len(xs) - 1
-
-        def rhs(x, y):
-            k = np.searchsorted(xs, x)
-            if k <= 0:
-                acoef = nodes[0]
-            elif k > last:
-                acoef = nodes[last]
-            else:
-                t = (x - xs[k - 1]) / (xs[k] - xs[k - 1])
-                acoef = (1.0 - t) * nodes[k - 1] + t * nodes[k]
-            return (acoef @ y.reshape(d, d)).ravel()
-
-        return rhs
-
-    def _grid_transfer(self, piece, a, b, scale):
+    def _grid_transfer(self, piece, off, a, b, scale):
+        """Ordered product of the Magnus factors of a grid piece on [a, b]."""
         key = (id(piece), a, b, scale)
-        if key in self._seg:
-            return self._seg[key]
-        d = 2 * self.m
-        eye = np.eye(d, dtype=complex)
-        sol = solve_ivp(self._grid_rhs(piece, scale), (a, b),
-                        eye.ravel().astype(complex),
-                        method=self.method, rtol=self.rtol, atol=self.atol,
-                        dense_output=False)
-        self.ode_steps += sol.t.size
-        if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-            raise IntegrationFailure(
-                f"propagation failed on [{a}, {b}] at z = {self.z}: {sol.message}")
-        t = sol.y[:, -1].reshape(d, d)
-        self._seg[key] = t
-        return t
-
-    def _piece_transfer(self, a, b, scale):
-        """Transfer across [a, b] assumed to lie inside a single piece
-        (after periodic wrapping)."""
-        if self.spec.is_periodic:
-            base = self.spec.pieces[0].x_lo
-            w = self.spec.period
-            off = math.floor((0.5 * (a + b) - base) / w) * w
-            a, b = a - off, b - off
-        piece = self._piece_at(0.5 * (a + b))
-        if piece.kind == "constant":
-            return self._const_transfer(piece, a, b, scale)
-        return self._grid_transfer(piece, a, b, scale)
+        if key not in self._seg:
+            ts, vals = segment_cuts(self.spec, a, b, piece, off)
+            f = magnus_steps(ts, self._coefficient(vals, scale))
+            while len(f) > 1:      # pairwise: later factors on the left
+                if len(f) % 2:
+                    f = np.concatenate([f, np.eye(2 * self.m)[None]])
+                f = f[1::2] @ f[0::2]
+            self._seg[key] = f[0]
+        return self._seg[key]
 
     def _walk(self, xa, xb, scale):
         """Product of piece transfers over [xa, xb] (no period powering)."""
-        d = 2 * self.m
-        t = np.eye(d, dtype=complex)
-        lo, hi = min(xa, xb), max(xa, xb)
-        if self.spec.is_periodic:
-            base = self.spec.pieces[0].x_lo
-            w = self.spec.period
-            cell = [e - base for e in _piece_edges(self.spec)]
-            k_lo = math.floor((lo - base) / w) - 1
-            k_hi = math.floor((hi - base) / w) + 1
-            edges = sorted({base + k * w + e for k in range(k_lo, k_hi + 1)
-                            for e in cell if lo < base + k * w + e < hi})
-        else:
-            edges = self._edges_in(lo, hi)
-        pts = [lo] + edges + [hi]
+        t = np.eye(2 * self.m, dtype=complex)
+        segs = self.spec.segments(min(xa, xb), max(xa, xb))
         if xb < xa:
-            pts = pts[::-1]
-        for a, b in zip(pts, pts[1:]):
+            segs = [(b, a, p, off) for a, b, p, off in reversed(segs)]
+        for a, b, piece, off in segs:
             if abs(b - a) < 1e-13:
                 continue
-            t = self._piece_transfer(a, b, scale) @ t
+            if piece is None or piece.kind == "constant":
+                t = self._const_transfer(piece, a - off, b - off, scale) @ t
+            else:
+                t = self._grid_transfer(piece, off, a, b, scale) @ t
         return t
 
     def transfer(self, xa, xb, scale=0):
@@ -246,24 +215,14 @@ class Propagator:
         return self._walk(xa, xb, scale)
 
 
-def _piece_edges(spec):
-    edges = []
-    for p in spec.pieces:
-        for e in (p.x_lo, p.x_hi):
-            if math.isfinite(e):
-                edges.append(e)
-    return sorted(set(edges))
-
-
-def fundamental_system(z, x, x0, alpha, spec, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL, propagator=None):
+def fundamental_system(z, x, x0, alpha, spec, propagator=None):
     """Normalized fundamental system Psi(z, x, x0, alpha) = (Theta Phi).
 
     The initial value at x = x0 reproduces (alpha* Jalpha*) exactly.  Entries
     grow like e^{|Im z| |x - x0|}; callers probing that regime should work
     with M-function ratios instead (where rescaling applies).
     """
-    prop = propagator or Propagator(z, spec, rtol=rtol, atol=atol)
+    prop = propagator or Propagator(z, spec)
     psi0 = alpha.psi0()
     if x == x0:
         psi = psi0
@@ -271,8 +230,7 @@ def fundamental_system(z, x, x0, alpha, spec, rtol=DEFAULT_RTOL,
         psi = prop.transfer(x0, x, scale=0) @ psi0
     m = alpha.m
     return FundamentalSystem(z=complex(z), x=float(x), x0=float(x0),
-                             alpha=alpha, theta=psi[:, :m], phi=psi[:, m:],
-                             ode_steps=prop.ode_steps)
+                             alpha=alpha, theta=psi[:, :m], phi=psi[:, m:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +243,6 @@ class FundamentalSystem:
     alpha: object
     theta: np.ndarray
     phi: np.ndarray
-    ode_steps: int = 0
 
     @property
     def psi(self):
@@ -371,6 +328,8 @@ def weyl_solution_volterra(z, x, x0, spec, alpha=None, tol=1e-12,
     convergence in the iteration count; IterationDivergence when the budget
     is exhausted.
     """
+    from scipy.signal import lfilter
+
     z = complex(z)
     if z.imag <= 0:
         raise DegenerateArguments("Volterra route needs Im z > 0")
@@ -391,8 +350,7 @@ def weyl_solution_volterra(z, x, x0, spec, alpha=None, tol=1e-12,
         return _pack_weyl(z, x, x0, v, m, 0, 0.0)
 
     density = points_per_unit or max(4000.0, 800.0 * (1.0 + abs(z)))
-    cuts = sorted({lo, y0, x, x0, *(e for e in _piece_edges(spec)
-                                    if lo < e < y0)})
+    cuts = sorted({y0, x, x0, *(seg[0] for seg in spec.segments(lo, y0))})
     cuts = [c for c in cuts if lo <= c <= y0]
     segs = []
     for a, b in zip(cuts, cuts[1:]):

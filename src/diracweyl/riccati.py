@@ -10,7 +10,6 @@ large |z|.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ContractivityLost,
@@ -20,8 +19,9 @@ from .errors import (
     SingularCayley,
 )
 from .foundation import matnorm
-from .propagator import DEFAULT_ATOL, DEFAULT_RTOL
 
+DEFAULT_RTOL = 1e-10
+DEFAULT_ATOL = 1e-12
 _POLE_LIMIT = 1e8
 _CONTRACT_TOL = 1e-9
 
@@ -103,6 +103,8 @@ def integrate_riccati(z, v0, x0, x1, spec, n_out=33, rtol=DEFAULT_RTOL,
     crosses pole_limit; poles mark eigenvalues of the truncated problem and
     are a diagnostic, not a numerical accident.
     """
+    from scipy.integrate import solve_ivp
+
     z = complex(z)
     v0 = np.atleast_2d(np.asarray(v0, complex))
     m = v0.shape[0]
@@ -152,6 +154,8 @@ def integrate_cayley(z, theta0, x0, x1, spec, sign, n_out=65,
     initial matrix was outside the Weyl disk and ContractivityLost is
     raised.
     """
+    from scipy.integrate import solve_ivp
+
     z = complex(z)
     theta0 = np.atleast_2d(np.asarray(theta0, complex))
     m = theta0.shape[0]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import _combination
 from .errors import (
     DifferenceBelowNoise,
     DifferentiationFailure,
@@ -15,16 +16,8 @@ from .errors import (
 )
 from .foundation import alpha_dirichlet, matnorm
 from .fullline import fullline_m, principal_logm, upsilon
-from .propagator import DEFAULT_ATOL, DEFAULT_RTOL, Propagator
+from .propagator import Propagator
 from .weyldisk import halfline_m
-
-
-def _combination(b, m):
-    b11, b12 = b[:m, :m], b[:m, m:]
-    b21, b22 = b[m:, :m], b[m:, m:]
-    top = np.hstack([b11 - b22, b12 + b21])
-    bot = np.hstack([b12 + b21, b22 - b11])
-    return np.vstack([top, bot])
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +80,13 @@ class Monodromy:
     multipliers: np.ndarray   # eigenvalues sorted by modulus
 
 
-def monodromy(z, spec, x0=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def monodromy(z, spec, x0=None):
     """One-period transfer matrix Psi(z, x0 + omega, x0), Psi(x0) = I."""
     if not spec.is_periodic:
         raise NotPeriodic("monodromy needs a periodic potential")
     if x0 is None:
         x0 = spec.pieces[0].x_lo
-    prop = Propagator(z, spec, rtol=rtol, atol=atol)
+    prop = Propagator(z, spec)
     t = prop.transfer(x0, x0 + spec.period, scale=0)
     mult = np.linalg.eigvals(t)
     mult = mult[np.argsort(np.abs(mult))]
@@ -124,7 +117,7 @@ def _runs(lams, flags, want):
     return tuple(out)
 
 
-def band_spectrum(spec, lams, tol=1e-6, x0=None, **kw):
+def band_spectrum(spec, lams, tol=1e-6, x0=None):
     """Flag each real lambda in-band iff every Floquet multiplier is
     unimodular within tol * max(1, omega)."""
     if not spec.is_periodic:
@@ -134,7 +127,7 @@ def band_spectrum(spec, lams, tol=1e-6, x0=None, **kw):
     mults = []
     flags = np.zeros(len(lams), dtype=bool)
     for i, lam in enumerate(lams):
-        mono = monodromy(lam, spec, x0=x0, **kw)
+        mono = monodromy(lam, spec, x0=x0)
         mults.append(mono.multipliers)
         flags[i] = bool(np.all(np.abs(np.abs(mono.multipliers) - 1.0) <= eff))
     bands = _runs(lams, flags, True)
@@ -193,7 +186,7 @@ class BorgReport:
 
 
 def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
-                    band_tol=1e-6, samples=201, **kw):
+                    band_tol=1e-6, samples=201):
     """Rigidity check for periodic potentials: if the spectrum fills the
     sampled window (with multiplier-unimodularity as the multiplicity
     evidence), the combinations B11 - B22 and B12 + B21 must vanish.
@@ -207,7 +200,7 @@ def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
         lam_max = 10.0 * spec.bound() + 10.0
     n = max(3, int(round(2 * lam_max / grid_step)) + 1)
     lams = np.linspace(-lam_max, lam_max, n)
-    bands = band_spectrum(spec, lams, tol=band_tol, **kw)
+    bands = band_spectrum(spec, lams, tol=band_tol)
     full = bool(np.all(bands.in_band))
 
     m = spec.m

@@ -25,7 +25,7 @@ from .errors import (
     SingularDenominator,
 )
 from .foundation import herm_defect, hermitize, jmat, matnorm, sigma
-from .propagator import DEFAULT_ATOL, DEFAULT_RTOL, Propagator, auto_scale
+from .propagator import Propagator, auto_scale
 
 _COND_LIMIT = 1e12      # beta @ Phi condition number marking an eigenvalue hit
 _MOBIUS_COND = 3e6      # split segments above this factor condition
@@ -56,8 +56,8 @@ def _beta_blocks(beta):
     return np.atleast_2d(np.asarray(b1, complex)), np.atleast_2d(np.asarray(b2, complex))
 
 
-def regular_m(z, c, x0, alpha, beta, spec, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-              cond_limit=_COND_LIMIT, propagator=None):
+def regular_m(z, c, x0, alpha, beta, spec, cond_limit=_COND_LIMIT,
+              propagator=None):
     """M-function of the regular problem on [x0, c] with boundary data
     (alpha at x0, beta at c): -[beta Phi(z,c)]^{-1} [beta Theta(z,c)].
 
@@ -69,7 +69,7 @@ def regular_m(z, c, x0, alpha, beta, spec, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         raise DegenerateArguments("regular M needs c != x0")
     z = complex(z)
     b1, b2 = _beta_blocks(beta)
-    prop = propagator or Propagator(z, spec, rtol=rtol, atol=atol)
+    prop = propagator or Propagator(z, spec)
     psi = prop.transfer(x0, c, scale=auto_scale(z, x0, c)) @ alpha.psi0()
     m = alpha.m
     theta, phi = psi[:, :m], psi[:, m:]
@@ -85,15 +85,14 @@ def regular_m(z, c, x0, alpha, beta, spec, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     return -np.linalg.solve(bphi, btheta)
 
 
-def e_c(mat, z, c, x0, alpha, spec, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-        return_defect=False, propagator=None):
+def e_c(mat, z, c, x0, alpha, spec, return_defect=False, propagator=None):
     """Disk functional E_c(M) = sigma(x0,c,z) U(z,c)* (iJ) U(z,c), Hermitian.
 
     Nonpositive exactly on the Weyl disk at c; zero on the circle.
     """
     z = complex(z)
     sig = sigma(x0, c, z)
-    prop = propagator or Propagator(z, spec, rtol=rtol, atol=atol)
+    prop = propagator or Propagator(z, spec)
     m = alpha.m
     col = np.vstack([np.eye(m), np.asarray(mat, complex)])
     u = (prop.transfer(x0, c, scale=0) @ alpha.psi0()) @ col
@@ -217,7 +216,7 @@ class HalfLineM:
 
 
 def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, max_range=1e8,
-               rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, beta=None):
+               beta=None):
     """Half-line M-function M_plus (sign=+1) or M_minus (sign=-1).
 
     Truncates at c = x0 +/- 2^k with the self-adjoint boundary condition
@@ -232,7 +231,7 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, max_range=1e8,
     m = alpha.m
     sig = sigma(x0 + sign, x0, z)
     frame = _cayley_frame(sig, m)
-    prop = Propagator(z, spec, rtol=rtol, atol=atol)
+    prop = Propagator(z, spec)
 
     if beta is None:
         b1, b2 = np.eye(m), np.zeros((m, m))

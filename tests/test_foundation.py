@@ -9,7 +9,6 @@ from diracweyl import (
     alpha_dirichlet,
     alpha_neumann,
     check_normal_form,
-    eval_potential,
     load_potential,
     matnorm,
     normal_form_matrix,
@@ -80,14 +79,14 @@ class TestSigma:
 class TestPotential:
     def test_zero_spec(self):
         spec = PotentialSpec.zero(2)
-        assert np.array_equal(eval_potential(spec, 3.7), np.zeros((4, 4)))
+        assert np.array_equal(spec.eval(3.7), np.zeros((4, 4)))
 
     def test_constant_lookup(self):
         spec = PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
                                       x_lo=0.0, x_hi=2.0)
-        assert np.array_equal(eval_potential(spec, 0.5),
+        assert np.array_equal(spec.eval(0.5),
                               np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.array_equal(eval_potential(spec, 5.0), np.zeros((2, 2)))
+        assert np.array_equal(spec.eval(5.0), np.zeros((2, 2)))
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -107,7 +106,7 @@ class TestPotential:
     def test_out_of_domain(self):
         spec = PotentialSpec(m=1, pieces=(), domain=(0.0, 1.0))
         with pytest.raises(OutOfDomain):
-            eval_potential(spec, 2.0)
+            spec.eval(2.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

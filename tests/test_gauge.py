@@ -52,6 +52,28 @@ class TestGaugeFactors:
         for u in (gf.u11[-1], gf.u22[-1]):
             assert matnorm(u.conj().T @ u - np.eye(1)) < 1e-8
 
+    def test_scalar_factors_closed_form(self, rng):
+        # for m = 1 the generators g_j are scalars and U_j(x) = exp(int g_j);
+        # the trapezoid rule over samples and output nodes is exact for the
+        # piecewise-linear interpolant
+        spec = random_hermitian_spec(rng, 1, x1=10.0, n=401)
+        piece = spec.pieces[0]
+        gf = gauge_factors(spec, 0.0, 10.0)
+        assert len(gf.xs) == 501
+        b = piece.values
+        for j, us in ((1, gf.u11), (2, gf.u22)):
+            sgn = -1.0 if j == 1 else 1.0
+            g = 0.5j * (sgn * (b[:, 0, 0] + b[:, 1, 1])
+                        + 1j * (b[:, 0, 1] - b[:, 1, 0]))
+            ts = np.union1d(piece.xs, gf.xs)
+            gt = (np.interp(ts, piece.xs, g.real)
+                  + 1j * np.interp(ts, piece.xs, g.imag))
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (gt[1:] + gt[:-1])
+                                                    * np.diff(ts))])
+            want = np.exp(np.interp(gf.xs, ts, cum.real)
+                          + 1j * np.interp(gf.xs, ts, cum.imag))
+            assert np.max(np.abs(us[:, 0, 0] - want)) <= 1e-12
+
 
 class TestNormalForm:
     def test_fixed_point(self):

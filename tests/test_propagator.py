@@ -237,3 +237,41 @@ class TestVolterra:
             devs.append(matnorm(np.vstack([w.v1, w.v2]) - seed))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-2
+
+
+class TestMagnusKernel:
+    """Sampled pieces against oracles that share no code with the kernel."""
+
+    @staticmethod
+    def _scalar_spec():
+        # B = f(x) I_2 with f piecewise linear between 1601 samples
+        xs = np.linspace(0.0, 1.0, 1601)
+        f = 0.8 * np.sin(np.pi * xs) ** 2 + 0.3 * xs
+        vals = f[:, None, None] * np.eye(2)
+        return xs, f, PotentialSpec(m=1, pieces=(GridPiece(xs, vals),))
+
+    @pytest.mark.parametrize("z", [2j, 8 + 8j, 64 + 64j])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.10003, 0.87651)])
+    def test_commuting_coefficients_closed_form(self, z, a, b):
+        # A = -(z + f) J commutes with itself, so T = expm(-c J) with
+        # c = (b - a) z + int f, i.e. cos(c) I - sin(c) J; the trapezoid
+        # rule over the cut points is exact for the interpolant f
+        xs, f, spec = self._scalar_spec()
+        inner = (xs > a) & (xs < b)
+        ts = np.concatenate([[a], xs[inner], [b]])
+        ft = np.interp(ts, xs, f)
+        c = (b - a) * z + np.sum(0.5 * (ft[1:] + ft[:-1]) * np.diff(ts))
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        want = np.cos(c) * np.eye(2) - np.sin(c) * j
+        got = Propagator(z, spec).transfer(a, b)
+        assert matnorm(got - want) <= 1e-12 * matnorm(want)
+
+    def test_bump_matches_richardson_volterra(self):
+        spec = smooth_bump_spec(n=1601)
+        z = 4j
+        coarse, fine = (weyl_solution_volterra(z, 0.0, 0.0, spec, tol=1e-14,
+                                               points_per_unit=n).weyl_m()
+                        for n in (4000, 8000))
+        want = (4.0 * fine - coarse) / 3.0
+        got = halfline_m(z, 0.0, alpha_dirichlet(1), spec).M
+        assert matnorm(got - want) <= 1e-8 * matnorm(want)
