@@ -10,6 +10,7 @@ shared freely across concurrent evaluations.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -307,35 +308,51 @@ class PotentialSpec:
         pick the piece right / left of an edge; the last piece also owns
         its closing edge."""
         pieces = self.pieces
-        xq = x + (math.copysign(1e-12, side) if side else 0.0)
         off = 0.0
         if self.is_periodic:
-            base, w = pieces[0].x_lo, self.period
-            off = math.floor((xq - base) / w) * w
-            xq -= off
+            base, top, w = pieces[0].x_lo, pieces[-1].x_hi, self.period
+            off = math.floor((x - base) / w) * w
+            # the wrapped point carries the roundoff of x; snap it onto a
+            # nearby edge before the side shift, which is far smaller
+            snap = 1e-12 * (1.0 + abs(x))
+            x = next((e for p in pieces for e in (p.x_lo, p.x_hi)
+                      if abs(x - off - e) <= snap), x - off)
+            if x == top:
+                x, off = base, off + w
+            if side < 0 and x == base:
+                x, off = top, off - w
+        xq = x + (math.copysign(1e-12, side) if side else 0.0)
         for p in pieces:
             if p.x_lo <= xq < p.x_hi:
                 return p, off
         if self.is_periodic:
-            # wrap roundoff left xq a hair outside [base, base + w)
+            # pieces tile the period only to within 1e-9
             return (pieces[0] if xq < base else pieces[-1]), off
         if pieces and pieces[-1].x_hi <= xq <= pieces[-1].x_hi + 1e-12:
             return pieces[-1], off
         return None, off
 
+    @cached_property
+    def _edges(self):
+        """Finite piece edges in order; for a periodic spec, one period's
+        edges as offsets from its start, the closing edge left out."""
+        edges = sorted({e for p in self.pieces for e in (p.x_lo, p.x_hi)
+                        if math.isfinite(e)})
+        if self.is_periodic:
+            edges = [e - edges[0] for e in edges[:-1]]
+        return edges
+
     def segments(self, lo, hi):
         """Split [lo, hi] at the piece edges, unrolled across periods, into
         (a, b, piece, offset) with B(x) = piece.eval(x - offset) on (a, b)
         and piece None where B vanishes."""
-        edges = sorted({e for p in self.pieces for e in (p.x_lo, p.x_hi)
-                        if math.isfinite(e)})
+        edges = self._edges
         if self.is_periodic:
             base, w = self.pieces[0].x_lo, self.period
-            cell = [e - base for e in edges]
             ks = range(math.floor((lo - base) / w) - 1,
                        math.floor((hi - base) / w) + 2)
-            edges = [base + k * w + e for k in ks for e in cell]
-        pts = [lo] + sorted({e for e in edges if lo < e < hi}) + [hi]
+            edges = [base + k * w + e for k in ks for e in edges]
+        pts = [lo, *(e for e in edges if lo < e < hi), hi]
         return [(a, b, *self.locate(0.5 * (a + b)))
                 for a, b in zip(pts, pts[1:])]
 

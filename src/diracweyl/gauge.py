@@ -54,10 +54,10 @@ def gauge_factors(spec, x0, x1, n_grid=None):
     """Propagate the gauge ODE for U11, U22 with U(x0) = I to the output
     nodes (n_grid equispaced points plus the piece edges).
 
-    Every piece takes one Magnus step per cell between consecutive cut
-    points: output nodes and sample nodes.  At each output node the factor
-    is re-projected onto the unitary group when its drift exceeds 1e-10;
-    the worst pre-projection drift is reported.
+    Every piece takes Magnus steps (magnus_steps) across the cells between
+    consecutive cut points: output nodes and sample nodes.  At each output
+    node the factor is re-projected onto the unitary group when its drift
+    exceeds 1e-10; the worst pre-projection drift is reported.
     """
     if not x1 > x0:
         raise ValueError("gauge reduction needs x1 > x0")

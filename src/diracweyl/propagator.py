@@ -5,8 +5,9 @@ T(xb <- xa) with an optional exponential rescale e^{i s z (xb - xa)} that
 keeps entries bounded when |Im z| * |xb - xa| is large (the rescale cancels
 in every M-function ratio).  Constant pieces propagate through cached
 eigendecompositions (exact up to roundoff for any span); sampled pieces take
-one fourth-order Magnus step per sample cell (magnus_steps, shared with the
-gauge reduction); periodic potentials reduce long spans to powers of the
+fourth-order Magnus steps between sample nodes, as many per cell as its
+leading error term asks for (magnus_steps, shared with the gauge
+reduction); periodic potentials reduce long spans to powers of the
 one-period transfer.
 
 The Volterra route (successive approximation of the integral equation for
@@ -33,6 +34,12 @@ from .foundation import alpha_dirichlet, jmat, matnorm
 # eigenbasis condition cap: diagonalization errors scale like eps * cond,
 # so beyond ~1e6 fall back to expm / binary powering
 _EIG_COND_MAX = 1e6
+
+# per-step bound on the leading error term of the Magnus step (see
+# magnus_steps); at 1e-10 the half-line M-function of a bump sampled at
+# 21 to 401 nodes stays within 2e-11 of the Volterra route for |z| from 4
+# to 3000
+_MAGNUS_ETA = 1e-10
 
 
 def system_matrix(z, b):
@@ -102,24 +109,46 @@ def segment_cuts(spec, a, b, piece, off, extra=()):
 
 
 def magnus_steps(ts, acoef):
-    """Exponentials of one fourth-order Magnus step of Y' = A(x) Y per cell
-    [ts[i], ts[i+1]] (either direction), for A linear on each cell and given
-    at the cut points as the stack acoef.
+    """Transfer of Y' = A(x) Y across each cell [ts[i], ts[i+1]] (either
+    direction), for A linear on each cell and given at the cut points as the
+    stack acoef.
 
-    Omega = h (A1 + A2) / 2 + (sqrt(3) / 12) h^2 [A2, A1] at the two Gauss
-    points, which for linear A equals h (A(t0) + A(t1)) / 2
-    + h^2 / 12 [A(t1), A(t0)] (Iserles & Norsett 1999; Blanes, Casas, Oteo
-    & Ros 2009).  Skew-Hermitian A gives unitary factors, Hamiltonian A
-    symplectic ones.
+    Each fourth-order Magnus step takes Omega = h (A1 + A2) / 2
+    + (sqrt(3) / 12) h^2 [A2, A1] at the two Gauss points, which for linear A
+    equals h (A(t0) + A(t1)) / 2 + h^2 / 12 [A(t1), A(t0)] (Iserles &
+    Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Its error is led by the
+    h^5 commutators [A, [A, [A, A']]] and [A', [A, A']], so a cell takes the
+    fewest equal steps k with eta / k^5 <= _MAGNUS_ETA, where
+    eta = a^3 b + a b^2 for a = h ||A(mid)|| and b = h ||A(t1) - A(t0)||,
+    taken of the traceless parts.  Skew-Hermitian A gives unitary factors,
+    Hamiltonian A symplectic ones.
     """
-    h = np.diff(ts)[:, None, None]
+    h = np.diff(ts)
+    d = acoef.shape[-1]
+    # the scalar part of A commutes with the rest and costs no accuracy
+    scalar = np.trace(acoef, axis1=-2, axis2=-1)[:, None, None] / d
+    free = acoef - scalar * np.eye(d)
+    a = np.abs(h) * np.linalg.norm(0.5 * (free[:-1] + free[1:]), axis=(-2, -1))
+    b = np.abs(h) * np.linalg.norm(np.diff(free, axis=0), axis=(-2, -1))
+    k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
+    k = np.maximum(k, 1).astype(int)
     a0, a1 = acoef[:-1], acoef[1:]
-    omega = 0.5 * h * (a0 + a1) + (h * h / 12.0) * (a1 @ a0 - a0 @ a1)
-    w, v, ok = _eig_guarded(omega)
-    out = np.empty(omega.shape, dtype=complex)
-    out[ok] = (v[ok] * np.exp(w[ok])[:, None, :]) @ np.linalg.inv(v[ok])
-    if not ok.all():
-        out[~ok] = expm(omega[~ok])
+    out = np.empty((len(h), d, d), dtype=complex)
+    for j in range(k.max(initial=0)):
+        c = k > j          # cells still stepping
+        kc = k[c][:, None, None]
+        hs = h[c][:, None, None] / kc
+        # A is linear on the cell, so the step ends interpolate it exactly
+        w0, w1 = j / kc, (j + 1) / kc
+        lo = (1 - w0) * a0[c] + w0 * a1[c]
+        hi = (1 - w1) * a0[c] + w1 * a1[c]
+        omega = 0.5 * hs * (lo + hi) + (hs * hs / 12.0) * (hi @ lo - lo @ hi)
+        w, v, ok = _eig_guarded(omega)
+        f = np.empty(omega.shape, dtype=complex)
+        f[ok] = (v[ok] * np.exp(w[ok])[:, None, :]) @ np.linalg.inv(v[ok])
+        if not ok.all():
+            f[~ok] = expm(omega[~ok])
+        out[c] = f if j == 0 else f @ out[c]
     return out
 
 

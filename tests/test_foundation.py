@@ -126,6 +126,20 @@ class TestPotential:
             assert np.array_equal(spec.eval(x + 1.0), spec.eval(x))
             assert np.array_equal(spec.eval(x - 3.0), spec.eval(x))
 
+    def test_periodic_sides_at_large_x(self):
+        # far from the origin the wrapped point carries roundoff well above
+        # the 1e-12 side shift; the side must still pick the one-sided limit
+        from diracweyl import ConstantPiece
+        left = normal_form_matrix([[0.0]], [[1.0]])
+        right = normal_form_matrix([[0.0]], [[2.0]])
+        spec = PotentialSpec(m=1, period=1.0, pieces=(
+            ConstantPiece(0.0, 0.4, left), ConstantPiece(0.4, 1.0, right)))
+        for k in (3e4, 1e6, -1e6):
+            assert np.array_equal(spec.eval(k + 0.4, side=-1), left)
+            assert np.array_equal(spec.eval(k + 0.4, side=+1), right)
+            assert np.array_equal(spec.eval(k, side=-1), right)
+            assert np.array_equal(spec.eval(k, side=+1), left)
+
 
 class TestTruncate:
     def test_window(self, const_q1):
