@@ -67,14 +67,25 @@ def _eig_guarded(a):
     return w, v, ok
 
 
-def _matpow(t, k):
-    """t**k for integer k, eigendecomposition first, binary powering fallback."""
+def _eig_basis(a):
+    """(w, v, v^{-1}) of a matrix a = v diag(w) v^{-1}, or None when
+    _eig_guarded rejects its eigenbasis."""
+    w, v, ok = _eig_guarded(a)
+    return (w, v, np.linalg.inv(v)) if ok else None
+
+
+def _matpow(t, k, basis):
+    """t**k for integer k, through basis = _eig_basis(t) when it is not
+    None, by binary powering otherwise."""
     d = t.shape[0]
     if k == 0:
         return np.eye(d, dtype=complex)
-    w, v, ok = _eig_guarded(t)
-    if ok:
-        return v @ np.diag(w ** k) @ np.linalg.inv(v)
+    if basis is not None:
+        w, v, vinv = basis
+        # overflow to inf is an expected probe outcome for large |k|;
+        # callers detect it and bisect
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v @ np.diag(w ** k) @ vinv
     base = t if k > 0 else np.linalg.inv(t)
     n = abs(k)
     out = np.eye(d, dtype=complex)
@@ -162,9 +173,9 @@ class Propagator:
         self.z = complex(z)
         self.spec = spec
         self.m = spec.m
-        self._eig = {}        # (piece id, scale) -> (acoef, w, v, vinv)
+        self._eig = {}        # (piece id, scale) -> (acoef, _eig_basis)
         self._seg = {}        # (piece id, a, b, scale) -> transfer
-        self._period_t = {}   # (phase, scale) -> one-period transfer
+        self._period_t = {}   # (phase, scale) -> (period transfer, _eig_basis)
 
     def _coefficient(self, b, scale):
         acoef = system_matrix(self.z, b)
@@ -179,12 +190,11 @@ class Propagator:
             d = 2 * self.m
             acoef = self._coefficient(
                 np.zeros((d, d)) if piece is None else piece.value, scale)
-            w, v, ok = _eig_guarded(acoef)
-            self._eig[key] = ((acoef, w, v, np.linalg.inv(v)) if ok
-                              else (acoef, None, None, None))
-        acoef, w, v, vinv = self._eig[key]
+            self._eig[key] = (acoef, _eig_basis(acoef))
+        acoef, basis = self._eig[key]
         span = b - a
-        if w is not None:
+        if basis is not None:
+            w, v, vinv = basis
             # overflow to inf is an expected probe outcome on long spans;
             # callers detect it and bisect
             with np.errstate(over="ignore", invalid="ignore"):
@@ -234,8 +244,10 @@ class Propagator:
             phase = (xa - spec.pieces[0].x_lo) % w
             pkey = (round(phase, 12), scale)
             if pkey not in self._period_t:
-                self._period_t[pkey] = self._walk(xa, xa + w, scale)
-            tk = _matpow(self._period_t[pkey], k)
+                tw = self._walk(xa, xa + w, scale)
+                self._period_t[pkey] = (tw, _eig_basis(tw))
+            tw, basis = self._period_t[pkey]
+            tk = _matpow(tw, k, basis)
             if not r:
                 return tk
             # B(x + k*w) = B(x): the remainder T(xa+kw+r <- xa+kw) equals

@@ -145,40 +145,51 @@ def _cayley_frame(sig, m):
     return c, cinv
 
 
-def _mobius_step(s, theta):
-    m = theta.shape[0]
-    num = s[:m, :m] @ theta + s[:m, m:]
-    den = s[m:, :m] @ theta + s[m:, m:]
-    kappa = matnorm(s) * _safe_inv_norm(den)
-    return num, den, kappa
-
-
 def _safe_inv_norm(den):
     if not np.all(np.isfinite(den)):
         return math.inf
     try:
-        return float(np.linalg.norm(np.linalg.inv(den), 2))
+        return matnorm(np.linalg.inv(den))
     except np.linalg.LinAlgError:
         return math.inf
 
 
-def _mobius_across(prop, a, b, theta, frame, scale, depth=0):
+def _span_factor(prop, a, b, frame, scale, memo):
+    """Moebius factor S = C T(b <- a) C^{-1} with ||S||_2, or None when the
+    transfer is not finite.  memo, one per halfline_m call, keeps each
+    span's result, since every doubling of c re-bisects the spans of the
+    one before."""
+    if (a, b) not in memo:
+        t = prop.transfer(a, b, scale=scale)
+        if np.all(np.isfinite(t)):
+            c, cinv = frame
+            s = c @ t @ cinv
+            memo[a, b] = (s, matnorm(s))
+        else:
+            memo[a, b] = None
+    return memo[a, b]
+
+
+def _mobius_across(prop, a, b, theta, frame, scale, memo, depth=0):
     """Carry theta from a to b through the transfer matrix, bisecting the
     interval until each factor is well conditioned."""
-    c, cinv = frame
-    t = prop.transfer(a, b, scale=scale)
-    if np.all(np.isfinite(t)):
-        s = c @ t @ cinv
-        num, den, kappa = _mobius_step(s, theta)
-    else:
-        kappa = math.inf
+    factor = _span_factor(prop, a, b, frame, scale, memo)
+    kappa = math.inf
+    if factor is not None:
+        s, s_norm = factor
+        m = theta.shape[0]
+        num = s[:m, :m] @ theta + s[:m, m:]
+        den = s[m:, :m] @ theta + s[m:, m:]
+        kappa = s_norm * _safe_inv_norm(den)
     if kappa > _MOBIUS_COND:
         if abs(b - a) < _MIN_SEG or depth > 80:
             raise IntegrationFailure(
                 f"Moebius factor on [{a}, {b}] stayed ill-conditioned")
         mid = 0.5 * (a + b)
-        theta = _mobius_across(prop, a, mid, theta, frame, scale, depth + 1)
-        return _mobius_across(prop, mid, b, theta, frame, scale, depth + 1)
+        theta = _mobius_across(prop, a, mid, theta, frame, scale, memo,
+                               depth + 1)
+        return _mobius_across(prop, mid, b, theta, frame, scale, memo,
+                              depth + 1)
     return np.linalg.solve(den.T, num.T).T
 
 
@@ -241,6 +252,7 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, max_range=1e8,
     theta_c = _theta_from_subspace(-b2.conj().T, b1.conj().T, sig)
 
     scale = 1 if z.imag * sign < 0 else -1   # damps the backward sweep c -> x0
+    memo = {}
     prev = None
     tail = math.inf
     k = 0
@@ -253,7 +265,7 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, max_range=1e8,
                 f"(z too close to the real axis for tol {tol:.1e})",
                 best=prev, tail=tail)
         c = x0 + sign * span
-        theta = _mobius_across(prop, c, x0, theta_c, frame, scale)
+        theta = _mobius_across(prop, c, x0, theta_c, frame, scale, memo)
         mval = _m_from_theta(theta, sig, alpha)
         sweeps += 1
         if prev is not None:

@@ -8,6 +8,7 @@ off-diagonal M-functions come from the exponential ansatz.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from diracweyl import (
     ConstantPiece,
@@ -44,6 +45,26 @@ def const_transfer_eig(z, b, dx):
     a = -j @ (z * np.eye(d) + b)
     w, v = np.linalg.eig(a)
     return v @ np.diag(np.exp(w * dx)) @ np.linalg.inv(v)
+
+
+def floquet_mplus(z, pieces):
+    """Dirichlet half-line M_+ at x0 = 0 of the periodic constant-piece
+    potential (x_lo, x_hi, B) tiling [0, period): the decaying solutions
+    are spanned by the eigenvectors U of the one-period monodromy with
+    |mu| < 1, and M = U2 U1^{-1}, since the Dirichlet fundamental system
+    starts at the identity."""
+    d = pieces[0][2].shape[0]
+    m = d // 2
+    j = np.zeros((d, d), complex)
+    j[:m, m:] = -np.eye(m)
+    j[m:, :m] = np.eye(m)
+    mono = np.eye(d)
+    for lo, hi, b in pieces:
+        mono = expm(-j @ (z * np.eye(d) + b) * (hi - lo)) @ mono
+    mu, v = np.linalg.eig(mono)
+    u = v[:, np.abs(mu) < 1]
+    assert u.shape[1] == m
+    return u[m:] @ np.linalg.inv(u[:m])
 
 
 def mplus_const_q(z, q):
@@ -91,6 +112,31 @@ def random_normal_form_spec(rng, m, max_pieces=3, amp=0.35):
         pieces.append(ConstantPiece(x, x + length, b))
         x += length
     return PotentialSpec(m=m, pieces=tuple(pieces), name="random-nf")
+
+
+# Two-piece m = 2 Kronig-Penney-type potential of period 1: two channels
+# with gaps of different widths, shifted by 0.3 and coupled off the
+# diagonal, so lambda = -1 lies in a band of one channel and a gap of the
+# other (the mixed-channel point where the half-line sweep bisects).
+KP2_PIECES = (
+    (0.0, 0.5, np.array([
+        [0.39694068751964123, 0.0, 0.9242851877968796, 0.09929020047043097],
+        [0.0, 0.24788311141070285, 0.09929020047043097, 0.6994295347448869],
+        [0.9242851877968796, 0.09929020047043097, 0.19847941270351172, 0.0],
+        [0.09929020047043097, 0.6994295347448869, 0.0, 0.3475369888124501],
+    ], dtype=complex)),
+    (0.5, 1.0, np.array([
+        [0.19847941270351172, 0.0, 0.5234748741469775, 0.09929020047043097],
+        [0.0, 0.3475369888124501, 0.09929020047043097, 0.2986192210949848],
+        [0.5234748741469775, 0.09929020047043097, 0.39694068751964123, 0.0],
+        [0.09929020047043097, 0.2986192210949848, 0.0, 0.24788311141070285],
+    ], dtype=complex)),
+)
+
+
+def kp2_spec():
+    return PotentialSpec(m=2, period=1.0, name="kp2", pieces=tuple(
+        ConstantPiece(lo, hi, b) for lo, hi, b in KP2_PIECES))
 
 
 def smooth_bump_spec(amp=0.8, n=1601, tail_q=None, name="bump"):

@@ -59,6 +59,20 @@ class TestBoundaryData:
         assert np.array_equal(a.psi0(), np.eye(4, dtype=complex))
 
 
+class TestMatnorm:
+    def test_spectral_norm_bit_for_bit(self, rng):
+        for shape in [(1, 1), (2, 2), (4, 4), (3, 5), (6, 2)]:
+            x = rng.normal(size=shape)
+            assert matnorm(x) == np.linalg.norm(x, 2)
+            x = x + 1j * rng.normal(size=shape)
+            assert matnorm(x) == np.linalg.norm(x, 2)
+
+    def test_vector_two_norm(self, rng):
+        for n in [1, 3, 8]:
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert matnorm(v) == pytest.approx(np.linalg.norm(v), rel=1e-15)
+
+
 class TestSigma:
     @pytest.mark.parametrize("s,t,z,want", [
         (1.0, 0.0, 1j, 1),

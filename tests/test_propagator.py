@@ -21,6 +21,7 @@ from diracweyl.errors import (
     MismatchedEvaluation,
     NoCompactSupport,
 )
+from diracweyl.propagator import _eig_basis, _matpow
 from conftest import (
     const_transfer_eig,
     free_psi,
@@ -111,6 +112,29 @@ class TestFundamentalSystem:
         h = halfline_m(1.5j, 0.25, alpha_dirichlet(1), spec)
         im = (h.M - h.M.conj().T) / 2j
         assert np.linalg.eigvalsh(im)[0] > 0
+
+
+class TestMatpow:
+    @pytest.mark.parametrize("k", [1, -1, 50, -50, 1000, -1000])
+    def test_defective_matrix_by_binary_powering(self, k):
+        # a Jordan block has no eigenbasis, so the guard must reject it;
+        # binary powering of integer entries is then exact
+        t = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        basis = _eig_basis(t)
+        assert basis is None
+        assert np.array_equal(_matpow(t, k, basis), [[1, k], [0, 1]])
+
+    @pytest.mark.parametrize("k", [7, -7])
+    def test_diagonalizable_matrix_by_eigenbasis(self, rng, k):
+        t = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        t /= max(abs(np.linalg.eigvals(t)))
+        basis = _eig_basis(t)
+        assert basis is not None
+        base = t if k > 0 else np.linalg.inv(t)
+        want = np.eye(4, dtype=complex)
+        for _ in range(abs(k)):
+            want = base @ want
+        assert matnorm(_matpow(t, k, basis) - want) < 1e-12 * matnorm(want)
 
 
 class TestSymplecticDefect:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from diracweyl import (
     PotentialSpec,
+    Propagator,
     alpha_dirichlet,
     alpha_neumann,
     disk_membership,
@@ -22,6 +24,9 @@ from diracweyl.errors import (
     SingularDenominator,
 )
 from conftest import (
+    KP2_PIECES,
+    floquet_mplus,
+    kp2_spec,
     mminus_const_q,
     mplus_const_q,
     random_boundary,
@@ -236,6 +241,46 @@ class TestHalfLineM:
         z, q = 1.4j, 1.0
         mv = halfline_m(z, 0.0, alpha_dirichlet(1), const_q1).M[0, 0]
         assert abs(z * mv * mv + 2 * q * mv + z) < 1e-8
+
+
+class TestPeriodicMixedPoint:
+    """m = 2 periodic potential at points where one channel is in a band
+    and the other in a gap (and one pure band point): the sweep needs the
+    period power, Moebius bisection and overflowing power probes."""
+
+    @pytest.mark.parametrize("z", [-1 + 1e-3j, -1 + 2e-3j, 0.5 + 1e-2j])
+    def test_matches_floquet_oracle(self, z, monkeypatch):
+        oracle = floquet_mplus(z, KP2_PIECES)
+        eig_calls = []
+        eig = np.linalg.eig
+
+        def counted_eig(a):
+            eig_calls.append(a.shape)
+            return eig(a)
+
+        spans = []
+        transfer = Propagator.transfer
+
+        def recorded_transfer(prop, xa, xb, scale=0):
+            t = transfer(prop, xa, xb, scale)
+            spans.append((xa, xb, bool(np.all(np.isfinite(t)))))
+            return t
+
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = halfline_m(z, 0.0, alpha_dirichlet(2), kp2_spec())
+        assert matnorm(h.M - oracle) <= 1e-10 * matnorm(oracle)
+        # one eigendecomposition per constant piece and one for the period
+        # transfer, however many period powers and sweeps
+        assert len(eig_calls) <= 3
+        # each span is factored once per call, across all doublings
+        assert len({(a, b) for a, b, _ in spans}) == len(spans)
+        assert any(abs(b - a) > 2.0 for a, b, _ in spans)   # period power
+        if z.real == -1:
+            # the power overflows on long spans; bisection recovers from it
+            assert not all(ok for _, _, ok in spans)
 
 
 class TestLft:
