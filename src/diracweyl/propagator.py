@@ -16,6 +16,7 @@ well; it is deliberately quadrature-based so it stays independent of the
 transfer-matrix machinery and can serve as a cross-check oracle.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,10 +42,15 @@ _EIG_COND_MAX = 1e6
 # to 3000
 _MAGNUS_ETA = 1e-10
 
+# (z, cell) pairs per magnus_steps batch of a grid piece: bounds the
+# stacks' memory when many z share one Propagator
+_CELL_BLOCK = 4096
+
 
 def system_matrix(z, b):
     """Coefficient A(x) of Psi' = A Psi, i.e. J^{-1} (z I + B) = -J (z I + B);
-    b may be a stack of matrices."""
+    b may be a stack of matrices, and z an array that broadcasts against
+    the stack."""
     b = np.asarray(b)
     d = b.shape[-1]
     return -jmat(d // 2) @ (z * np.eye(d) + b)
@@ -58,37 +64,74 @@ def auto_scale(z, xa, xb):
     return 1 if s > 0 else -1
 
 
-def _eig_guarded(a):
-    """Eigendecomposition w, v of a matrix or a stack of them, with ``ok``
-    marking where the eigenbasis is conditioned well enough to use."""
+def _eig_basis(a):
+    """(w, v, v^{-1}, ok) for a matrix or a stack of them, with
+    a = v diag(w) v^{-1} wherever the mask ``ok`` marks an eigenbasis
+    conditioned well enough to use, and ok None when every entry has one;
+    None when no entry has one.  Rejected entries get the identity for
+    v^{-1}."""
     w, v = np.linalg.eig(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = np.isfinite(w).all(axis=-1) & (np.linalg.cond(v) < _EIG_COND_MAX)
-    return w, v, ok
+    if ok.all():
+        return w, v, np.linalg.inv(v), None
+    if not ok.any():
+        return None
+    vinv = _diag(1, v.shape)
+    vinv[ok] = np.linalg.inv(v[ok])
+    return w, v, vinv, ok
 
 
-def _eig_basis(a):
-    """(w, v, v^{-1}) of a matrix a = v diag(w) v^{-1}, or None when
-    _eig_guarded rejects its eigenbasis."""
-    w, v, ok = _eig_guarded(a)
-    return (w, v, np.linalg.inv(v)) if ok else None
+def _diag(x, shape):
+    """Complex diagonal matrices of the given (stack) shape, with diagonals
+    x."""
+    out = np.zeros(shape, dtype=complex)
+    out.reshape(shape[:-2] + (shape[-1] ** 2,))[..., ::shape[-1] + 1] = x
+    return out
 
 
+def _per_entry(through_basis):
+    """Let f(a, x, basis), written for a basis that is None or accepted
+    for every entry (ok None), take a stack that _eig_basis accepted only
+    in part: the accepted entries go through their eigenbases, the rest
+    through f's fallback for basis None."""
+    @functools.wraps(through_basis)
+    def f(a, x, basis):
+        if basis is None or basis[3] is None:
+            return through_basis(a, x, basis)
+        ok = basis[3]
+        out = np.empty(a.shape, dtype=complex)
+        out[ok] = through_basis(a[ok], x, (*(y[ok] for y in basis[:3]), None))
+        out[~ok] = through_basis(a[~ok], x, None)
+        return out
+    return f
+
+
+@_per_entry
+def _expm_span(a, span, basis):
+    """e^{a span} through basis = _eig_basis(a), by expm where rejected."""
+    if basis is None:
+        return expm(a * span)
+    w, v, vinv, _ = basis
+    # overflow to inf is an expected probe outcome on long spans; callers
+    # detect it and bisect
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v * np.exp(w * span)[..., None, :]) @ vinv
+
+
+@_per_entry
 def _matpow(t, k, basis):
-    """t**k for integer k, through basis = _eig_basis(t) when it is not
-    None, by binary powering otherwise."""
-    d = t.shape[0]
-    if k == 0:
-        return np.eye(d, dtype=complex)
-    if basis is not None:
-        w, v, vinv = basis
+    """t**k for integer k, through basis = _eig_basis(t) where accepted, by
+    binary powering where rejected."""
+    if basis is not None and k:
+        w, v, vinv, _ = basis
         # overflow to inf is an expected probe outcome for large |k|;
         # callers detect it and bisect
         with np.errstate(over="ignore", invalid="ignore"):
-            return v @ np.diag(w ** k) @ vinv
-    base = t if k > 0 else np.linalg.inv(t)
+            return v @ _diag(w ** k, t.shape) @ vinv
+    out = _diag(1, t.shape)
+    base = t if k >= 0 else np.linalg.inv(t)
     n = abs(k)
-    out = np.eye(d, dtype=complex)
     while n:
         if n & 1:
             out = out @ base
@@ -122,7 +165,8 @@ def segment_cuts(spec, a, b, piece, off, extra=()):
 def magnus_steps(ts, acoef):
     """Transfer of Y' = A(x) Y across each cell [ts[i], ts[i+1]] (either
     direction), for A linear on each cell and given at the cut points as the
-    stack acoef.
+    stack acoef, of shape (..., len(ts), d, d); leading axes (one per z, say)
+    batch, and the result has shape (..., len(ts) - 1, d, d).
 
     Each fourth-order Magnus step takes Omega = h (A1 + A2) / 2
     + (sqrt(3) / 12) h^2 [A2, A1] at the two Gauss points, which for linear A
@@ -134,17 +178,18 @@ def magnus_steps(ts, acoef):
     taken of the traceless parts.  Skew-Hermitian A gives unitary factors,
     Hamiltonian A symplectic ones.
     """
-    h = np.diff(ts)
     d = acoef.shape[-1]
+    h = np.broadcast_to(np.diff(ts), acoef.shape[:-3] + (len(ts) - 1,))
     # the scalar part of A commutes with the rest and costs no accuracy
-    scalar = np.trace(acoef, axis1=-2, axis2=-1)[:, None, None] / d
+    scalar = np.trace(acoef, axis1=-2, axis2=-1)[..., None, None] / d
     free = acoef - scalar * np.eye(d)
-    a = np.abs(h) * np.linalg.norm(0.5 * (free[:-1] + free[1:]), axis=(-2, -1))
-    b = np.abs(h) * np.linalg.norm(np.diff(free, axis=0), axis=(-2, -1))
+    a = np.abs(h) * np.linalg.norm(
+        0.5 * (free[..., :-1, :, :] + free[..., 1:, :, :]), axis=(-2, -1))
+    b = np.abs(h) * np.linalg.norm(np.diff(free, axis=-3), axis=(-2, -1))
     k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
     k = np.maximum(k, 1).astype(int)
-    a0, a1 = acoef[:-1], acoef[1:]
-    out = np.empty((len(h), d, d), dtype=complex)
+    a0, a1 = acoef[..., :-1, :, :], acoef[..., 1:, :, :]
+    out = np.empty(h.shape + (d, d), dtype=complex)
     for j in range(k.max(initial=0)):
         c = k > j          # cells still stepping
         kc = k[c][:, None, None]
@@ -154,33 +199,34 @@ def magnus_steps(ts, acoef):
         lo = (1 - w0) * a0[c] + w0 * a1[c]
         hi = (1 - w1) * a0[c] + w1 * a1[c]
         omega = 0.5 * hs * (lo + hi) + (hs * hs / 12.0) * (hi @ lo - lo @ hi)
-        w, v, ok = _eig_guarded(omega)
-        f = np.empty(omega.shape, dtype=complex)
-        f[ok] = (v[ok] * np.exp(w[ok])[:, None, :]) @ np.linalg.inv(v[ok])
-        if not ok.all():
-            f[~ok] = expm(omega[~ok])
+        f = _expm_span(omega, 1, _eig_basis(omega))
         out[c] = f if j == 0 else f @ out[c]
     return out
 
 
 class Propagator:
-    """Transfer matrices for one (z, spec) pair, with caching.
+    """Transfer matrices for one spec at one z or at a 1-D array of z, with
+    caching.  For an array of z every coefficient, cached eigenbasis and
+    transfer carries a leading z axis; a scalar z gives (2m, 2m) matrices.
 
     Not thread-safe per instance (it memoizes); build one per worker.
     """
 
     def __init__(self, z, spec):
-        self.z = complex(z)
+        self.z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
         self.spec = spec
         self.m = spec.m
+        self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2)
         self._eig = {}        # (piece id, scale) -> (acoef, _eig_basis)
         self._seg = {}        # (piece id, a, b, scale) -> transfer
         self._period_t = {}   # (phase, scale) -> (period transfer, _eig_basis)
 
     def _coefficient(self, b, scale):
-        acoef = system_matrix(self.z, b)
+        # the z axis, if any, leads the axes of b
+        z = np.reshape(self.z, np.shape(self.z) + (1,) * np.ndim(b))
+        acoef = system_matrix(z, b)
         if scale:
-            acoef = acoef + 1j * scale * self.z * np.eye(2 * self.m)
+            acoef = acoef + 1j * scale * z * np.eye(2 * self.m)
         return acoef
 
     def _const_transfer(self, piece, a, b, scale):
@@ -192,31 +238,37 @@ class Propagator:
                 np.zeros((d, d)) if piece is None else piece.value, scale)
             self._eig[key] = (acoef, _eig_basis(acoef))
         acoef, basis = self._eig[key]
-        span = b - a
-        if basis is not None:
-            w, v, vinv = basis
-            # overflow to inf is an expected probe outcome on long spans;
-            # callers detect it and bisect
-            with np.errstate(over="ignore", invalid="ignore"):
-                return (v * np.exp(w * span)) @ vinv
-        return expm(acoef * span)
+        return _expm_span(acoef, b - a, basis)
 
     def _grid_transfer(self, piece, off, a, b, scale):
         """Ordered product of the Magnus factors of a grid piece on [a, b]."""
         key = (id(piece), a, b, scale)
         if key not in self._seg:
             ts, vals = segment_cuts(self.spec, a, b, piece, off)
-            f = magnus_steps(ts, self._coefficient(vals, scale))
-            while len(f) > 1:      # pairwise: later factors on the left
-                if len(f) % 2:
-                    f = np.concatenate([f, np.eye(2 * self.m)[None]])
-                f = f[1::2] @ f[0::2]
-            self._seg[key] = f[0]
+            # cells go in aligned power-of-two chunks of at most
+            # _CELL_BLOCK / (number of z) cells, each reduced to its subtree
+            # of the one pairwise product over all cells
+            cells = max(1, _CELL_BLOCK // np.size(self.z))
+            chunk = 1 << (cells.bit_length() - 1)
+            f = np.concatenate([self._pairwise(magnus_steps(
+                ts[i:i + chunk + 1],
+                self._coefficient(vals[i:i + chunk + 1], scale)))
+                for i in range(0, len(ts) - 1, chunk)], axis=-3)
+            self._seg[key] = self._pairwise(f)[..., 0, :, :]
         return self._seg[key]
+
+    def _pairwise(self, f):
+        """Product of the factors along axis -3, later ones on the left,
+        multiplied pairwise; the axis is kept, at length 1."""
+        while f.shape[-3] > 1:
+            if f.shape[-3] % 2:
+                f = np.concatenate([f, self._eye[..., None, :, :]], axis=-3)
+            f = f[..., 1::2, :, :] @ f[..., 0::2, :, :]
+        return f
 
     def _walk(self, xa, xb, scale):
         """Product of piece transfers over [xa, xb] (no period powering)."""
-        t = np.eye(2 * self.m, dtype=complex)
+        t = self._eye.copy()
         segs = self.spec.segments(min(xa, xb), max(xa, xb))
         if xb < xa:
             segs = [(b, a, p, off) for a, b, p, off in reversed(segs)]
@@ -232,7 +284,7 @@ class Propagator:
     def transfer(self, xa, xb, scale=0):
         """T(xb <- xa) with the rescale factor e^{i*scale*z*(xb - xa)} folded in."""
         if xa == xb:
-            return np.eye(2 * self.m, dtype=complex)
+            return self._eye.copy()
         spec = self.spec
         if spec.is_periodic and abs(xb - xa) > 2 * spec.period:
             w = spec.period

@@ -73,7 +73,7 @@ def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
 
 @dataclass(frozen=True, eq=False)
 class Monodromy:
-    z: complex
+    z: complex                # or an array of z, leading the axes below
     x0: float
     period: float
     matrix: np.ndarray
@@ -81,7 +81,9 @@ class Monodromy:
 
 
 def monodromy(z, spec, x0=None):
-    """One-period transfer matrix Psi(z, x0 + omega, x0), Psi(x0) = I."""
+    """One-period transfer matrix Psi(z, x0 + omega, x0), Psi(x0) = I.  For
+    a 1-D array of z, one stacked Propagator gives the matrices as an
+    (n, 2m, 2m) stack and the multipliers as (n, 2m) rows."""
     if not spec.is_periodic:
         raise NotPeriodic("monodromy needs a periodic potential")
     if x0 is None:
@@ -89,8 +91,8 @@ def monodromy(z, spec, x0=None):
     prop = Propagator(z, spec)
     t = prop.transfer(x0, x0 + spec.period, scale=0)
     mult = np.linalg.eigvals(t)
-    mult = mult[np.argsort(np.abs(mult))]
-    return Monodromy(z=complex(z), x0=float(x0), period=spec.period,
+    mult = np.take_along_axis(mult, np.argsort(np.abs(mult), axis=-1), axis=-1)
+    return Monodromy(z=prop.z, x0=float(x0), period=spec.period,
                      matrix=t, multipliers=mult)
 
 
@@ -103,41 +105,36 @@ class BandStructure:
     gaps: tuple               # interior out-of-band runs
 
 
-def _runs(lams, flags, want):
-    out = []
-    start = None
-    for i, f in enumerate(flags):
-        if f == want and start is None:
-            start = i
-        if f != want and start is not None:
-            out.append((float(lams[start]), float(lams[i - 1])))
-            start = None
-    if start is not None:
-        out.append((float(lams[start]), float(lams[-1])))
-    return tuple(out)
+# lambda per stacked monodromy in band_spectrum; it only bounds the stacks'
+# memory (4001 lambda in one stack add ~7 MB), and far smaller blocks bring
+# the per-call overhead back
+_LAMBDA_BLOCK = 256
+
+
+def _runs(lams, flags):
+    """(lo, hi) lambda of each maximal run of True in flags."""
+    edge = np.diff(np.concatenate(([False], flags, [False])).astype(np.int8))
+    lo, hi = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) - 1
+    return tuple(zip(lams[lo].tolist(), lams[hi].tolist()))
 
 
 def band_spectrum(spec, lams, tol=1e-6, x0=None):
     """Flag each real lambda in-band iff every Floquet multiplier is
-    unimodular within tol * max(1, omega)."""
+    unimodular within tol * max(1, omega).  The multipliers come from one
+    stacked monodromy per block of _LAMBDA_BLOCK lambda."""
     if not spec.is_periodic:
         raise NotPeriodic("band structure needs a periodic potential")
     lams = np.asarray(lams, float)
     eff = tol * max(1.0, spec.period)
-    mults = []
-    flags = np.zeros(len(lams), dtype=bool)
-    for i, lam in enumerate(lams):
-        mono = monodromy(lam, spec, x0=x0)
-        mults.append(mono.multipliers)
-        flags[i] = bool(np.all(np.abs(np.abs(mono.multipliers) - 1.0) <= eff))
-    bands = _runs(lams, flags, True)
-    gaps = []
-    for lo, hi in _runs(lams, flags, False):
-        if lo > lams[0] and hi < lams[-1]:
-            gaps.append((lo, hi))
-    return BandStructure(lams=lams, in_band=flags,
-                         multipliers=np.array(mults), bands=bands,
-                         gaps=tuple(gaps))
+    mults = np.empty((len(lams), 2 * spec.m), dtype=complex)
+    for i in range(0, len(lams), _LAMBDA_BLOCK):
+        block = slice(i, i + _LAMBDA_BLOCK)
+        mults[block] = monodromy(lams[block], spec, x0=x0).multipliers
+    flags = np.all(np.abs(np.abs(mults) - 1.0) <= eff, axis=1)
+    gaps = tuple((lo, hi) for lo, hi in _runs(lams, ~flags)
+                 if lo > lams[0] and hi < lams[-1])
+    return BandStructure(lams=lams, in_band=flags, multipliers=mults,
+                         bands=_runs(lams, flags), gaps=gaps)
 
 
 # ---------------------------------------------------------------------------

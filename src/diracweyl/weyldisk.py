@@ -146,12 +146,15 @@ def _cayley_frame(sig, m):
 
 
 def _safe_inv_norm(den):
+    """||den^{-1}||_2 = 1 / sigma_min(den) from one SVD; inf for a
+    non-finite or singular den."""
     if not np.all(np.isfinite(den)):
         return math.inf
     try:
-        return matnorm(np.linalg.inv(den))
+        smin = np.linalg.svd(den, compute_uv=False)[-1]
     except np.linalg.LinAlgError:
         return math.inf
+    return 1.0 / smin if smin > 0 else math.inf
 
 
 def _span_factor(prop, a, b, frame, scale, memo):

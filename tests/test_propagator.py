@@ -10,8 +10,10 @@ from diracweyl import (
     fundamental_system,
     halfline_m,
     matnorm,
+    normal_form,
     normal_form_matrix,
     symplectic_defect,
+    system_matrix,
     truncate_potential,
     weyl_solution_volterra,
 )
@@ -21,10 +23,11 @@ from diracweyl.errors import (
     MismatchedEvaluation,
     NoCompactSupport,
 )
-from diracweyl.propagator import _eig_basis, _matpow
+from diracweyl.propagator import _CELL_BLOCK, _eig_basis, _matpow
 from conftest import (
     const_transfer_eig,
     free_psi,
+    kp2_spec,
     random_boundary,
     smooth_bump_spec,
 )
@@ -135,6 +138,70 @@ class TestMatpow:
         for _ in range(abs(k)):
             want = base @ want
         assert matnorm(_matpow(t, k, basis) - want) < 1e-12 * matnorm(want)
+
+
+class TestStackedZ:
+    """A Propagator built on an array of z gives, row by row, the transfers
+    of Propagators built on each z alone."""
+
+    ZS = np.array([-3.1, -0.4, 0.0, 0.7 + 0.05j, 2.2 + 1.5j, 5.0])
+    # inside one period, backwards, and over more than two periods (the
+    # period power)
+    SPANS = [(0.1, 0.85), (0.9, 0.2), (0.3, 7.45), (5.2, 0.1)]
+
+    @staticmethod
+    def _rows(spec, zs, a, b, scale=0):
+        stacked = Propagator(zs, spec).transfer(a, b, scale)
+        single = np.array([Propagator(z, spec).transfer(a, b, scale)
+                           for z in zs])
+        assert stacked.shape == single.shape == (len(zs),) + (2 * spec.m,) * 2
+        return stacked, single
+
+    @pytest.mark.parametrize("a,b", SPANS)
+    @pytest.mark.parametrize("scale", [0, 1])
+    def test_constant_pieces_bit_for_bit(self, a, b, scale):
+        stacked, single = self._rows(kp2_spec(), self.ZS, a, b, scale)
+        assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("a,b", SPANS)
+    def test_grid_pieces(self, a, b):
+        # m = 2 with a zero-mean scalar part, so the gauge factors return to
+        # I after one period and the normal form stays periodic
+        xs = np.linspace(0.0, 1.0, 41)
+        c, s = np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs)
+        vals = np.array([
+            normal_form_matrix([[0.3 * ci, 0.1], [0.1, -0.2]],
+                               [[0.5 + 0.2 * si, 0.05], [0.05, 0.7]])
+            + 0.3 * si * np.eye(4) for ci, si in zip(c, s)])
+        vals[-1] = vals[0]
+        spec = normal_form(PotentialSpec.from_samples(xs, vals, period=1.0),
+                           0.0, 1.0)
+        assert spec.is_periodic and spec.pieces[0].kind == "grid"
+        # 40 z split the 200 cells into Magnus batches of 64
+        zs = np.concatenate([self.ZS, np.linspace(-4.0, 4.0, 34) + 0.05j])
+        assert _CELL_BLOCK // len(zs) < len(spec.pieces[0].xs) - 1
+        stacked, single = self._rows(spec, zs, a, b)
+        err = np.max(np.abs(stacked - single), axis=(-2, -1))
+        assert np.all(err <= 1e-13 * np.max(np.abs(single), axis=(-2, -1)))
+
+    @pytest.mark.parametrize("a,b", SPANS)
+    def test_rejected_eigenbasis_falls_back_per_z(self, a, b):
+        # at lambda = +-1 the q = 1 coefficient is a Jordan block, so its
+        # eigenbasis is rejected there and expm / binary powering take over
+        # for those rows only
+        q1 = normal_form_matrix([[0.0]], [[1.0]])
+        zs = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.5 + 0.1j])
+        ok = _eig_basis(system_matrix(zs[:, None, None], q1))[3]
+        assert list(ok) == [True, False, True, True, False, True]
+        spec = PotentialSpec.constant(q1, period=1.0)
+        stacked, single = self._rows(spec, zs, a, b)
+        assert np.array_equal(stacked, single)
+
+    def test_scalar_z_keeps_matrix_shape(self):
+        t = Propagator(0.3 + 0.2j, kp2_spec()).transfer(0.0, 3.5)
+        assert t.shape == (4, 4)
+        assert Propagator(np.array([0.3]), kp2_spec()).transfer(
+            0.0, 0.0).shape == (1, 4, 4)
 
 
 class TestSymplecticDefect:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from diracweyl import (
     uniqueness_decay,
 )
 from diracweyl.errors import DifferenceBelowNoise, NotPeriodic
+from diracweyl.spectral import _LAMBDA_BLOCK
+from conftest import kp2_spec
 
 
 @pytest.fixture
@@ -95,6 +98,69 @@ class TestFloquet:
         spec = PotentialSpec.constant(np.zeros((2, 2), complex), period=1.0)
         bs = band_spectrum(spec, np.linspace(-2, 2, 81))
         assert bool(np.all(bs.in_band))
+
+    def test_blocked_stack_matches_per_point(self):
+        # 601 lambda span three blocks, and both block boundaries fall
+        # inside a band
+        spec = kp2_spec()
+        lams = np.linspace(-8.0, 8.0, 601)
+        bs = band_spectrum(spec, lams)
+        eff = 1e-6
+        mults = np.array([monodromy(lam, spec).multipliers for lam in lams])
+        flags = [bool(np.all(np.abs(np.abs(mu) - 1.0) <= eff)) for mu in mults]
+        assert np.array_equal(bs.multipliers, mults)
+        assert list(bs.in_band) == flags
+        assert all(flags[i - 1] and flags[i]
+                   for i in range(_LAMBDA_BLOCK, len(lams), _LAMBDA_BLOCK))
+        runs = {True: [], False: []}
+        for i, f in enumerate(flags):
+            if i == 0 or f != flags[i - 1]:
+                runs[f].append([lams[i], lams[i]])
+            runs[f][-1][1] = lams[i]
+        assert bs.bands == tuple(map(tuple, runs[True]))
+        assert bs.gaps == tuple(tuple(g) for g in runs[False]
+                                if g[0] > lams[0] and g[1] < lams[-1])
+        assert len(bs.gaps) == 3
+
+    def test_stacked_monodromy_rows(self):
+        spec = kp2_spec()
+        zs = np.array([-2.5, 0.3 + 0.1j, 4.0])
+        mono = monodromy(zs, spec)
+        assert mono.matrix.shape == (3, 4, 4)
+        for i, z in enumerate(zs):
+            one = monodromy(z, spec)
+            assert np.array_equal(mono.matrix[i], one.matrix)
+            assert np.array_equal(mono.multipliers[i], one.multipliers)
+
+    def test_block_bounds_memory(self):
+        # one stack over all 4001 lambda traced ~9 MB here, one block of
+        # _LAMBDA_BLOCK under 1 MB, the per-point loop it replaced ~1.1 MB
+        spec = kp2_spec()
+        lams = np.linspace(-8.0, 8.0, 4001)
+        band_spectrum(spec, lams[:8])
+        tracemalloc.start()
+        try:
+            band_spectrum(spec, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_grid_stack_bounds_memory(self):
+        # 64 lambda on a 400-cell period: one (z, cell) stack traced ~18 MB
+        # here, batches of _CELL_BLOCK (z, cell) pairs ~3 MB
+        xs = np.linspace(0.0, 1.0, 401)
+        vals = np.array([normal_form_matrix([[0.3 * math.cos(2 * math.pi * x)]],
+                                            [[0.5]]) for x in xs])
+        spec = PotentialSpec.from_samples(xs, vals, period=1.0)
+        lams = np.linspace(-4.0, 4.0, 64)
+        tracemalloc.start()
+        try:
+            band_spectrum(spec, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_not_periodic(self, const_q1):
         with pytest.raises(NotPeriodic):

@@ -283,6 +283,31 @@ class TestPeriodicMixedPoint:
             assert not all(ok for _, _, ok in spans)
 
 
+class TestConstantOverflow:
+    def test_bisects_past_overflowing_piece_transfers(self, monkeypatch):
+        # non-periodic m = 2 constant coupling diag(1, 0.2) at lambda = 0.5:
+        # one channel in a gap, one in a band.  The eigenbasis exponential
+        # of long spans overflows, and the sweep must bisect past it
+        spec = PotentialSpec.constant(
+            normal_form_matrix(np.zeros((2, 2)), np.diag([1.0, 0.2])))
+        z = 0.5 + 1e-3j
+        finite = []
+        transfer = Propagator.transfer
+
+        def recorded_transfer(prop, xa, xb, scale=0):
+            t = transfer(prop, xa, xb, scale)
+            finite.append(bool(np.all(np.isfinite(t))))
+            return t
+
+        monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = halfline_m(z, 0.0, alpha_dirichlet(2), spec)
+        assert not all(finite)
+        want = np.diag([mplus_const_q(z, 1.0), mplus_const_q(z, 0.2)])
+        assert matnorm(h.M - want) <= 1e-12 * matnorm(want)
+
+
 class TestLft:
     def test_identity_transform(self, rng, const_q1):
         alpha = random_boundary(rng, 1)
