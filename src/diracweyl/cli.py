@@ -1,9 +1,15 @@
-"""Command-line front end: dispatches to the library, sweeps z/lambda grids
-point by point, and emits CSV plus a JSON run summary.
+"""Command-line front end: dispatches to the library and emits CSV plus a
+JSON run summary.
 
-Determinism: grid points are written in input order with
-17-significant-digit formatting, so identical configurations produce
-byte-identical outputs (only wall_time_s in the summary differs).
+`mfunc`, `fullline` and `upsilon` sweep their z or lambda list point by
+point and record a failed point in the summary; `bands` and `borg`
+evaluate their lambda grid in stacked blocks.  Every CSV's columns are
+fixed by the potential's block size m, so a sweep whose points all fail
+still writes its full header.
+
+Determinism: rows are written in input order with 17-significant-digit
+formatting, so identical configurations produce byte-identical outputs
+(only wall_time_s in the summary differs).
 """
 
 import argparse
@@ -36,20 +42,12 @@ from .spectral import (
 from .weyldisk import disk_membership, halfline_m
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _parse_complex(text):
     return complex(text.strip().replace("i", "j"))
 
 
-def _parse_complex_list(text):
-    return [_parse_complex(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text, conv):
+    return [conv(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_grid(text):
@@ -57,60 +55,75 @@ def _parse_grid(text):
     return np.linspace(float(lo), float(hi), int(n))
 
 
-def _parse_matrix(text):
+def _parse_matrix(text, shape, name):
     rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[_parse_complex(v) for v in r.split(",")] for r in rows])
+    mat = np.array([[_parse_complex(v) for v in r.split(",")] for r in rows])
+    if mat.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}")
+    return mat
 
 
 def _parse_alpha(text, m):
     if text is None:
         return alpha_dirichlet(m)
-    mat = _parse_matrix(text)
-    if mat.shape != (m, 2 * m):
-        raise ValueError(f"alpha must be {m}x{2 * m}")
+    mat = _parse_matrix(text, (m, 2 * m), "alpha")
     return validate_boundary_data(mat[:, :m], mat[:, m:])
 
 
-def _complex_cols(prefix, mat):
-    cols = []
-    vals = []
-    mat = np.atleast_2d(mat)
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            cols += [f"{prefix}{i + 1}{j + 1}_re", f"{prefix}{i + 1}{j + 1}_im"]
-            vals += [_fmt(mat[i, j].real), _fmt(mat[i, j].imag)]
-    return cols, vals
+def _cols(prefix, n):
+    """Column names of an n x n complex matrix in _flat's order."""
+    return [f"{prefix}{i}{j}_{part}" for i in range(1, n + 1)
+            for j in range(1, n + 1) for part in ("re", "im")]
+
+
+def _flat(mat):
+    """Row-major (re, im) pairs of a complex matrix."""
+    return np.asarray(mat, complex).ravel().view(float)
 
 
 class _Run:
-    """Collects outputs and writes the summary."""
+    """One invocation: its tolerances, outputs, failed points and summary."""
 
     def __init__(self, args):
         self.args = args
         self.outdir = args.out
         os.makedirs(self.outdir, exist_ok=True)
         self.t0 = time.time()
+        self.tols = {}
         self.files = []
         self.failures = []
         self.info = {}
 
-    def write_csv(self, name, header, rows, tolerances):
-        path = os.path.join(self.outdir, name)
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps({"tolerances": tolerances}) + "\n")
+    def sweep(self, points, label, f):
+        """Rows f(p) in input order; a point that raises DiracWeylError
+        gives no row and one failure record keyed by label(p)."""
+        rows = []
+        for p in points:
+            try:
+                rows.append(f(p))
+            except DiracWeylError as err:
+                self.failures.append({**label(p), "category": err.category,
+                                      "message": str(err)})
+        return rows
+
+    def table(self, name, header, rows, fmt=None):
+        """Write one CSV: the tolerance line, the header, then fmt % row per
+        row (default %.17g in every column)."""
+        line = (fmt or ",".join(["%.17g"] * len(header))) + "\n"
+        with open(os.path.join(self.outdir, name), "w") as fh:
+            fh.write("# " + json.dumps({"tolerances": self.tols}) + "\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(row) + "\n")
+                fh.write(line % tuple(row))
         self.files.append(name)
-        return path
 
-    def finish(self, tolerances):
+    def finish(self):
         summary = {
             "command": self.args.command,
             "version": __version__,
             "inputs": {k: v for k, v in sorted(vars(self.args).items())
                        if k != "func" and v is not None},
-            "tolerances": tolerances,
+            "tolerances": self.tols,
             "outputs": self.files,
             "wall_time_s": round(time.time() - self.t0, 6),
             "partial": bool(self.failures),
@@ -118,181 +131,118 @@ class _Run:
         if self.failures:
             summary["failures"] = self.failures
         summary["info"] = self.info
-        path = os.path.join(self.outdir, "summary.json")
-        with open(path, "w") as fh:
+        with open(os.path.join(self.outdir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=1, default=str)
             fh.write("\n")
         return 1 if self.failures else 0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: cmd_x(args, spec, run) with spec the --potential
 # ---------------------------------------------------------------------------
 
-def cmd_mfunc(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_mfunc(args, spec, run):
     alpha = _parse_alpha(args.alpha, spec.m)
-    zs = _parse_complex_list(args.z)
+    zs = _parse_list(args.z, _parse_complex)
     sign = 1 if args.sign == "+" else -1
-    tols = {"halfline_tol": args.tol}
+    run.tols = {"halfline_tol": args.tol}
 
-    rows = []
-    header = None
-    for z in zs:
-        try:
-            h = halfline_m(z, args.x0, alpha, spec, sign=sign, tol=args.tol)
-        except DiracWeylError as err:
-            run.failures.append({"z": str(z), "category": err.category,
-                                 "message": str(err)})
-            continue
-        cols, vals = _complex_cols("M", h.M)
-        if header is None:
-            header = ["z_re", "z_im", "tail_bound"] + cols
-        rows.append([_fmt(z.real), _fmt(z.imag), _fmt(h.tail_bound)] + vals)
-    if header is None:
-        header = ["z_re", "z_im", "tail_bound"]
-    run.write_csv("mfunc.csv", header, rows, tols)
-    return run.finish(tols)
+    def point(z):
+        h = halfline_m(z, args.x0, alpha, spec, sign=sign, tol=args.tol)
+        return [z.real, z.imag, h.tail_bound, *_flat(h.M)]
+    run.table("mfunc.csv", ["z_re", "z_im", "tail_bound"] + _cols("M", spec.m),
+              run.sweep(zs, lambda z: {"z": str(z)}, point))
 
 
-def cmd_disk(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
-    alpha = _parse_alpha(args.alpha, spec.m)
+def cmd_disk(args, spec, run):
+    m = spec.m
+    alpha = _parse_alpha(args.alpha, m)
     z = _parse_complex(args.z)
-    mat = _parse_matrix(args.m_value)
-    tols = {"membership_tol": args.tol}
+    mat = _parse_matrix(args.m_value, (m, m), "m-value")
+    run.tols = {"membership_tol": args.tol}
     point = disk_membership(mat, z, args.c, args.x0, alpha, spec, tol=args.tol)
-    cols, vals = _complex_cols("E", point.e_c_value)
-    run.write_csv("disk.csv", ["classification"] + cols,
-                  [[point.classification] + vals], tols)
+    run.table("disk.csv", ["classification"] + _cols("E", m),
+              [[point.classification, *_flat(point.e_c_value)]],
+              "%s" + ",%.17g" * (2 * m * m))
     run.info["classification"] = point.classification
-    return run.finish(tols)
 
 
-def cmd_expand(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_expand(args, spec, run):
     xs = _parse_grid(args.grid)
     sign = 1 if args.sign == "+" else -1
     derivs = derivative_samples(spec, xs, max(args.order - 1, 0))
     coeffs = expansion_coefficients(derivs, args.x, args.order, sign=sign)
-    rows = []
-    for k, c in enumerate(coeffs.coeffs):
-        for i in range(c.shape[0]):
-            for j in range(c.shape[1]):
-                rows.append([str(k), str(i + 1), str(j + 1),
-                             _fmt(c[i, j].real), _fmt(c[i, j].imag)])
-    tols = {"derivative_order": derivs.order}
-    run.write_csv("expand.csv", ["k", "row", "col", "re", "im"], rows, tols)
-    return run.finish(tols)
+    run.tols = {"derivative_order": derivs.order}
+    rows = [[k, i + 1, j + 1, v.real, v.imag]
+            for k, c in enumerate(coeffs.coeffs)
+            for (i, j), v in np.ndenumerate(c)]
+    run.table("expand.csv", ["k", "row", "col", "re", "im"], rows,
+              "%d,%d,%d,%.17g,%.17g")
 
 
-def cmd_fullline(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_fullline(args, spec, run):
     alpha = _parse_alpha(args.alpha, spec.m)
-    zs = _parse_complex_list(args.z)
-    tols = {"halfline_tol": args.tol}
+    zs = _parse_list(args.z, _parse_complex)
+    run.tols = {"halfline_tol": args.tol}
 
-    rows, header = [], None
-    for z in zs:
-        try:
-            f = fullline_m(z, args.x0, alpha, spec, tol=args.tol)
-        except DiracWeylError as err:
-            run.failures.append({"z": str(z), "category": err.category,
-                                 "message": str(err)})
-            continue
-        cols, vals = _complex_cols("M", f.matrix)
-        if header is None:
-            header = ["z_re", "z_im", "m22_defect"] + cols
-        rows.append([_fmt(z.real), _fmt(z.imag), _fmt(f.m22_defect)] + vals)
-    if header is None:
-        header = ["z_re", "z_im", "m22_defect"]
-    run.write_csv("fullline.csv", header, rows, tols)
-    return run.finish(tols)
+    def point(z):
+        f = fullline_m(z, args.x0, alpha, spec, tol=args.tol)
+        return [z.real, z.imag, f.m22_defect, *_flat(f.matrix)]
+    run.table("fullline.csv",
+              ["z_re", "z_im", "m22_defect"] + _cols("M", 2 * spec.m),
+              run.sweep(zs, lambda z: {"z": str(z)}, point))
 
 
-def cmd_greens(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_greens(args, spec, run):
     z = _parse_complex(args.z)
     ev = GreensEvaluator(z, args.x0, spec, tol=args.tol)
-    xps = _parse_float_list(args.xp)
-    tols = {"halfline_tol": args.tol}
-    rows, header = [], None
-    for xp in xps:
-        side = args.side if args.x == xp else None
-        g = ev.value(args.x, xp, side=side)
-        cols, vals = _complex_cols("G", g.value)
-        if header is None:
-            header = ["x", "xp"] + cols
-        rows.append([_fmt(args.x), _fmt(xp)] + vals)
-    run.write_csv("greens.csv", header, rows, tols)
-    return run.finish(tols)
+    xps = _parse_list(args.xp, float)
+    run.tols = {"halfline_tol": args.tol}
+    rows = [[args.x, xp, *_flat(ev.value(
+        args.x, xp, side=args.side if args.x == xp else None).value)]
+        for xp in xps]
+    run.table("greens.csv", ["x", "xp"] + _cols("G", 2 * spec.m), rows)
 
 
-def cmd_trace(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
-    mags = _parse_float_list(args.zmags)
-    tols = {"halfline_tol": args.tol, "rel_step": args.rel_step}
+def cmd_trace(args, spec, run):
+    mags = _parse_list(args.zmags, float)
+    run.tols = {"halfline_tol": args.tol, "rel_step": args.rel_step}
     tc = trace_check(args.x, spec, ray_angle=args.ray_angle, zmags=mags,
                      rel_step=args.rel_step, tol=args.tol)
-    rows, header = [], None
-    for z, rhs, res in zip(tc.zs, tc.rhs, tc.residuals):
-        cols, vals = _complex_cols("T", rhs)
-        if header is None:
-            header = ["z_re", "z_im", "residual"] + cols
-        rows.append([_fmt(z.real), _fmt(z.imag), _fmt(res)] + vals)
-    run.write_csv("trace.csv", header, rows, tols)
-    lhs_cols, lhs_vals = _complex_cols("L", tc.lhs)
-    run.write_csv("trace_limit.csv", lhs_cols, [lhs_vals], tols)
+    n = 2 * spec.m
+    run.table("trace.csv", ["z_re", "z_im", "residual"] + _cols("T", n),
+              [[z.real, z.imag, res, *_flat(rhs)]
+               for z, rhs, res in zip(tc.zs, tc.rhs, tc.residuals)])
+    run.table("trace_limit.csv", _cols("L", n), [_flat(tc.lhs)])
     run.info["residuals"] = [float(r) for r in tc.residuals]
-    return run.finish(tols)
 
 
-def cmd_bands(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_bands(args, spec, run):
     lams = _parse_grid(getattr(args, "lambda"))
-    tols = {"multiplier_tol": args.band_tol}
+    run.tols = {"multiplier_tol": args.band_tol}
     bs = band_spectrum(spec, lams, tol=args.band_tol)
-    rows = []
-    for lam, flag, mults in zip(bs.lams, bs.in_band, bs.multipliers):
-        row = [_fmt(lam), "1" if flag else "0"]
-        for mu in mults:
-            row += [_fmt(mu.real), _fmt(mu.imag)]
-        rows.append(row)
-    header = ["lambda", "in_band"]
-    for k in range(bs.multipliers.shape[1]):
-        header += [f"mu{k + 1}_re", f"mu{k + 1}_im"]
-    run.write_csv("bands.csv", header, rows, tols)
+    n = 2 * spec.m
+    rows = np.column_stack([bs.lams, bs.in_band, bs.multipliers.view(float)])
+    run.table("bands.csv", ["lambda", "in_band"] + [
+        f"mu{k}_{part}" for k in range(1, n + 1) for part in ("re", "im")],
+        rows.tolist(), "%.17g,%d" + ",%.17g" * (2 * n))
     run.info["bands"] = [list(b) for b in bs.bands]
     run.info["gaps"] = [list(g) for g in bs.gaps]
-    return run.finish(tols)
 
 
-def cmd_reflectionless(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
-    xs = _parse_float_list(args.x_list)
-    lams = _parse_float_list(args.lambda_list)
-    tols = {"tol": args.tol, "eps": args.eps}
+def cmd_reflectionless(args, spec, run):
+    xs = _parse_list(args.x_list, float)
+    lams = _parse_list(args.lambda_list, float)
+    run.tols = {"tol": args.tol, "eps": args.eps}
     rep = reflectionless_check(spec, xs, lams, eps=args.eps, tol=args.tol)
-    rows = [[_fmt(x), _fmt(lam), _fmt(dev)] for x, lam, dev in rep.samples]
-    run.write_csv("reflectionless.csv", ["x", "lambda", "deviation"], rows, tols)
+    run.table("reflectionless.csv", ["x", "lambda", "deviation"], rep.samples)
     run.info["reflectionless"] = rep.ok
     run.info["worst_deviation"] = rep.worst
-    return run.finish(tols)
 
 
-def cmd_borg(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
-    tols = {"comb_tol": args.tol, "band_tol": args.band_tol,
-            "grid_step": args.grid_step}
+def cmd_borg(args, spec, run):
+    run.tols = {"comb_tol": args.tol, "band_tol": args.band_tol,
+                "grid_step": args.grid_step}
     rep = borg_diagnostic(spec, lam_max=args.lam_max,
                           grid_step=args.grid_step, comb_tol=args.tol,
                           band_tol=args.band_tol)
@@ -305,71 +255,47 @@ def cmd_borg(args):
         "comb_off_max": rep.comb_off_max,
         "consistent": rep.consistent,
     })
-    rows = [[_fmt(rep.comb_diag_max), _fmt(rep.comb_off_max),
-             "1" if rep.full_spectrum else "0",
-             "1" if rep.consistent else "0"]]
-    run.write_csv("borg.csv",
-                  ["comb_diag_max", "comb_off_max", "full_spectrum",
-                   "consistent"], rows, tols)
-    return run.finish(tols)
+    run.table("borg.csv", ["comb_diag_max", "comb_off_max", "full_spectrum",
+                           "consistent"],
+              [[rep.comb_diag_max, rep.comb_off_max, rep.full_spectrum,
+                rep.consistent]], "%.17g,%.17g,%d,%d")
 
 
-def cmd_uniqueness(args):
-    run = _Run(args)
-    spec1 = load_potential(args.potential)
+def cmd_uniqueness(args, spec, run):
     spec2 = load_potential(args.potential2)
-    mags = _parse_float_list(args.zmags)
-    tols = {"halfline_tol": args.tol}
-    fit = uniqueness_decay(spec1, spec2, args.x0, args.a,
+    mags = _parse_list(args.zmags, float)
+    run.tols = {"halfline_tol": args.tol}
+    fit = uniqueness_decay(spec, spec2, args.x0, args.a,
                            ray_angle=args.ray_angle, zmags=mags,
                            tol=args.tol)
-    rows = [[_fmt(m), _fmt(n) if math.isfinite(n) else "nan"]
-            for m, n in zip(fit.zmags, fit.norms)]
-    run.write_csv("uniqueness.csv", ["zmag", "norm_diff"], rows, tols)
+    run.table("uniqueness.csv", ["zmag", "norm_diff"],
+              zip(fit.zmags, fit.norms))
     run.info.update({"slope": fit.slope, "prefactor_exp": fit.prefactor_exp,
                      "intercept": fit.intercept, "r2": fit.r2,
                      "target": 2.0 * args.a})
-    return run.finish(tols)
 
 
-def cmd_gauge(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_gauge(args, spec, run):
     if args.omega is not None:
-        omega = _parse_matrix(args.omega)
+        omega = _parse_matrix(args.omega, (spec.m, spec.m), "omega")
         out = gauge_with_omega(spec, omega, args.x0, args.x1)
     else:
         out = normal_form(spec, args.x0, args.x1)
-    path = os.path.join(run.outdir, "normal_form.json")
-    save_potential(out, path)
+    run.tols = {"unitarity_tol": 1e-8}
+    save_potential(out, os.path.join(run.outdir, "normal_form.json"))
     run.files.append("normal_form.json")
-    return run.finish({"unitarity_tol": 1e-8})
 
 
-def cmd_upsilon(args):
-    run = _Run(args)
-    spec = load_potential(args.potential)
+def cmd_upsilon(args, spec, run):
     alpha = _parse_alpha(args.alpha, spec.m)
     lams = _parse_grid(getattr(args, "lambda"))
-    tols = {"halfline_tol": args.tol, "eps": args.eps}
+    run.tols = {"halfline_tol": args.tol, "eps": args.eps}
 
-    rows, header = [], None
-    for lam in lams:
-        try:
-            u = upsilon(lam, args.x0, alpha, spec, args.eps, tol=args.tol)
-        except DiracWeylError as err:
-            run.failures.append({"lambda": float(lam),
-                                 "category": err.category,
-                                 "message": str(err)})
-            continue
-        cols, vals = _complex_cols("Y", u.value)
-        if header is None:
-            header = ["lambda", "eps"] + cols
-        rows.append([_fmt(lam), _fmt(args.eps)] + vals)
-    if header is None:
-        header = ["lambda", "eps"]
-    run.write_csv("upsilon.csv", header, rows, tols)
-    return run.finish(tols)
+    def point(lam):
+        u = upsilon(lam, args.x0, alpha, spec, args.eps, tol=args.tol)
+        return [lam, args.eps, *_flat(u.value)]
+    run.table("upsilon.csv", ["lambda", "eps"] + _cols("Y", 2 * spec.m),
+              run.sweep(lams, lambda lam: {"lambda": float(lam)}, point))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +308,9 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, potential=True):
-        if potential:
-            sp.add_argument("--potential", required=True,
-                            help="potential JSON file")
+    def common(sp):
+        sp.add_argument("--potential", required=True,
+                        help="potential JSON file")
         sp.add_argument("--out", default="diracweyl-out",
                         help="output directory")
 
@@ -498,16 +423,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DiracWeylError as exc:
-        print(json.dumps({"error": exc.category, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+        run = _Run(args)
+        args.func(args, load_potential(args.potential), run)
+        return run.finish()
+    except (DiracWeylError, ValueError, OSError) as exc:
+        category = getattr(exc, "category", type(exc).__name__)
+        print(json.dumps({"error": category, "message": str(exc)}),
               file=sys.stderr)
         return 1
 

@@ -27,12 +27,28 @@ from .errors import (
 # at block dimension m <= 8).
 ALG_TOL = 1e-10
 
+# inv_cond above which every singularity check counts a matrix as singular
+COND_LIMIT = 1e12
+
 
 def matnorm(x):
     """Spectral norm (largest singular value), the norm of every defect and
     convergence check; a vector gets its 2-norm.  Equal bit for bit to
     np.linalg.norm(x, 2) on matrices, without its axis bookkeeping."""
     return float(np.linalg.svd(np.atleast_2d(x), compute_uv=False)[0])
+
+
+def inv_cond(mat, scale=1.0):
+    """scale / sigma_min(mat) from one SVD, the condition of inverting mat
+    inside a product whose inputs have the given scale (np.linalg.cond is
+    scale-blind); inf for a non-finite or singular mat."""
+    if not np.all(np.isfinite(mat)):
+        return math.inf
+    try:
+        smin = np.linalg.svd(mat, compute_uv=False)[-1]
+    except np.linalg.LinAlgError:
+        return math.inf
+    return scale / smin if smin > 0 else math.inf
 
 
 def jmat(m):

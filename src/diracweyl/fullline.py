@@ -13,11 +13,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import LogBranchFailure, SingularDifference
-from .foundation import alpha_dirichlet, hermitize, matnorm
+from .foundation import (
+    COND_LIMIT,
+    alpha_dirichlet,
+    hermitize,
+    inv_cond,
+    matnorm,
+)
 from .propagator import Propagator
 from .weyldisk import halfline_m
-
-_SING_COND = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,19 +44,18 @@ class FullLineM:
         return np.block([[self.m11, self.m12], [self.m21, self.m22]])
 
 
-def fullline_m(z, x0, alpha, spec, tol=1e-10, max_range=1e8):
+def fullline_m(z, x0, alpha, spec, tol=1e-10):
     """Assemble M(z, x0, alpha) from M_minus and M_plus.
 
     M11 = (M_- - M_+)^{-1}, M12 = M11 (M_- + M_+)/2,
     M21 = (M_- + M_+)/2 M11, M22 = M_+- M11 M_-+ (both orderings averaged,
     their distance reported as m22_defect).
     """
-    mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol, max_range=max_range)
-    mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol, max_range=max_range)
+    mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol)
+    mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol)
     diff = mm.M - mp.M
     scale = 1.0 + max(matnorm(mp.M), matnorm(mm.M))
-    smin = float(np.linalg.svd(diff, compute_uv=False)[-1])
-    if smin <= scale / _SING_COND:
+    if inv_cond(diff, scale) > COND_LIMIT:
         raise SingularDifference(
             f"M_- - M_+ numerically singular at z = {z} "
             "(z at the spectrum within resolution)")
@@ -96,14 +99,14 @@ class UpsilonSample:
     raw: np.ndarray         # value at eps without Richardson correction
 
 
-def upsilon(lam, x0, alpha, spec, eps, tol=1e-8, richardson=True, **kw):
+def upsilon(lam, x0, alpha, spec, eps, tol=1e-8, richardson=True):
     """Boundary-value sample pi^{-1} Im log M(lam + i*eps, x0, alpha).
 
     With richardson=True the eps -> 0 limit is accelerated with the
     two-point rule 2 Y(eps) - Y(2 eps).
     """
     def one(e):
-        mat = fullline_m(lam + 1j * e, x0, alpha, spec, tol=tol, **kw).matrix
+        mat = fullline_m(lam + 1j * e, x0, alpha, spec, tol=tol).matrix
         logm = principal_logm(mat)
         return hermitize((logm - logm.conj().T) / 2j) / math.pi
 
@@ -139,11 +142,9 @@ class GreensEvaluator:
         self.z = complex(z)
         self.x0 = float(x0)
         self.spec = spec
-        alpha = alpha_dirichlet(spec.m)
-        self.alpha = alpha
-        self.full = fullline_m(z, x0, alpha, spec, tol=tol)
-        diff = self.full.minus.M - self.full.plus.M
-        self.dinv = np.linalg.inv(diff)
+        self.alpha = alpha_dirichlet(spec.m)
+        self.full = fullline_m(z, x0, self.alpha, spec, tol=tol)
+        self.dinv = self.full.m11        # (M_- - M_+)^{-1}
         self._prop = Propagator(self.z, spec)
         self._prop_bar = Propagator(np.conj(self.z), spec)
 
@@ -183,6 +184,6 @@ class GreensEvaluator:
         return 0.5 * (gp + gm)
 
 
-def greens_matrix(z, x, xp, x0, spec, side=None, tol=1e-10, **kw):
+def greens_matrix(z, x, xp, x0, spec, side=None, tol=1e-10):
     """One-shot Green's matrix value; see GreensEvaluator for sweeps."""
-    return GreensEvaluator(z, x0, spec, tol=tol, **kw).value(x, xp, side=side)
+    return GreensEvaluator(z, x0, spec, tol=tol).value(x, xp, side=side)

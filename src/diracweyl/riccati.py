@@ -18,7 +18,7 @@ from .errors import (
     PoleEncountered,
     SingularCayley,
 )
-from .foundation import matnorm
+from .foundation import COND_LIMIT, inv_cond, matnorm
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -26,20 +26,12 @@ _POLE_LIMIT = 1e8
 _CONTRACT_TOL = 1e-9
 
 
-def _near_singular(den, scale):
-    try:
-        smin = float(np.linalg.svd(den, compute_uv=False)[-1])
-    except np.linalg.LinAlgError:
-        return True
-    return smin <= 1e-12 * (scale + 1e-300)
-
-
 def cayley(mat, sign):
     """theta = (I + i*sigma*M)(I - i*sigma*M)^{-1}."""
     mat = np.asarray(mat, complex)
     eye = np.eye(mat.shape[0])
     den = eye - 1j * sign * mat
-    if _near_singular(den, 1.0 + matnorm(mat)):
+    if inv_cond(den, 1.0 + matnorm(mat)) > COND_LIMIT:
         raise SingularCayley("I - i*sigma*M is singular")
     return np.linalg.solve(den.T, (eye + 1j * sign * mat).T).T
 
@@ -49,7 +41,7 @@ def cayley_inverse(theta, sign):
     theta = np.asarray(theta, complex)
     eye = np.eye(theta.shape[0])
     den = eye + theta
-    if _near_singular(den, 1.0 + matnorm(theta)):
+    if inv_cond(den, 1.0 + matnorm(theta)) > COND_LIMIT:
         raise SingularCayley("I + theta is singular")
     return -1j * sign * np.linalg.solve(den, theta - eye)
 

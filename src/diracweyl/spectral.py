@@ -30,7 +30,7 @@ class TraceCheck:
 
 
 def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
-                rel_step=1e-3, tol=1e-12, alpha=None, **kw):
+                rel_step=1e-3, tol=1e-12, alpha=None):
     """Check the trace identity: 2 z^2 (d/dz) log M(z, x) converges to the
     one-sided combination matrix of B at x along a ray in the upper half
     plane.
@@ -49,9 +49,9 @@ def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
         z = mag * direction
         try:
             lp = principal_logm(
-                fullline_m(z * (1 + rel_step), x, alpha, spec, tol=tol, **kw).matrix)
+                fullline_m(z * (1 + rel_step), x, alpha, spec, tol=tol).matrix)
             lm = principal_logm(
-                fullline_m(z * (1 - rel_step), x, alpha, spec, tol=tol, **kw).matrix)
+                fullline_m(z * (1 - rel_step), x, alpha, spec, tol=tol).matrix)
         except Exception as exc:
             raise DifferentiationFailure(
                 f"log M derivative failed at |z| = {mag:g}: {exc}") from exc
@@ -149,7 +149,7 @@ class ReflectionlessReport:
 
 
 def reflectionless_check(spec, xs, lams, eps=1e-6, tol=1e-3,
-                         upsilon_tol=1e-7, **kw):
+                         upsilon_tol=1e-7):
     """True iff ||Upsilon(lam, x) - I/2|| <= tol over all samples.
 
     lams should lie inside the essential spectrum (use band_spectrum for
@@ -162,7 +162,7 @@ def reflectionless_check(spec, xs, lams, eps=1e-6, tol=1e-3,
     alpha = alpha_dirichlet(m)
     for x in xs:
         for lam in lams:
-            val = upsilon(lam, x, alpha, spec, eps, tol=upsilon_tol, **kw).value
+            val = upsilon(lam, x, alpha, spec, eps, tol=upsilon_tol).value
             dev = matnorm(val - half)
             samples.append((float(x), float(lam), dev))
             worst = max(worst, dev)
@@ -233,7 +233,7 @@ class DecayFit:
 
 def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
                      zmags=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0), alpha=None,
-                     tol=1e-11, noise_factor=10.0, **kw):
+                     tol=1e-11, noise_factor=10.0):
     """Fit the exponential decay rate of ||M_{1,+} - M_{2,+}|| along a ray.
 
     For potentials in the reduced (normal) form that agree a.e. on
@@ -251,8 +251,8 @@ def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
     noise = []
     for mag in zmags:
         z = mag * direction
-        m1 = halfline_m(z, x0, alpha, spec1, sign=+1, tol=tol, **kw)
-        m2 = halfline_m(z, x0, alpha, spec2, sign=+1, tol=tol, **kw)
+        m1 = halfline_m(z, x0, alpha, spec1, sign=+1, tol=tol)
+        m2 = halfline_m(z, x0, alpha, spec2, sign=+1, tol=tol)
         norms.append(matnorm(m1.M - m2.M))
         noise.append(m1.tail_bound + m2.tail_bound + tol)
     norms = np.array(norms)

@@ -24,29 +24,19 @@ from .errors import (
     NoConvergence,
     SingularDenominator,
 )
-from .foundation import herm_defect, hermitize, jmat, matnorm, sigma
+from .foundation import (
+    COND_LIMIT,
+    herm_defect,
+    hermitize,
+    inv_cond,
+    jmat,
+    matnorm,
+    sigma,
+)
 from .propagator import Propagator, auto_scale
 
-_COND_LIMIT = 1e12      # beta @ Phi condition number marking an eigenvalue hit
 _MOBIUS_COND = 3e6      # split segments above this factor condition
 _MIN_SEG = 1e-9
-
-
-def _smallest_sv(mat):
-    try:
-        return float(np.linalg.svd(mat, compute_uv=False)[-1])
-    except np.linalg.LinAlgError:
-        return 0.0
-
-
-def _rel_cond(mat, scale):
-    """Effective condition of inverting ``mat`` inside a product whose
-    inputs have the given scale (np.linalg.cond is scale-blind and always 1
-    for 1 x 1 matrices)."""
-    smin = _smallest_sv(mat)
-    if smin == 0.0 or not math.isfinite(smin):
-        return math.inf
-    return (scale + 1e-300) / smin
 
 
 def _beta_blocks(beta):
@@ -56,7 +46,7 @@ def _beta_blocks(beta):
     return np.atleast_2d(np.asarray(b1, complex)), np.atleast_2d(np.asarray(b2, complex))
 
 
-def regular_m(z, c, x0, alpha, beta, spec, cond_limit=_COND_LIMIT,
+def regular_m(z, c, x0, alpha, beta, spec, cond_limit=COND_LIMIT,
               propagator=None):
     """M-function of the regular problem on [x0, c] with boundary data
     (alpha at x0, beta at c): -[beta Phi(z,c)]^{-1} [beta Theta(z,c)].
@@ -75,8 +65,7 @@ def regular_m(z, c, x0, alpha, beta, spec, cond_limit=_COND_LIMIT,
     theta, phi = psi[:, :m], psi[:, m:]
     bphi = b1 @ phi[:m] + b2 @ phi[m:]
     btheta = b1 @ theta[:m] + b2 @ theta[m:]
-    scale_in = matnorm(np.hstack([b1, b2])) * matnorm(phi)
-    cond = _rel_cond(bphi, scale_in)
+    cond = inv_cond(bphi, matnorm(np.hstack([b1, b2])) * matnorm(phi))
     if cond > cond_limit:
         raise EigenvalueHit(
             f"beta Phi(z, c={c}) is singular (cond {cond:.2e}): "
@@ -116,12 +105,12 @@ class WeylPoint:
     e_c_value: np.ndarray
 
 
-def disk_membership(mat, z, c, x0, alpha, spec, tol=1e-8, **kw):
+def disk_membership(mat, z, c, x0, alpha, spec, tol=1e-8):
     """Classify M against the Weyl disk at c by the sign of lambda_max(E_c).
 
     The tolerance is scale-aware: tol * (1 + ||E_c||).
     """
-    e = e_c(mat, z, c, x0, alpha, spec, **kw)
+    e = e_c(mat, z, c, x0, alpha, spec)
     lam_max = float(np.linalg.eigvalsh(e)[-1])
     eff = tol * (1.0 + matnorm(e))
     if lam_max > eff:
@@ -143,18 +132,6 @@ def _cayley_frame(sig, m):
     c = np.block([[eye, 1j * sig * eye], [eye, -1j * sig * eye]])
     cinv = 0.5 * np.block([[eye, eye], [-1j * sig * eye, 1j * sig * eye]])
     return c, cinv
-
-
-def _safe_inv_norm(den):
-    """||den^{-1}||_2 = 1 / sigma_min(den) from one SVD; inf for a
-    non-finite or singular den."""
-    if not np.all(np.isfinite(den)):
-        return math.inf
-    try:
-        smin = np.linalg.svd(den, compute_uv=False)[-1]
-    except np.linalg.LinAlgError:
-        return math.inf
-    return 1.0 / smin if smin > 0 else math.inf
 
 
 def _span_factor(prop, a, b, frame, scale, memo):
@@ -183,7 +160,7 @@ def _mobius_across(prop, a, b, theta, frame, scale, memo, depth=0):
         m = theta.shape[0]
         num = s[:m, :m] @ theta + s[:m, m:]
         den = s[m:, :m] @ theta + s[m:, m:]
-        kappa = s_norm * _safe_inv_norm(den)
+        kappa = inv_cond(den, s_norm)
     if kappa > _MOBIUS_COND:
         if abs(b - a) < _MIN_SEG or depth > 80:
             raise IntegrationFailure(
@@ -199,7 +176,7 @@ def _mobius_across(prop, a, b, theta, frame, scale, memo, depth=0):
 def _theta_from_subspace(w1, w2, sig):
     p = w1 + 1j * sig * w2
     q = w1 - 1j * sig * w2
-    if _rel_cond(q, matnorm(w1) + matnorm(w2)) > _COND_LIMIT:
+    if inv_cond(q, matnorm(w1) + matnorm(w2)) > COND_LIMIT:
         raise SingularDenominator("subspace not representable in the Cayley chart")
     return np.linalg.solve(q.T, p.T).T
 
@@ -210,7 +187,7 @@ def _m_from_theta(theta, sig, alpha):
     w = np.vstack([0.5 * (theta + eye), -0.5j * sig * (theta - eye)])
     aw = alpha.alpha @ w
     ajw = alpha.alpha_j() @ w
-    if _rel_cond(aw, matnorm(w)) > _COND_LIMIT:
+    if inv_cond(aw, matnorm(w)) > COND_LIMIT:
         raise SingularDenominator("alpha-chart readoff singular")
     return -np.linalg.solve(aw.T, ajw.T).T
 
@@ -290,7 +267,7 @@ def lft_boundary_change(m_gamma, alpha, gamma):
     ajg = alpha.alpha_j() @ gamma.alpha.conj().T
     num = -ajg + ag @ m_gamma
     den = ag + ajg @ m_gamma
-    if _rel_cond(den, 1.0 + matnorm(m_gamma)) > _COND_LIMIT:
+    if inv_cond(den, 1.0 + matnorm(m_gamma)) > COND_LIMIT:
         raise SingularDenominator(
             "alpha gamma* + alpha J gamma* M is singular")
     return np.linalg.solve(den.T, num.T).T

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,13 +9,17 @@ import numpy as np
 import pytest
 
 from diracweyl import (
+    GreensEvaluator,
     PotentialSpec,
+    borg_diagnostic,
     load_potential,
     matnorm,
     normal_form_matrix,
+    reflectionless_check,
     save_potential,
+    uniqueness_decay,
 )
-from diracweyl.cli import main
+from diracweyl.cli import build_parser, main
 
 
 @pytest.fixture
@@ -29,6 +35,21 @@ def q1_file(tmp_path):
     save_potential(PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
                                           period=1.0), path)
     return str(path)
+
+
+def _g(*vals):
+    """Each value as the CLI writes it: %.17g, complex entries as re, im."""
+    out = []
+    for v in map(np.ravel, vals):
+        if np.iscomplexobj(v):
+            v = np.column_stack([v.real, v.imag]).ravel()
+        out += ["%.17g" % x for x in v]
+    return out
+
+
+def _matrix_cols(prefix, n):
+    return [f"{prefix}{i}{j}_{part}" for i in range(1, n + 1)
+            for j in range(1, n + 1) for part in ("re", "im")]
 
 
 def _read_csv(path):
@@ -157,3 +178,107 @@ class TestOtherCommands:
         _, header, rows = _read_csv(os.path.join(out, "upsilon.csv"))
         vals = dict(zip(header, rows[0]))
         assert abs(float(vals["Y11_re"]) - 0.5) < 1e-6
+
+
+class TestTableShape:
+    def test_all_failed_sweep_keeps_header(self, free_file, tmp_path):
+        # the columns are fixed by m, not by the first point that succeeds
+        out = str(tmp_path / "o")
+        rc = main(["mfunc", "--potential", free_file, "--z", "2.0",
+                   "--out", out])
+        assert rc == 1
+        _, header, rows = _read_csv(os.path.join(out, "mfunc.csv"))
+        assert header == ["z_re", "z_im", "tail_bound", "M11_re", "M11_im"]
+        assert rows == []
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["failures"][0]["z"] == "(2+0j)"
+
+    @pytest.mark.parametrize("argv", [
+        ["disk", "--z", "1i", "--c", "1.0", "--m-value", "1i,0;0,1i"],
+        ["gauge", "--x0", "0", "--x1", "1", "--omega", "1,0;0,1"],
+        ["mfunc", "--z", "1i", "--alpha", "1,0;0,1"],
+    ])
+    def test_matrix_shape_named(self, argv, free_file, tmp_path, capsys):
+        rc = main(argv + ["--potential", free_file,
+                          "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        expect = "1x2" if "--alpha" in argv else "1x1"
+        assert err["message"].endswith(f"must be {expect}")
+
+
+class TestValuesMatchLibrary:
+    """Each CSV value is the library's value written with %.17g."""
+
+    def test_greens(self, q1_file, tmp_path):
+        out = str(tmp_path / "out")
+        rc = main(["greens", "--potential", q1_file, "--z", "1i",
+                   "--x", "0.2", "--xp", "0.2,0.5,-0.3", "--side", "-1",
+                   "--out", out])
+        assert rc == 0
+        _, header, rows = _read_csv(os.path.join(out, "greens.csv"))
+        assert header == ["x", "xp"] + _matrix_cols("G", 2)
+        ev = GreensEvaluator(1j, 0.0, load_potential(q1_file), tol=1e-10)
+        expect = [_g(0.2, xp, ev.value(0.2, xp, side=-1 if xp == 0.2
+                                       else None).value)
+                  for xp in (0.2, 0.5, -0.3)]
+        assert rows == expect
+
+    def test_reflectionless(self, free_file, tmp_path):
+        out = str(tmp_path / "out")
+        rc = main(["reflectionless", "--potential", free_file,
+                   "--x-list", "0,0.3", "--lambda-list", "0.5,1",
+                   "--out", out])
+        assert rc == 0
+        _, header, rows = _read_csv(os.path.join(out, "reflectionless.csv"))
+        assert header == ["x", "lambda", "deviation"]
+        rep = reflectionless_check(load_potential(free_file), [0.0, 0.3],
+                                   [0.5, 1.0], eps=1e-6, tol=1e-3)
+        assert rows == [_g(*sample) for sample in rep.samples]
+        info = json.load(open(os.path.join(out, "summary.json")))["info"]
+        assert info["reflectionless"] is True
+
+    def test_borg(self, q1_file, tmp_path):
+        out = str(tmp_path / "out")
+        rc = main(["borg", "--potential", q1_file, "--lam-max", "3",
+                   "--grid-step", "0.05", "--out", out])
+        assert rc == 0
+        _, header, rows = _read_csv(os.path.join(out, "borg.csv"))
+        assert header == ["comb_diag_max", "comb_off_max", "full_spectrum",
+                          "consistent"]
+        rep = borg_diagnostic(load_potential(q1_file), lam_max=3.0,
+                              grid_step=0.05, comb_tol=1e-8, band_tol=1e-6)
+        assert not rep.full_spectrum and rep.consistent
+        assert rows == [_g(rep.comb_diag_max, rep.comb_off_max) + ["0", "1"]]
+
+    def test_uniqueness(self, tmp_path):
+        q1 = normal_form_matrix([[0.0]], [[1.0]])
+        q2 = normal_form_matrix([[0.0]], [[2.0]])
+        spec1 = PotentialSpec.constant(q1, x_lo=0.0, x_hi=3.0)
+        spec2 = PotentialSpec(1, (
+            PotentialSpec.constant(q1, x_lo=0.0, x_hi=1.0).pieces[0],
+            PotentialSpec.constant(q2, x_lo=1.0, x_hi=3.0).pieces[0]))
+        save_potential(spec1, tmp_path / "a.json")
+        save_potential(spec2, tmp_path / "b.json")
+        out = str(tmp_path / "out")
+        rc = main(["uniqueness", "--potential", str(tmp_path / "a.json"),
+                   "--potential2", str(tmp_path / "b.json"), "--a", "1",
+                   "--out", out])
+        assert rc == 0
+        _, header, rows = _read_csv(os.path.join(out, "uniqueness.csv"))
+        assert header == ["zmag", "norm_diff"]
+        fit = uniqueness_decay(load_potential(str(tmp_path / "a.json")),
+                               load_potential(str(tmp_path / "b.json")),
+                               0.0, 1.0, tol=1e-11)
+        assert rows == [_g(m, n) for m, n in zip(fit.zmags, fit.norms)]
+
+
+def test_every_subcommand_has_a_cli_test():
+    # a subcommand added to (or dropped from) the parser must come with (or
+    # take away) a test here that runs it through main
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with open(__file__) as fh:
+        tested = set(re.findall(r'main\(\[\s*"([a-z]+)"', fh.read()))
+    assert set(sub.choices) == tested

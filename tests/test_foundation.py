@@ -25,6 +25,7 @@ from diracweyl.errors import (
     NotNormalized,
     OutOfDomain,
 )
+from diracweyl.foundation import inv_cond
 from conftest import random_boundary
 
 
@@ -71,6 +72,22 @@ class TestMatnorm:
         for n in [1, 3, 8]:
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             assert matnorm(v) == pytest.approx(np.linalg.norm(v), rel=1e-15)
+
+
+class TestInvCond:
+    def test_scale_over_smallest_singular_value(self, rng):
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        smin = np.linalg.svd(x, compute_uv=False)[-1]
+        assert inv_cond(x) == 1.0 / smin
+        assert inv_cond(x, 7.0) == 7.0 / smin
+
+    @pytest.mark.parametrize("mat", [
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, math.nan], [0.0, 1.0]],
+        [[math.inf]],
+    ])
+    def test_singular_or_nonfinite_is_inf(self, mat):
+        assert inv_cond(np.array(mat)) == math.inf
 
 
 class TestSigma:
