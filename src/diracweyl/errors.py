@@ -72,7 +72,7 @@ class EigenvalueHit(DiracWeylError):
 
 
 class NoConvergence(DiracWeylError):
-    """Half-line truncation sweep exhausted its range budget."""
+    """Half-line decaying subspace unresolved: best is M, tail its estimate."""
 
     def __init__(self, msg, best=None, tail=None):
         super().__init__(msg)

@@ -20,7 +20,7 @@ from .foundation import (
     inv_cond,
     matnorm,
 )
-from .propagator import Propagator
+from .propagator import _EIG_COND_MAX, Propagator
 from .weyldisk import halfline_m
 
 
@@ -70,22 +70,24 @@ def fullline_m(z, x0, alpha, spec, tol=1e-10):
                      plus=mp, minus=mm)
 
 
-def principal_logm(mat, cut_tol=1e-12, branch_shift=1e-14):
-    """Principal matrix logarithm with a guard along the negative real axis.
-
-    Eigenvalues within cut_tol of the cut are nudged by +i*branch_shift
-    (Herglotz values touch the cut only where the boundary limit is real,
-    approached from above).  Zero or non-finite eigenvalues raise
-    LogBranchFailure.
-    """
+def principal_logm(mat):
+    """Principal matrix logarithm v diag(log w) v^{-1}, by scipy's logm where
+    cond(v) exceeds the eigenbasis cap.  Eigenvalues on the cut take the
+    upper side log|w| + i*pi: a Herglotz matrix reaches the cut only as a
+    real boundary value, approached from above.  Zero or non-finite
+    eigenvalues raise LogBranchFailure."""
     mat = np.asarray(mat, complex)
-    evals = np.linalg.eigvals(mat)
-    if not np.all(np.isfinite(evals)) or np.any(np.abs(evals) < 1e-300):
+    w, v = np.linalg.eig(mat)
+    if not np.all(np.isfinite(w)) or np.any(np.abs(w) < 1e-300):
         raise LogBranchFailure("matrix logarithm undefined: zero or "
                                "non-finite eigenvalue")
-    if np.any((evals.real < 0) & (np.abs(evals.imag) < cut_tol)):
-        mat = mat + 1j * branch_shift * np.eye(mat.shape[0])
-    out = scipy.linalg.logm(mat)
+    if np.linalg.cond(v) <= _EIG_COND_MAX:
+        logw = np.log(w)
+        cut = (w.real < 0) & (np.abs(w.imag) < 1e-12)
+        logw[cut] = np.log(np.abs(w[cut])) + 1j * math.pi
+        out = (v * logw) @ np.linalg.inv(v)
+    else:
+        out = scipy.linalg.logm(mat)
     if not np.all(np.isfinite(out)):
         raise LogBranchFailure("matrix logarithm did not converge")
     return out

@@ -1,21 +1,23 @@
 """Regular-interval M-functions, the Weyl disk functional, membership
 classification, and the limit-point half-line M-function.
 
-The half-line value is obtained by truncating at c, imposing a self-adjoint
-boundary condition there (which pins the truncated M on the Weyl circle),
-and doubling c until the values settle; disk nesting makes the truncation
-error at most the disk diameter.  Numerically the truncated value is carried
-in the Cayley chart theta = (u1 + i*sigma*u2)(u1 - i*sigma*u2)^{-1}, which
-compactifies the Riccati flow: theta stays in the closed unit ball along
-disk trajectories, segments are split until each Moebius factor is
-well-conditioned, and earlier roundoff is contracted away by the flow
-itself.
+For Im z != 0 exactly m solutions decay toward each end (Hinton & Shaw,
+J. Differential Equations 40, 1981), and the half-line M is read off the
+subspace they span, with no truncation radius: for a periodic spec the
+dominant invariant subspace of the period transfer toward the other side,
+for a constant tail the stable subspace of its system matrix, both from an
+ordered Schur form (Golub & Van Loan, 7.6).  From the tail's inner edge
+the subspace is carried to x0 in the Cayley chart
+theta = (u1 + i*sigma*u2)(u1 - i*sigma*u2)^{-1}, which stays in the closed
+unit ball; segments are split until each Moebius factor is finite and well
+conditioned, and the backward flow contracts earlier roundoff.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 from .errors import (
     DegenerateArguments,
@@ -33,17 +35,11 @@ from .foundation import (
     matnorm,
     sigma,
 )
-from .propagator import Propagator, auto_scale
+from .propagator import Propagator, auto_scale, system_matrix
 
 _MOBIUS_COND = 3e6      # split segments above this factor condition
 _MIN_SEG = 1e-9
-
-
-def _beta_blocks(beta):
-    if hasattr(beta, "alpha1"):
-        return beta.alpha1, beta.alpha2
-    b1, b2 = beta
-    return np.atleast_2d(np.asarray(b1, complex)), np.atleast_2d(np.asarray(b2, complex))
+_EPS = np.finfo(float).eps
 
 
 def regular_m(z, c, x0, alpha, beta, spec, cond_limit=COND_LIMIT,
@@ -58,7 +54,8 @@ def regular_m(z, c, x0, alpha, beta, spec, cond_limit=COND_LIMIT,
     if c == x0:
         raise DegenerateArguments("regular M needs c != x0")
     z = complex(z)
-    b1, b2 = _beta_blocks(beta)
+    b1, b2 = ((beta.alpha1, beta.alpha2) if hasattr(beta, "alpha1") else
+              (np.atleast_2d(np.asarray(b, complex)) for b in beta))
     prop = propagator or Propagator(z, spec)
     psi = prop.transfer(x0, c, scale=auto_scale(z, x0, c)) @ alpha.psi0()
     m = alpha.m
@@ -124,7 +121,7 @@ def disk_membership(mat, z, c, x0, alpha, spec, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Half-line M via the compactified truncation sweep
+# Half-line M from the decaying subspace of the tail
 # ---------------------------------------------------------------------------
 
 def _cayley_frame(sig, m):
@@ -134,43 +131,51 @@ def _cayley_frame(sig, m):
     return c, cinv
 
 
-def _span_factor(prop, a, b, frame, scale, memo):
-    """Moebius factor S = C T(b <- a) C^{-1} with ||S||_2, or None when the
-    transfer is not finite.  memo, one per halfline_m call, keeps each
-    span's result, since every doubling of c re-bisects the spans of the
-    one before."""
-    if (a, b) not in memo:
-        t = prop.transfer(a, b, scale=scale)
-        if np.all(np.isfinite(t)):
-            c, cinv = frame
-            s = c @ t @ cinv
-            memo[a, b] = (s, matnorm(s))
-        else:
-            memo[a, b] = None
-    return memo[a, b]
-
-
-def _mobius_across(prop, a, b, theta, frame, scale, memo, depth=0):
-    """Carry theta from a to b through the transfer matrix, bisecting the
-    interval until each factor is well conditioned."""
-    factor = _span_factor(prop, a, b, frame, scale, memo)
+def _mobius_across(prop, a, b, theta, frame, scale, depth=0):
+    """Carry theta from a to b through the Moebius factor
+    S = C T(b <- a) C^{-1}, bisecting the interval until each factor is
+    finite and well conditioned; returns theta at b and the worst accepted
+    factor's kappa."""
+    t = prop.transfer(a, b, scale=scale)
     kappa = math.inf
-    if factor is not None:
-        s, s_norm = factor
+    if np.all(np.isfinite(t)):
+        c, cinv = frame
+        s = c @ t @ cinv
         m = theta.shape[0]
         num = s[:m, :m] @ theta + s[:m, m:]
         den = s[m:, :m] @ theta + s[m:, m:]
-        kappa = inv_cond(den, s_norm)
+        kappa = inv_cond(den, matnorm(s))
     if kappa > _MOBIUS_COND:
         if abs(b - a) < _MIN_SEG or depth > 80:
             raise IntegrationFailure(
                 f"Moebius factor on [{a}, {b}] stayed ill-conditioned")
         mid = 0.5 * (a + b)
-        theta = _mobius_across(prop, a, mid, theta, frame, scale, memo,
-                               depth + 1)
-        return _mobius_across(prop, mid, b, theta, frame, scale, memo,
-                              depth + 1)
-    return np.linalg.solve(den.T, num.T).T
+        theta, k1 = _mobius_across(prop, a, mid, theta, frame, scale,
+                                   depth + 1)
+        theta, k2 = _mobius_across(prop, mid, b, theta, frame, scale,
+                                   depth + 1)
+        return theta, max(k1, k2)
+    return np.linalg.solve(den.T, num.T).T, kappa
+
+
+def _invariant_subspace(mat, m, sort=None):
+    """Orthonormal basis of the m-dimensional invariant subspace of mat
+    whose eigenvalues ``sort`` selects (an ordered complex Schur form; None
+    keeps the m of largest modulus), with ||mat|| / gap, its first-order
+    sensitivity (Stewart & Sun, ch. V); gap is the smallest distance
+    between a kept and a rejected eigenvalue."""
+    if not np.all(np.isfinite(mat)):
+        raise NoConvergence("tail generator is not finite")
+    if sort is None:
+        mods = np.sort(np.abs(np.linalg.eigvals(mat)))
+        cut = math.sqrt(mods[-m]) * math.sqrt(mods[-m - 1])
+        sort = lambda mu: abs(mu) > cut      # noqa: E731
+    s, q, sdim = schur(mat, output="complex", sort=sort)
+    if sdim != m:
+        raise NoConvergence(f"decaying subspace has dim {sdim}, not {m}")
+    ev = np.diag(s)
+    gap = np.min(np.abs(ev[:m, None] - ev[None, m:]))
+    return q[:, :m], matnorm(mat) / gap
 
 
 def _theta_from_subspace(w1, w2, sig):
@@ -194,7 +199,8 @@ def _m_from_theta(theta, sig, alpha):
 
 @dataclass(frozen=True, eq=False)
 class HalfLineM:
-    """Limit-point half-line Weyl-Titchmarsh matrix with its truncation tail."""
+    """Limit-point half-line Weyl-Titchmarsh matrix with its error estimate;
+    the subspace was taken at c_final, and sweeps is always 1."""
 
     M: np.ndarray
     z: complex
@@ -206,15 +212,13 @@ class HalfLineM:
     sweeps: int
 
 
-def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, max_range=1e8,
-               beta=None):
-    """Half-line M-function M_plus (sign=+1) or M_minus (sign=-1).
-
-    Truncates at c = x0 +/- 2^k with the self-adjoint boundary condition
-    beta = (I_m, 0) at c and doubles until successive values agree within
-    tol (relative to 1 + ||M||); the last difference is recorded as
-    tail_bound.  Raises NoConvergence when c would exceed max_range, which
-    for z very close to the real axis is the expected failure mode.
+def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
+    """Half-line M-function M_plus (sign=+1) or M_minus (sign=-1), from the
+    m solutions that decay toward ``sign``: the dominant invariant subspace
+    of the period transfer T(x0 - sign*w <- x0), or the stable subspace of
+    the constant tail beyond its inner edge c, carried from c to x0.
+    tail_bound, eps * (||T|| / gap + worst carry kappa) * (1 + ||M||), is
+    gated by tol * (1 + ||M||): above it NoConvergence carries M as best.
     """
     z = complex(z)
     if z.imag == 0:
@@ -223,39 +227,32 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, max_range=1e8,
     sig = sigma(x0 + sign, x0, z)
     frame = _cayley_frame(sig, m)
     prop = Propagator(z, spec)
-
-    if beta is None:
-        b1, b2 = np.eye(m), np.zeros((m, m))
+    if spec.is_periodic:
+        c = x0
+        back = x0 - sign * spec.period
+        u, sens = _invariant_subspace(
+            prop.transfer(x0, back, scale=auto_scale(z, x0, back)), m)
     else:
-        b1, b2 = _beta_blocks(beta)
-    # boundary subspace J beta* at c: w1 = -beta2*, w2 = beta1*
-    theta_c = _theta_from_subspace(-b2.conj().T, b1.conj().T, sig)
-
-    scale = 1 if z.imag * sign < 0 else -1   # damps the backward sweep c -> x0
-    memo = {}
-    prev = None
-    tail = math.inf
-    k = 0
-    sweeps = 0
-    while True:
-        span = 2.0 ** k
-        if span > max_range:
-            raise NoConvergence(
-                f"no Cauchy convergence by c = x0 + {sign * span:g} "
-                f"(z too close to the real axis for tol {tol:.1e})",
-                best=prev, tail=tail)
-        c = x0 + sign * span
-        theta = _mobius_across(prop, c, x0, theta_c, frame, scale, memo)
-        mval = _m_from_theta(theta, sig, alpha)
-        sweeps += 1
-        if prev is not None:
-            tail = matnorm(mval - prev)
-            if tail < tol * (1.0 + matnorm(mval)):
-                return HalfLineM(M=mval, z=z, x0=float(x0), alpha=alpha,
-                                 sign=sign, tail_bound=tail,
-                                 c_final=c, sweeps=sweeps)
-        prev = mval
-        k += 1
+        ends = [e for p in spec.pieces for e in (p.x_lo, p.x_hi)
+                if math.isfinite(e)]
+        c = sign * max(sign * e for e in ends + [x0])
+        piece, _ = spec.locate(c + sign)
+        b = np.zeros((2 * m, 2 * m)) if piece is None else piece.eval(0.0)
+        u, sens = _invariant_subspace(system_matrix(z, b), m,
+                                      "lhp" if sign > 0 else "rhp")
+    theta = _theta_from_subspace(u[:m], u[m:], sig)
+    kappa = 0.0
+    if c != x0:
+        scale = 1 if z.imag * sign < 0 else -1   # damps the carry c -> x0
+        theta, kappa = _mobius_across(prop, c, x0, theta, frame, scale)
+    mval = _m_from_theta(theta, sig, alpha)
+    size = 1.0 + matnorm(mval)
+    tail = _EPS * (sens + kappa) * size
+    if tail > tol * size:
+        raise NoConvergence(f"decaying subspace at z = {z} ill conditioned "
+                            f"(estimate {tail:.1e})", best=mval, tail=tail)
+    return HalfLineM(M=mval, z=z, x0=float(x0), alpha=alpha, sign=sign,
+                     tail_bound=tail, c_final=c, sweeps=1)
 
 
 def lft_boundary_change(m_gamma, alpha, gamma):

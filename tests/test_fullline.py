@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import simpson
 
 from diracweyl import (
     GreensEvaluator,
+    Propagator,
     alpha_dirichlet,
     fullline_m,
     greens_matrix,
@@ -16,6 +18,7 @@ from diracweyl import (
 )
 from diracweyl.errors import LogBranchFailure, SingularDifference
 from conftest import (
+    kp2_spec,
     mminus_const_q,
     mplus_const_q,
     random_normal_form_spec,
@@ -206,3 +209,48 @@ class TestUpsilon:
     def test_log_negative_axis_shifted(self):
         out = principal_logm(np.diag([-1.0, 2.0]).astype(complex))
         assert abs(out[0, 0].imag - math.pi) < 1e-10
+
+    def test_log_matches_scipy_on_herglotz_matrices(self, rng):
+        for m in (1, 2):
+            spec = random_normal_form_spec(rng, m)
+            for z in (0.8j, 1.0 + 0.7j, -0.6 + 1.2j, 0.3 + 1e-3j, 5.0 + 0.1j):
+                mat = fullline_m(z, 0.2, alpha_dirichlet(m), spec).matrix
+                assert matnorm(principal_logm(mat)
+                               - scipy.linalg.logm(mat)) < 1e-12
+
+    def test_log_defective_basis_falls_back_to_scipy(self, monkeypatch):
+        # eigenvectors of a nearly defective matrix are nearly parallel
+        # (cond(v) ~ 2e9), so the eigenbasis log is not trusted
+        d = 1e-9
+        mat = np.array([[1.0, 1.0], [0.0, 1.0 + d]], dtype=complex)
+        calls = []
+        logm = scipy.linalg.logm
+
+        def counted_logm(a):
+            calls.append(a)
+            return logm(a)
+
+        monkeypatch.setattr(scipy.linalg, "logm", counted_logm)
+        out = principal_logm(mat)
+        assert len(calls) == 1
+        want = np.array([[0.0, np.log1p(d) / d], [0.0, np.log1p(d)]])
+        assert matnorm(out - want) < 1e-12
+
+
+class TestWorkCount:
+    def test_upsilon_mixed_point(self, monkeypatch):
+        # two whole-line M per sample (Richardson), each from two half-line
+        # M that take one period transfer; the log needs no scipy.logm
+        transfers, logms = [], []
+        transfer = Propagator.transfer
+
+        def counted_transfer(prop, xa, xb, scale=0):
+            transfers.append((xa, xb))
+            return transfer(prop, xa, xb, scale)
+
+        monkeypatch.setattr(Propagator, "transfer", counted_transfer)
+        monkeypatch.setattr(scipy.linalg, "logm",
+                            lambda a: logms.append(a) or a)
+        upsilon(-1.0, 0.0, alpha_dirichlet(2), kp2_spec(), 1e-3)
+        assert len(transfers) <= 4
+        assert not logms

@@ -75,6 +75,22 @@ class TestGaugeFactors:
             assert np.max(np.abs(us[:, 0, 0] - want)) <= 1e-12
 
 
+    def test_polar_reprojection(self, rng):
+        # the guard gauge_factors applies once drift exceeds 1e-10: the
+        # unitary polar factor of u = Q (I + E), Q unitary, E Hermitian
+        from scipy.linalg import polar
+        from diracweyl.gauge import _polar_unitary
+        for m in (1, 3):
+            q, _ = np.linalg.qr(rng.normal(size=(m, m))
+                                + 1j * rng.normal(size=(m, m)))
+            e = random_hermitian(rng, m)
+            e *= 1e-6 / matnorm(e)
+            u = q @ (np.eye(m) + e)
+            w = _polar_unitary(u)
+            assert matnorm(w.conj().T @ w - np.eye(m)) < 1e-14
+            assert matnorm(w - polar(u)[0]) < 1e-12
+
+
 class TestNormalForm:
     def test_fixed_point(self):
         spec = PotentialSpec.constant(normal_form_matrix([[0.2]], [[0.8]]),

@@ -193,21 +193,61 @@ class TestHalfLineM:
                 for y in (10.0, 100.0, 1000.0)]
         assert devs[0] > devs[1] > devs[2]
 
-    def test_no_convergence_near_axis(self, zero1):
+    def test_free_near_axis_closed_form(self, zero1):
+        # no truncation radius: the free M_(+/-) is +/- i right up to the axis
+        z = 2.0 + 1e-9j
+        a0 = alpha_dirichlet(1)
+        assert abs(halfline_m(z, 0.0, a0, zero1).M[0, 0] - 1j) < 1e-14
+        assert abs(halfline_m(z, 0.0, a0, zero1, sign=-1).M[0, 0] + 1j) < 1e-14
+
+    def test_half_infinite_constant_tail(self):
+        # q = 1 on [0, inf), zero to the left: the tail toward +inf starts at
+        # the piece's inner edge 0, or at x0 inside the piece; the free
+        # stretch to x0 < 0 is the closed-form rotation cos(z dx) - sin(z dx) J
+        spec = PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
+                                      x_lo=0.0)
+        z, a0 = 0.7 + 0.9j, alpha_dirichlet(1)
+        mq = mplus_const_q(z, 1.0)
+        assert abs(halfline_m(z, 3.0, a0, spec).M[0, 0] - mq) < 1e-14
+        assert abs(halfline_m(z, -2.0, a0, spec, sign=-1).M[0, 0] + 1j) < 1e-14
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        u = (np.cos(-2.0 * z) * np.eye(2) - np.sin(-2.0 * z) * j) @ [1.0, mq]
+        assert abs(halfline_m(z, -2.0, a0, spec).M[0, 0] - u[1] / u[0]) < 1e-14
+
+    def test_subspace_dimension_checked(self):
+        from diracweyl.weyldisk import _invariant_subspace
         with pytest.raises(NoConvergence):
-            halfline_m(2.0 + 1e-9j, 0.0, alpha_dirichlet(1), zero1,
-                       max_range=100.0)
+            _invariant_subspace(-np.eye(2), 1, "lhp")     # both decay
+        with pytest.raises(NoConvergence):
+            _invariant_subspace(np.full((2, 2), np.inf), 1, "lhp")
+
+    def test_tol_gates_the_error_estimate(self, const_q1):
+        a0 = alpha_dirichlet(1)
+        h = halfline_m(2j, 0.0, a0, const_q1)
+        assert 0 < h.tail_bound < 1e-14 and h.sweeps == 1
+        tol = 0.5 * h.tail_bound / (1.0 + matnorm(h.M))
+        with pytest.raises(NoConvergence) as err:
+            halfline_m(2j, 0.0, a0, const_q1, tol=tol)
+        assert np.array_equal(err.value.best, h.M)
+        assert err.value.tail == h.tail_bound
 
     def test_real_z_rejected(self, zero1):
         with pytest.raises(DegenerateArguments):
             halfline_m(2.0, 0.0, alpha_dirichlet(1), zero1)
 
-    def test_beta_choice_immaterial_in_the_limit(self, const_q1):
-        # limit point: any admissible truncation condition gives the same M
-        h_d = halfline_m(2j, 0.0, alpha_dirichlet(1), const_q1)
-        h_n = halfline_m(2j, 0.0, alpha_dirichlet(1), const_q1,
-                         beta=(np.zeros((1, 1)), np.eye(1)))
-        assert matnorm(h_d.M - h_n.M) < 1e-9
+    def test_exact_tail_inside_nested_disks(self, const_q1_periodic):
+        # the paper's nested Weyl disks as an independent check: the
+        # limit-point M lies inside or on every disk D(c), and the disk
+        # functional resolves it as interior at c = x0 + 1
+        for spec, z in ((const_q1_periodic, 2.0 + 0.05j),
+                        (kp2_spec(), -1.0 + 0.05j)):
+            alpha = alpha_dirichlet(spec.m)
+            mval = halfline_m(z, 0.0, alpha, spec).M
+            classes = [disk_membership(mval, z, 2.0 ** k, 0.0, alpha,
+                                       spec).classification
+                       for k in range(6)]
+            assert classes[0] == "interior"
+            assert set(classes) <= {"interior", "boundary"}
 
     def test_sweep_agrees_with_direct_truncation(self, rng):
         # the Cayley-chart sweep equals -(beta Phi)^{-1}(beta Theta) at a
@@ -245,8 +285,9 @@ class TestHalfLineM:
 
 class TestPeriodicMixedPoint:
     """m = 2 periodic potential at points where one channel is in a band
-    and the other in a gap (and one pure band point): the sweep needs the
-    period power, Moebius bisection and overflowing power probes."""
+    and the other in a gap (and one pure band point): the decaying
+    subspace comes from one period transfer, with no period power and no
+    overflow."""
 
     @pytest.mark.parametrize("z", [-1 + 1e-3j, -1 + 2e-3j, 0.5 + 1e-2j])
     def test_matches_floquet_oracle(self, z, monkeypatch):
@@ -272,24 +313,41 @@ class TestPeriodicMixedPoint:
             warnings.simplefilter("error", RuntimeWarning)
             h = halfline_m(z, 0.0, alpha_dirichlet(2), kp2_spec())
         assert matnorm(h.M - oracle) <= 1e-10 * matnorm(oracle)
-        # one eigendecomposition per constant piece and one for the period
-        # transfer, however many period powers and sweeps
+        # one eigendecomposition per constant piece, at most one more
         assert len(eig_calls) <= 3
-        # each span is factored once per call, across all doublings
-        assert len({(a, b) for a, b, _ in spans}) == len(spans)
-        assert any(abs(b - a) > 2.0 for a, b, _ in spans)   # period power
-        if z.real == -1:
-            # the power overflows on long spans; bisection recovers from it
-            assert not all(ok for _, _, ok in spans)
+        assert spans and all(abs(b - a) <= 1.0 for a, b, _ in spans)
+        assert all(ok for _, _, ok in spans)
+
+    def test_near_axis_matches_floquet_oracle(self, monkeypatch):
+        # a truncation radius would have to reach ~1e10 here; the call
+        # budget makes any method that walks out that far fail fast
+        z = -1 + 1e-10j
+        transfer = Propagator.transfer
+        calls = []
+
+        def budgeted_transfer(prop, xa, xb, scale=0):
+            calls.append(xb)
+            if len(calls) > 50:
+                raise RuntimeError("more than 50 transfers")
+            return transfer(prop, xa, xb, scale)
+
+        monkeypatch.setattr(Propagator, "transfer", budgeted_transfer)
+        h = halfline_m(z, 0.0, alpha_dirichlet(2), kp2_spec())
+        oracle = floquet_mplus(z, KP2_PIECES)
+        assert matnorm(h.M - oracle) <= 1e-10 * matnorm(oracle)
 
 
 class TestConstantOverflow:
     def test_bisects_past_overflowing_piece_transfers(self, monkeypatch):
-        # non-periodic m = 2 constant coupling diag(1, 0.2) at lambda = 0.5:
-        # one channel in a gap, one in a band.  The eigenbasis exponential
-        # of long spans overflows, and the sweep must bisect past it
+        # m = 2 constant coupling diag(1, 0.2) on the window [0, L] with
+        # zero tails, at lambda = 0.5: one channel in a gap, one in a band.
+        # The eigenbasis exponential of long spans overflows, and the carry
+        # from L to 0 must bisect past it.  The band channel's reflection
+        # at L is e^{-2 L Im k} ~ 1e-19 down, so the whole-line closed form
+        # is the oracle
         spec = PotentialSpec.constant(
-            normal_form_matrix(np.zeros((2, 2)), np.diag([1.0, 0.2])))
+            normal_form_matrix(np.zeros((2, 2)), np.diag([1.0, 0.2])),
+            x_lo=0.0, x_hi=2e4)
         z = 0.5 + 1e-3j
         finite = []
         transfer = Propagator.transfer
