@@ -3,11 +3,12 @@
 The workhorse is the Propagator class, which produces transfer matrices
 T(xb <- xa) with an optional exponential rescale e^{i s z (xb - xa)} that
 keeps entries bounded when |Im z| * |xb - xa| is large (the rescale cancels
-in every M-function ratio).  Constant pieces propagate through cached
-eigendecompositions (exact up to roundoff for any span); sampled pieces take
-fourth-order Magnus steps between sample nodes, as many per cell as its
-leading error term asks for (magnus_steps, shared with the gauge
-reduction); periodic potentials reduce long spans to powers of the
+in every M-function ratio).  Constant pieces propagate by one matrix
+exponential per span (exact up to roundoff for any span): in closed form
+for m = 1 (_expm2), through cached eigendecompositions for m >= 2; sampled
+pieces take fourth-order Magnus steps between sample nodes, as many per
+cell as its leading error term asks for (magnus_steps, shared with the
+gauge reduction); periodic potentials reduce long spans to powers of the
 one-period transfer.
 
 The Volterra route (successive approximation of the integral equation for
@@ -80,6 +81,56 @@ def _eig_basis(a):
     vinv = _diag(1, v.shape)
     vinv[ok] = np.linalg.inv(v[ok])
     return w, v, vinv, ok
+
+
+# 1 / (2k + 1)! for k = 0..8: the even Taylor series of sinh(mu) / mu up to
+# mu^16, whose truncation error below |mu| = _SINHC_SERIES is under 1e-22
+_SINHC_TAYLOR = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9))
+_SINHC_SERIES = 0.5
+
+
+def _expm2(omega):
+    """e^omega for a 2x2 matrix or a stack of them, in closed form
+    (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45, 2003).
+
+    With t = tr(omega) / 2, n = omega - t I and mu^2 = n00^2 + n01 n10,
+    e^omega = c I + s n for c = e^t cosh(mu) and s = e^t sinh(mu) / mu,
+    both even in mu.  They are formed from e^{t + mu} and e^{t - mu}, never
+    as e^t times cosh(mu): under the rescale e^t can underflow while
+    cosh(mu) overflows.  Below |mu| = 0.5, s takes the Taylor series of
+    sinh(mu) / mu, which stays exact through a Jordan block."""
+    t = 0.5 * (omega[..., 0, 0] + omega[..., 1, 1])
+    n00 = omega[..., 0, 0] - t
+    # overflow to inf is an expected probe outcome on long spans; callers
+    # detect it and bisect
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sqrt(n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0])
+        ep, em = np.exp(t + mu), np.exp(t - mu)
+        c = 0.5 * (ep + em)
+        small = np.abs(mu) < _SINHC_SERIES
+        mu2 = mu * mu
+        sinhc = _SINHC_TAYLOR[-1]
+        for coef in _SINHC_TAYLOR[-2::-1]:
+            sinhc = sinhc * mu2 + coef
+        s = np.where(small, np.exp(t) * sinhc,
+                     (ep - em) / (2 * np.where(small, 1, mu)))
+        out = np.empty(omega.shape, dtype=complex)
+        out[..., 0, 0] = c + s * n00
+        out[..., 1, 1] = c - s * n00
+        out[..., 0, 1] = s * omega[..., 0, 1]
+        out[..., 1, 0] = s * omega[..., 1, 0]
+    return out
+
+
+def _expm(omega):
+    """e^omega for a stack of d x d matrices: in closed form for d <= 2,
+    through _eig_basis (by expm where rejected) for d >= 4."""
+    d = omega.shape[-1]
+    if d == 2:
+        return _expm2(omega)
+    if d == 1:
+        return np.exp(omega)
+    return _expm_span(omega, 1, _eig_basis(omega))
 
 
 def _diag(x, shape):
@@ -176,7 +227,9 @@ def magnus_steps(ts, acoef):
     fewest equal steps k with eta / k^5 <= _MAGNUS_ETA, where
     eta = a^3 b + a b^2 for a = h ||A(mid)|| and b = h ||A(t1) - A(t0)||,
     taken of the traceless parts.  Skew-Hermitian A gives unitary factors,
-    Hamiltonian A symplectic ones.
+    Hamiltonian A symplectic ones.  Each step's exponential is taken by
+    _expm: in closed form for d <= 2 (every m = 1 transfer and the m = 2
+    gauge factors), through the eigenbasis for d >= 4.
     """
     d = acoef.shape[-1]
     h = np.broadcast_to(np.diff(ts), acoef.shape[:-3] + (len(ts) - 1,))
@@ -199,7 +252,7 @@ def magnus_steps(ts, acoef):
         lo = (1 - w0) * a0[c] + w0 * a1[c]
         hi = (1 - w1) * a0[c] + w1 * a1[c]
         omega = 0.5 * hs * (lo + hi) + (hs * hs / 12.0) * (hi @ lo - lo @ hi)
-        f = _expm_span(omega, 1, _eig_basis(omega))
+        f = _expm(omega)
         out[c] = f if j == 0 else f @ out[c]
     return out
 
@@ -217,7 +270,8 @@ class Propagator:
         self.spec = spec
         self.m = spec.m
         self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2)
-        self._eig = {}        # (piece id, scale) -> (acoef, _eig_basis)
+        # (piece id, scale) -> (acoef, _eig_basis, or None for m = 1)
+        self._eig = {}
         self._seg = {}        # (piece id, a, b, scale) -> transfer
         self._period_t = {}   # (phase, scale) -> (period transfer, _eig_basis)
 
@@ -236,8 +290,11 @@ class Propagator:
             d = 2 * self.m
             acoef = self._coefficient(
                 np.zeros((d, d)) if piece is None else piece.value, scale)
-            self._eig[key] = (acoef, _eig_basis(acoef))
+            self._eig[key] = (acoef,
+                              None if self.m == 1 else _eig_basis(acoef))
         acoef, basis = self._eig[key]
+        if self.m == 1:
+            return _expm2(acoef * (b - a))
         return _expm_span(acoef, b - a, basis)
 
     def _grid_transfer(self, piece, off, a, b, scale):

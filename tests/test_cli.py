@@ -99,6 +99,21 @@ class TestMfunc:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonHermitianPiece"
 
+    def test_malformed_grid_sample_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "m": 1, "pieces": [{"x_lo": 0.0, "x_hi": 1.0, "kind": "grid",
+                                "data": {"x": [0.0, 1.0], "values": [
+                                    [[[0.0, 0.0], [1.0, 0.0]],
+                                     [[1.0, 0.0], [0.0, 0.0]]],
+                                    [[[0.0, 0.0], [1.0, 0.0]],
+                                     [[1.0, 0.0]]]]}}]}))
+        rc = main(["mfunc", "--potential", str(bad), "--z", "1i",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+
     def test_partial_failures_flagged(self, free_file, tmp_path):
         out = str(tmp_path / "o")
         # the real z cannot converge and is reported per-point

@@ -9,6 +9,7 @@ from diracweyl import (
     alpha_dirichlet,
     alpha_neumann,
     check_normal_form,
+    herm_defect,
     load_potential,
     matnorm,
     normal_form_matrix,
@@ -239,3 +240,44 @@ class TestFileRoundtrip:
         path.write_text(json.dumps({"pieces": []}))
         with pytest.raises(ValueError):
             load_potential(path)
+
+    @staticmethod
+    def _grid_doc(values):
+        return {"m": 1, "pieces": [{
+            "x_lo": 0.0, "x_hi": 1.0, "kind": "grid",
+            "data": {"x": np.linspace(0.0, 1.0, len(values)).tolist(),
+                     "values": values}}]}
+
+    @pytest.mark.parametrize("bad", [
+        [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]],                 # ragged
+        [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+         [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],                     # not pairs
+        [[0.0, 1.0], [1.0, 0.0]],                                 # not pairs
+    ])
+    def test_malformed_grid_sample(self, tmp_path, bad):
+        good = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(self._grid_doc([good, bad, good])))
+        with pytest.raises(ValueError):
+            load_potential(path)
+
+    def test_grid_hermiticity_defect_per_sample(self, rng, tmp_path):
+        # the load reports the worst per-sample defect of herm_defect
+        vals = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+        vals = 0.5 * (vals + np.swapaxes(vals.conj(), -1, -2))
+        vals[2, 0, 1] += 3e-3
+        vals[5, 1, 0] -= 7e-3j
+        worst = max(herm_defect(v) for v in vals)
+        doc = self._grid_doc(np.stack([vals.real, vals.imag], -1).tolist())
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NonHermitianPiece, match=f"defect {worst:.3e} "):
+            load_potential(path)
+        with pytest.raises(NonHermitianPiece, match=f"defect {worst:.3e} "):
+            PotentialSpec.from_samples(np.arange(7.0), vals)
+
+    def test_grid_bound_is_max_sample_norm(self, rng):
+        vals = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
+        vals = vals + np.swapaxes(vals.conj(), -1, -2)
+        spec = PotentialSpec.from_samples(np.arange(9.0), vals)
+        assert spec.bound() == max(matnorm(v) for v in vals)

@@ -9,9 +9,11 @@ from diracweyl import (
     alpha_dirichlet,
     fundamental_system,
     halfline_m,
+    load_potential,
     matnorm,
     normal_form,
     normal_form_matrix,
+    save_potential,
     symplectic_defect,
     system_matrix,
     truncate_potential,
@@ -23,7 +25,7 @@ from diracweyl.errors import (
     MismatchedEvaluation,
     NoCompactSupport,
 )
-from diracweyl.propagator import _CELL_BLOCK, _eig_basis, _matpow
+from diracweyl.propagator import _CELL_BLOCK, _eig_basis, _expm2, _matpow
 from conftest import (
     const_transfer_eig,
     free_psi,
@@ -140,6 +142,94 @@ class TestMatpow:
         assert matnorm(_matpow(t, k, basis) - want) < 1e-12 * matnorm(want)
 
 
+class TestExpm2:
+    """The closed-form 2x2 exponential against scipy's Pade expm and
+    exact values."""
+
+    def test_matches_scipy_expm(self, rng):
+        from scipy.linalg import expm
+        a = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
+        a *= rng.uniform(0.0, 3.0, size=(400, 1, 1)) / np.linalg.norm(
+            a, 2, axis=(-2, -1))[:, None, None]
+        got = _expm2(a)
+        for g, x in zip(got, a):
+            want = expm(x)
+            assert matnorm(g - want) <= 1e-14 * matnorm(want)
+
+    @pytest.mark.parametrize("h", [1e-8, 0.3, -2.0, 1.5j])
+    def test_jordan_block(self, h):
+        got = _expm2(h * np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+        want = np.exp(h) * np.array([[1.0, h], [0.0, 1.0]])
+        assert matnorm(got - want) <= 1e-15 * matnorm(want)
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "oscillatory"])
+    def test_continuous_across_series_switch(self, kind):
+        # |mu| just below 0.5 takes the Taylor series of sinh(mu) / mu, at
+        # 0.5 the exponential difference; mu^2 = x^2 or -x^2 exactly
+        def omega(x):
+            if kind == "hyperbolic":
+                return np.array([[x, 1.0], [0.0, -x]], dtype=complex)
+            return np.array([[0.0, x], [-x, 0.0]], dtype=complex)
+
+        lo, hi = np.nextafter(0.5, 0.0), 0.5
+        assert matnorm(_expm2(omega(lo)) - _expm2(omega(hi))) <= 1e-15
+        for x in (lo, hi):
+            if kind == "hyperbolic":
+                want = [[np.exp(x), np.sinh(x) / x], [0.0, np.exp(-x)]]
+            else:
+                want = [[np.cos(x), np.sin(x)], [-np.sin(x), np.cos(x)]]
+            assert matnorm(_expm2(omega(x)) - np.array(want)) <= 1e-15
+
+    def test_skew_hermitian_gives_unitary(self, rng):
+        a = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+        a = a - np.swapaxes(a.conj(), -1, -2)
+        u = _expm2(a)
+        for x in u:
+            assert matnorm(x.conj().T @ x - np.eye(2)) <= 1e-14
+
+    def test_overflow_is_nonfinite_without_warning(self):
+        # a long span at z = 5i: e^{2000} overflows, which the Moebius sweep
+        # detects and bisects
+        omega = system_matrix(5j, np.zeros((2, 2))) * 400.0
+        with np.errstate(all="raise", under="ignore"):
+            got = _expm2(omega)
+        assert not np.all(np.isfinite(got))
+
+
+class TestWorkCounts:
+    """Deterministic LAPACK call counts on a 1601-node m = 1 grid: loading
+    checks all samples in one stacked SVD, and the half-line M takes its
+    2x2 exponentials in closed form."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_load_and_halfline(self, tmp_path, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 1601)
+        vals = np.array([normal_form_matrix([[0.2 * np.sin(3 * x)]],
+                                            [[np.exp(-20 * (x - 0.5) ** 2)]])
+                         for x in xs])
+        path = tmp_path / "grid.json"
+        save_potential(PotentialSpec.from_samples(xs, vals), path)
+        svd = self._counting(monkeypatch, "svd")
+        eig = self._counting(monkeypatch, "eig")
+        spec = load_potential(path)
+        assert len(svd) <= 2
+        assert np.array_equal(spec.pieces[0].values, vals)
+        h = halfline_m(64j, 0.0, alpha_dirichlet(1), spec)
+        assert eig == []
+        assert np.isfinite(h.M).all()
+
+
 class TestStackedZ:
     """A Propagator built on an array of z gives, row by row, the transfers
     of Propagators built on each z alone."""
@@ -186,16 +276,18 @@ class TestStackedZ:
 
     @pytest.mark.parametrize("a,b", SPANS)
     def test_rejected_eigenbasis_falls_back_per_z(self, a, b):
-        # at lambda = +-1 the q = 1 coefficient is a Jordan block, so its
-        # eigenbasis is rejected there and expm / binary powering take over
-        # for those rows only
-        q1 = normal_form_matrix([[0.0]], [[1.0]])
+        # at lambda = +-1 the q = 1 coefficient is a Jordan block (two of
+        # them for m = 2), so its eigenbasis is rejected there and expm
+        # (m = 2; m = 1 takes the closed form) and binary powering of the
+        # period transfer take over for those rows only
         zs = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.5 + 0.1j])
-        ok = _eig_basis(system_matrix(zs[:, None, None], q1))[3]
-        assert list(ok) == [True, False, True, True, False, True]
-        spec = PotentialSpec.constant(q1, period=1.0)
-        stacked, single = self._rows(spec, zs, a, b)
-        assert np.array_equal(stacked, single)
+        for m in (1, 2):
+            q = normal_form_matrix(np.zeros((m, m)), np.eye(m))
+            ok = _eig_basis(system_matrix(zs[:, None, None], q))[3]
+            assert list(ok) == [True, False, True, True, False, True]
+            spec = PotentialSpec.constant(q, period=1.0)
+            stacked, single = self._rows(spec, zs, a, b)
+            assert np.array_equal(stacked, single)
 
     def test_scalar_z_keeps_matrix_shape(self):
         t = Propagator(0.3 + 0.2j, kp2_spec()).transfer(0.0, 3.5)

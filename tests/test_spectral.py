@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -81,11 +82,13 @@ class TestFloquet:
                   ConstantPiece(0.6, 1.0, normal_form_matrix([[-0.2]], [[0.1]])))
         spec = PotentialSpec(m=1, pieces=pieces, period=1.0)
         for lam in (0.4, 1.9):
-            mono = monodromy(lam, spec)
-            mults = sorted(mono.multipliers, key=lambda w: abs(w))
-            images = sorted((1.0 / np.conj(w) for w in mults),
-                            key=lambda w: abs(w))
-            assert all(abs(a - b) < 1e-9 for a, b in zip(mults, images))
+            mults = list(monodromy(lam, spec).multipliers)
+            images = [1.0 / np.conj(w) for w in mults]
+            # in a band (lambda = 1.9) both multipliers are unimodular, so
+            # sorting by modulus breaks the tie on roundoff: compare the
+            # multisets under the best pairing instead
+            assert min(max(abs(a - b) for a, b in zip(mults, perm))
+                       for perm in itertools.permutations(images)) < 1e-9
 
     def test_band_edges(self, const_q1_periodic):
         lams = np.linspace(-3.0, 3.0, 601)

@@ -275,6 +275,20 @@ class TestHalfLineM:
             oracle = np.diag([mq(z, 3.0), mq(z, 0.3)])
             assert matnorm(h.M - oracle) < 1e-10
 
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_periodic_band_edge_matches_constant_tail(
+            self, lam, sign, const_q1, const_q1_periodic):
+        # at lambda = +-1 the q = 1 coefficient is nearly a Jordan block
+        # (eigenvalues +-ik with |k| ~ 1.4e-3), so the one-period transfer
+        # of the periodic path must stay exact there to match the constant
+        # tail's stable subspace
+        z = lam + 1e-6j
+        alpha = alpha_dirichlet(1)
+        want = halfline_m(z, 0.0, alpha, const_q1, sign=sign).M
+        got = halfline_m(z, 0.0, alpha, const_q1_periodic, sign=sign).M
+        assert matnorm(got - want) <= 1e-12
+
     def test_riccati_fixed_point_consistency(self, const_q1):
         # d/dx M_+(z, x) vanishes for a constant potential, so M_+ solves
         # the stationary Riccati equation: z M^2 + 2 q M + z = 0
@@ -339,15 +353,12 @@ class TestPeriodicMixedPoint:
 
 class TestConstantOverflow:
     def test_bisects_past_overflowing_piece_transfers(self, monkeypatch):
-        # m = 2 constant coupling diag(1, 0.2) on the window [0, L] with
-        # zero tails, at lambda = 0.5: one channel in a gap, one in a band.
-        # The eigenbasis exponential of long spans overflows, and the carry
-        # from L to 0 must bisect past it.  The band channel's reflection
-        # at L is e^{-2 L Im k} ~ 1e-19 down, so the whole-line closed form
-        # is the oracle
-        spec = PotentialSpec.constant(
-            normal_form_matrix(np.zeros((2, 2)), np.diag([1.0, 0.2])),
-            x_lo=0.0, x_hi=2e4)
+        # constant coupling diag(q) on the window [0, L] with zero tails, at
+        # lambda = 0.5: for m = 2 one channel in a gap, one in a band.  The
+        # exponential of long spans overflows (eigenbasis for m = 2, closed
+        # form for m = 1), and the carry from L to 0 must bisect past it.
+        # The band channel's reflection at L is e^{-2 L Im k} ~ 1e-19 down,
+        # so the whole-line closed form is the oracle
         z = 0.5 + 1e-3j
         finite = []
         transfer = Propagator.transfer
@@ -358,12 +369,18 @@ class TestConstantOverflow:
             return t
 
         monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            h = halfline_m(z, 0.0, alpha_dirichlet(2), spec)
-        assert not all(finite)
-        want = np.diag([mplus_const_q(z, 1.0), mplus_const_q(z, 0.2)])
-        assert matnorm(h.M - want) <= 1e-12 * matnorm(want)
+        for q in ((1.0, 0.2), (1.0,)):
+            m = len(q)
+            spec = PotentialSpec.constant(
+                normal_form_matrix(np.zeros((m, m)), np.diag(q)),
+                x_lo=0.0, x_hi=2e4)
+            finite.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                h = halfline_m(z, 0.0, alpha_dirichlet(m), spec)
+            assert not all(finite)
+            want = np.diag([mplus_const_q(z, qj) for qj in q])
+            assert matnorm(h.M - want) <= 1e-12 * matnorm(want)
 
 
 class TestLft:
