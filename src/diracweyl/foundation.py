@@ -550,6 +550,6 @@ def load_potential(path):
 
 
 def save_potential(spec, path):
+    # compact on purpose: any indent forces json's pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(potential_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(potential_to_dict(spec)) + "\n")

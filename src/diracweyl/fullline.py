@@ -20,8 +20,12 @@ from .foundation import (
     inv_cond,
     matnorm,
 )
-from .propagator import _EIG_COND_MAX, Propagator
+from .propagator import Propagator
 from .weyldisk import halfline_m
+
+# eigenbasis condition cap of principal_logm: the log's error scales like
+# eps * cond(v), so beyond ~1e6 it falls back to scipy's logm
+_EIG_COND_MAX = 1e6
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,11 +5,11 @@ T(xb <- xa) with an optional exponential rescale e^{i s z (xb - xa)} that
 keeps entries bounded when |Im z| * |xb - xa| is large (the rescale cancels
 in every M-function ratio).  Constant pieces propagate by one matrix
 exponential per span (exact up to roundoff for any span): in closed form
-for m = 1 (_expm2), through cached eigendecompositions for m >= 2; sampled
-pieces take fourth-order Magnus steps between sample nodes, as many per
-cell as its leading error term asks for (magnus_steps, shared with the
-gauge reduction); periodic potentials reduce long spans to powers of the
-one-period transfer.
+for m = 1 (_expm2), by a stacked scaling-and-squaring Pade approximant for
+m >= 2 (_expm_pade); sampled pieces take fourth-order Magnus steps between
+sample nodes, as many per cell as its leading error term asks for
+(magnus_steps, shared with the gauge reduction); periodic potentials reduce
+long spans to binary powers of the one-period transfer.
 
 The Volterra route (successive approximation of the integral equation for
 the decaying Weyl solution of a compactly supported potential) lives here as
@@ -17,12 +17,10 @@ well; it is deliberately quadrature-based so it stays independent of the
 transfer-matrix machinery and can serve as a cross-check oracle.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateArguments,
@@ -32,10 +30,6 @@ from .errors import (
     NoCompactSupport,
 )
 from .foundation import alpha_dirichlet, jmat, matnorm
-
-# eigenbasis condition cap: diagonalization errors scale like eps * cond,
-# so beyond ~1e6 fall back to expm / binary powering
-_EIG_COND_MAX = 1e6
 
 # per-step bound on the leading error term of the Magnus step (see
 # magnus_steps); at 1e-10 the half-line M-function of a bump sampled at
@@ -63,24 +57,6 @@ def auto_scale(z, xa, xb):
     if s == 0:
         return 0
     return 1 if s > 0 else -1
-
-
-def _eig_basis(a):
-    """(w, v, v^{-1}, ok) for a matrix or a stack of them, with
-    a = v diag(w) v^{-1} wherever the mask ``ok`` marks an eigenbasis
-    conditioned well enough to use, and ok None when every entry has one;
-    None when no entry has one.  Rejected entries get the identity for
-    v^{-1}."""
-    w, v = np.linalg.eig(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = np.isfinite(w).all(axis=-1) & (np.linalg.cond(v) < _EIG_COND_MAX)
-    if ok.all():
-        return w, v, np.linalg.inv(v), None
-    if not ok.any():
-        return None
-    vinv = _diag(1, v.shape)
-    vinv[ok] = np.linalg.inv(v[ok])
-    return w, v, vinv, ok
 
 
 # 1 / (2k + 1)! for k = 0..8: the even Taylor series of sinh(mu) / mu up to
@@ -122,15 +98,61 @@ def _expm2(omega):
     return out
 
 
+# Higham's [13/13] Pade coefficients b_0..b_13 and the 1-norm up to which
+# the approximant is accurate to double precision (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm_pade(a):
+    """e^a for a stack of d x d matrices by the [13/13] Pade approximant
+    with scaling and squaring, the number of squarings s chosen per entry
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+
+    The scalar part t = tr(a) / d commutes with the rest and is taken out
+    first: n = a - t I is scaled by 2^-s for s = ceil(log2(||n||_1 /
+    theta_13)), and e^{t / 2^s} is folded into the Pade value before the
+    squarings, never as e^t times the result: under the rescale e^t can
+    underflow while the squared part overflows."""
+    d = a.shape[-1]
+    eye = np.eye(d)
+    b = _PADE13
+    # overflow to inf is an expected probe outcome on long spans; callers
+    # detect it and bisect
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.trace(a, axis1=-2, axis2=-1)[..., None, None] / d
+        n = a - t * eye
+        norm = np.linalg.norm(n, 1, axis=(-2, -1))
+        s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1))).astype(int)
+        scale = np.exp2(-s)[..., None, None]
+        n = n * scale
+        n2 = n @ n
+        n4 = n2 @ n2
+        n6 = n4 @ n2
+        u = n @ (n6 @ (b[13] * n6 + b[11] * n4 + b[9] * n2)
+                 + b[7] * n6 + b[5] * n4 + b[3] * n2 + b[1] * eye)
+        v = (n6 @ (b[12] * n6 + b[10] * n4 + b[8] * n2)
+             + b[6] * n6 + b[4] * n4 + b[2] * n2 + b[0] * eye)
+        r = np.linalg.solve(v - u, v + u) * np.exp(t * scale)
+        for j in range(s.max(initial=0)):
+            c = s > j      # entries still squaring
+            r[c] = r[c] @ r[c]
+    return r
+
+
 def _expm(omega):
     """e^omega for a stack of d x d matrices: in closed form for d <= 2,
-    through _eig_basis (by expm where rejected) for d >= 4."""
+    by _expm_pade for larger d."""
     d = omega.shape[-1]
     if d == 2:
         return _expm2(omega)
     if d == 1:
         return np.exp(omega)
-    return _expm_span(omega, 1, _eig_basis(omega))
+    return _expm_pade(omega)
 
 
 def _diag(x, shape):
@@ -141,53 +163,20 @@ def _diag(x, shape):
     return out
 
 
-def _per_entry(through_basis):
-    """Let f(a, x, basis), written for a basis that is None or accepted
-    for every entry (ok None), take a stack that _eig_basis accepted only
-    in part: the accepted entries go through their eigenbases, the rest
-    through f's fallback for basis None."""
-    @functools.wraps(through_basis)
-    def f(a, x, basis):
-        if basis is None or basis[3] is None:
-            return through_basis(a, x, basis)
-        ok = basis[3]
-        out = np.empty(a.shape, dtype=complex)
-        out[ok] = through_basis(a[ok], x, (*(y[ok] for y in basis[:3]), None))
-        out[~ok] = through_basis(a[~ok], x, None)
-        return out
-    return f
-
-
-@_per_entry
-def _expm_span(a, span, basis):
-    """e^{a span} through basis = _eig_basis(a), by expm where rejected."""
-    if basis is None:
-        return expm(a * span)
-    w, v, vinv, _ = basis
-    # overflow to inf is an expected probe outcome on long spans; callers
-    # detect it and bisect
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (v * np.exp(w * span)[..., None, :]) @ vinv
-
-
-@_per_entry
-def _matpow(t, k, basis):
-    """t**k for integer k, through basis = _eig_basis(t) where accepted, by
-    binary powering where rejected."""
-    if basis is not None and k:
-        w, v, vinv, _ = basis
-        # overflow to inf is an expected probe outcome for large |k|;
-        # callers detect it and bisect
-        with np.errstate(over="ignore", invalid="ignore"):
-            return v @ _diag(w ** k, t.shape) @ vinv
+def _matpow(t, k):
+    """t**k for integer k (a matrix or a stack of them), by binary
+    powering."""
     out = _diag(1, t.shape)
     base = t if k >= 0 else np.linalg.inv(t)
     n = abs(k)
-    while n:
-        if n & 1:
-            out = out @ base
-        base = base @ base
-        n >>= 1
+    # overflow to inf is an expected probe outcome for large |k|; callers
+    # detect it and bisect
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n:
+            if n & 1:
+                out = out @ base
+            base = base @ base
+            n >>= 1
     return out
 
 
@@ -229,7 +218,7 @@ def magnus_steps(ts, acoef):
     taken of the traceless parts.  Skew-Hermitian A gives unitary factors,
     Hamiltonian A symplectic ones.  Each step's exponential is taken by
     _expm: in closed form for d <= 2 (every m = 1 transfer and the m = 2
-    gauge factors), through the eigenbasis for d >= 4.
+    gauge factors), by the stacked Pade approximant for larger d.
     """
     d = acoef.shape[-1]
     h = np.broadcast_to(np.diff(ts), acoef.shape[:-3] + (len(ts) - 1,))
@@ -259,8 +248,8 @@ def magnus_steps(ts, acoef):
 
 class Propagator:
     """Transfer matrices for one spec at one z or at a 1-D array of z, with
-    caching.  For an array of z every coefficient, cached eigenbasis and
-    transfer carries a leading z axis; a scalar z gives (2m, 2m) matrices.
+    caching.  For an array of z every coefficient and cached transfer
+    carries a leading z axis; a scalar z gives (2m, 2m) matrices.
 
     Not thread-safe per instance (it memoizes); build one per worker.
     """
@@ -270,10 +259,9 @@ class Propagator:
         self.spec = spec
         self.m = spec.m
         self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2)
-        # (piece id, scale) -> (acoef, _eig_basis, or None for m = 1)
-        self._eig = {}
+        self._acoef = {}      # (piece id, scale) -> system matrix
         self._seg = {}        # (piece id, a, b, scale) -> transfer
-        self._period_t = {}   # (phase, scale) -> (period transfer, _eig_basis)
+        self._period_t = {}   # (phase, scale) -> period transfer
 
     def _coefficient(self, b, scale):
         # the z axis, if any, leads the axes of b
@@ -283,19 +271,14 @@ class Propagator:
             acoef = acoef + 1j * scale * z * np.eye(2 * self.m)
         return acoef
 
-    def _const_transfer(self, piece, a, b, scale):
-        """Transfer across [a, b] where B is constant (zero for piece None)."""
+    def _const_coefficient(self, piece, scale):
+        """System matrix of a constant piece (zero B for piece None)."""
         key = (id(piece), scale)
-        if key not in self._eig:
+        if key not in self._acoef:
             d = 2 * self.m
-            acoef = self._coefficient(
+            self._acoef[key] = self._coefficient(
                 np.zeros((d, d)) if piece is None else piece.value, scale)
-            self._eig[key] = (acoef,
-                              None if self.m == 1 else _eig_basis(acoef))
-        acoef, basis = self._eig[key]
-        if self.m == 1:
-            return _expm2(acoef * (b - a))
-        return _expm_span(acoef, b - a, basis)
+        return self._acoef[key]
 
     def _grid_transfer(self, piece, off, a, b, scale):
         """Ordered product of the Magnus factors of a grid piece on [a, b]."""
@@ -324,16 +307,24 @@ class Propagator:
         return f
 
     def _walk(self, xa, xb, scale):
-        """Product of piece transfers over [xa, xb] (no period powering)."""
-        t = self._eye.copy()
+        """Product of piece transfers over [xa, xb] (no period powering);
+        the exponentials of its constant pieces are taken in one stacked
+        call."""
         segs = self.spec.segments(min(xa, xb), max(xa, xb))
         if xb < xa:
             segs = [(b, a, p, off) for a, b, p, off in reversed(segs)]
-        for a, b, piece, off in segs:
-            if abs(b - a) < 1e-13:
-                continue
-            if piece is None or piece.kind == "constant":
-                t = self._const_transfer(piece, a - off, b - off, scale) @ t
+        segs = [s for s in segs if abs(s[1] - s[0]) >= 1e-13]
+        const = [p is None or p.kind == "constant" for _, _, p, _ in segs]
+        omegas = [self._const_coefficient(p, scale) * ((b - off) - (a - off))
+                  for (a, b, p, off), c in zip(segs, const) if c]
+        # several exponents stacked cost about one call; a lone one goes
+        # unstacked, so that for a scalar z _expm2 works on numpy scalars
+        factors = iter(_expm(np.stack(omegas)) if len(omegas) > 1
+                       else map(_expm, omegas))
+        t = self._eye.copy()
+        for (a, b, piece, off), c in zip(segs, const):
+            if c:
+                t = next(factors) @ t
             else:
                 t = self._grid_transfer(piece, off, a, b, scale) @ t
         return t
@@ -353,10 +344,8 @@ class Propagator:
             phase = (xa - spec.pieces[0].x_lo) % w
             pkey = (round(phase, 12), scale)
             if pkey not in self._period_t:
-                tw = self._walk(xa, xa + w, scale)
-                self._period_t[pkey] = (tw, _eig_basis(tw))
-            tw, basis = self._period_t[pkey]
-            tk = _matpow(tw, k, basis)
+                self._period_t[pkey] = self._walk(xa, xa + w, scale)
+            tk = _matpow(self._period_t[pkey], k)
             if not r:
                 return tk
             # B(x + k*w) = B(x): the remainder T(xa+kw+r <- xa+kw) equals
@@ -365,19 +354,18 @@ class Propagator:
         return self._walk(xa, xb, scale)
 
 
-def fundamental_system(z, x, x0, alpha, spec, propagator=None):
+def fundamental_system(z, x, x0, alpha, spec):
     """Normalized fundamental system Psi(z, x, x0, alpha) = (Theta Phi).
 
     The initial value at x = x0 reproduces (alpha* Jalpha*) exactly.  Entries
     grow like e^{|Im z| |x - x0|}; callers probing that regime should work
     with M-function ratios instead (where rescaling applies).
     """
-    prop = propagator or Propagator(z, spec)
     psi0 = alpha.psi0()
     if x == x0:
         psi = psi0
     else:
-        psi = prop.transfer(x0, x, scale=0) @ psi0
+        psi = Propagator(z, spec).transfer(x0, x) @ psi0
     m = alpha.m
     return FundamentalSystem(z=complex(z), x=float(x), x0=float(x0),
                              alpha=alpha, theta=psi[:, :m], phi=psi[:, m:])

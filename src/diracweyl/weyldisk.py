@@ -42,8 +42,7 @@ _MIN_SEG = 1e-9
 _EPS = np.finfo(float).eps
 
 
-def regular_m(z, c, x0, alpha, beta, spec, cond_limit=COND_LIMIT,
-              propagator=None):
+def regular_m(z, c, x0, alpha, beta, spec):
     """M-function of the regular problem on [x0, c] with boundary data
     (alpha at x0, beta at c): -[beta Phi(z,c)]^{-1} [beta Theta(z,c)].
 
@@ -56,14 +55,14 @@ def regular_m(z, c, x0, alpha, beta, spec, cond_limit=COND_LIMIT,
     z = complex(z)
     b1, b2 = ((beta.alpha1, beta.alpha2) if hasattr(beta, "alpha1") else
               (np.atleast_2d(np.asarray(b, complex)) for b in beta))
-    prop = propagator or Propagator(z, spec)
-    psi = prop.transfer(x0, c, scale=auto_scale(z, x0, c)) @ alpha.psi0()
+    t = Propagator(z, spec).transfer(x0, c, scale=auto_scale(z, x0, c))
+    psi = t @ alpha.psi0()
     m = alpha.m
     theta, phi = psi[:, :m], psi[:, m:]
     bphi = b1 @ phi[:m] + b2 @ phi[m:]
     btheta = b1 @ theta[:m] + b2 @ theta[m:]
     cond = inv_cond(bphi, matnorm(np.hstack([b1, b2])) * matnorm(phi))
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise EigenvalueHit(
             f"beta Phi(z, c={c}) is singular (cond {cond:.2e}): "
             "z is an eigenvalue of the regular boundary value problem",
@@ -71,17 +70,16 @@ def regular_m(z, c, x0, alpha, beta, spec, cond_limit=COND_LIMIT,
     return -np.linalg.solve(bphi, btheta)
 
 
-def e_c(mat, z, c, x0, alpha, spec, return_defect=False, propagator=None):
+def e_c(mat, z, c, x0, alpha, spec, return_defect=False):
     """Disk functional E_c(M) = sigma(x0,c,z) U(z,c)* (iJ) U(z,c), Hermitian.
 
     Nonpositive exactly on the Weyl disk at c; zero on the circle.
     """
     z = complex(z)
     sig = sigma(x0, c, z)
-    prop = propagator or Propagator(z, spec)
     m = alpha.m
     col = np.vstack([np.eye(m), np.asarray(mat, complex)])
-    u = (prop.transfer(x0, c, scale=0) @ alpha.psi0()) @ col
+    u = (Propagator(z, spec).transfer(x0, c) @ alpha.psi0()) @ col
     e = sig * (u.conj().T @ (1j * jmat(m)) @ u)
     defect = herm_defect(e)
     e = hermitize(e)

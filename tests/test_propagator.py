@@ -7,8 +7,10 @@ from diracweyl import (
     PotentialSpec,
     Propagator,
     alpha_dirichlet,
+    band_spectrum,
     fundamental_system,
     halfline_m,
+    jmat,
     load_potential,
     matnorm,
     normal_form,
@@ -25,7 +27,7 @@ from diracweyl.errors import (
     MismatchedEvaluation,
     NoCompactSupport,
 )
-from diracweyl.propagator import _CELL_BLOCK, _eig_basis, _expm2, _matpow
+from diracweyl.propagator import _CELL_BLOCK, _expm2, _expm_pade, _matpow
 from conftest import (
     const_transfer_eig,
     free_psi,
@@ -122,24 +124,19 @@ class TestFundamentalSystem:
 class TestMatpow:
     @pytest.mark.parametrize("k", [1, -1, 50, -50, 1000, -1000])
     def test_defective_matrix_by_binary_powering(self, k):
-        # a Jordan block has no eigenbasis, so the guard must reject it;
-        # binary powering of integer entries is then exact
+        # binary powering of a Jordan block's integer entries is exact
         t = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        basis = _eig_basis(t)
-        assert basis is None
-        assert np.array_equal(_matpow(t, k, basis), [[1, k], [0, 1]])
+        assert np.array_equal(_matpow(t, k), [[1, k], [0, 1]])
 
     @pytest.mark.parametrize("k", [7, -7])
-    def test_diagonalizable_matrix_by_eigenbasis(self, rng, k):
+    def test_binary_powering_matches_repeated_products(self, rng, k):
         t = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         t /= max(abs(np.linalg.eigvals(t)))
-        basis = _eig_basis(t)
-        assert basis is not None
         base = t if k > 0 else np.linalg.inv(t)
         want = np.eye(4, dtype=complex)
         for _ in range(abs(k)):
             want = base @ want
-        assert matnorm(_matpow(t, k, basis) - want) < 1e-12 * matnorm(want)
+        assert matnorm(_matpow(t, k) - want) < 1e-12 * matnorm(want)
 
 
 class TestExpm2:
@@ -196,10 +193,86 @@ class TestExpm2:
         assert not np.all(np.isfinite(got))
 
 
+class TestExpmPade:
+    """The stacked [13/13] Pade exponential against scipy's expm, closed
+    forms and the structure it must preserve."""
+
+    @staticmethod
+    def _random(rng, n, d, max_norm):
+        a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        return a * rng.uniform(0.0, max_norm, size=(n, 1, 1)) / np.linalg.norm(
+            a, 1, axis=(-2, -1))[:, None, None]
+
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize("max_norm,tol", [(3.0, 1e-14), (80.0, 1e-13)])
+    def test_matches_scipy_expm(self, rng, d, max_norm, tol):
+        # norms up to 80 need up to four squarings
+        from scipy.linalg import expm
+        a = self._random(rng, 200, d, max_norm)
+        for g, x in zip(_expm_pade(a), a):
+            want = expm(x)
+            assert matnorm(g - want) <= tol * matnorm(want)
+
+    @pytest.mark.parametrize("h", [1e-8, 0.3, -2.0, 1.5j, 12.0])
+    def test_jordan_block(self, h):
+        n = np.eye(4, k=1)
+        got = _expm_pade(h * (np.eye(4) + n).astype(complex))
+        want = np.exp(h) * (np.eye(4) + h * n + h ** 2 / 2 * n @ n
+                            + h ** 3 / 6 * n @ n @ n)
+        assert matnorm(got - want) <= 1e-15 * matnorm(want)
+
+    def test_hamiltonian_gives_symplectic(self, rng):
+        # J^{-1} times a complex symmetric matrix is Hamiltonian: J H = S
+        # with S^T = S, and e^H satisfies F^T J F = J
+        j = jmat(2)
+        s = rng.normal(size=(100, 4, 4)) + 1j * rng.normal(size=(100, 4, 4))
+        f = _expm_pade(-j @ (s + np.swapaxes(s, -1, -2)))
+        for x in f:
+            assert matnorm(x.T @ j @ x - j) <= 1e-13 * matnorm(x) ** 2
+
+    def test_skew_hermitian_gives_unitary(self, rng):
+        a = self._random(rng, 100, 4, 20.0)
+        u = _expm_pade(a - np.swapaxes(a.conj(), -1, -2))
+        for x in u:
+            assert matnorm(x.conj().T @ x - np.eye(4)) <= 1e-13
+
+    def test_large_span_rescaled_stays_finite(self):
+        # the m = 2 analogue of test_large_z_rescaled: z = 500i over span 2
+        # with the rescale folded in
+        z = 500j
+        a = system_matrix(z, np.zeros((4, 4))) + 1j * z * np.eye(4)
+        got = _expm_pade(2.0 * a)
+        assert np.all(np.isfinite(got))
+        assert 0.5 <= matnorm(got) <= 1.0 + 1e-12
+
+    def test_overflow_is_nonfinite_without_warning(self):
+        # e^800 overflows, which the Moebius sweep detects and bisects
+        import warnings
+        a = np.diag([800.0, -800.0, 1.0, 1.0]).astype(complex)
+        with warnings.catch_warnings(), \
+                np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            got = _expm_pade(a)
+        assert not np.all(np.isfinite(got))
+
+    def test_mixed_norm_stack_bit_for_bit(self, rng):
+        # entries with different numbers of squarings and scalar parts,
+        # stacked and alone
+        a = self._random(rng, 24, 4, 1.0) * np.logspace(
+            -4, 2.5, 24)[:, None, None]
+        a += (10.0 * rng.normal(size=24) + 10j * rng.normal(size=24))[
+            :, None, None] * np.eye(4)
+        stacked = _expm_pade(a)
+        assert np.all(np.isfinite(stacked))
+        for g, x in zip(stacked, a):
+            assert np.array_equal(g, _expm_pade(x))
+
+
 class TestWorkCounts:
-    """Deterministic LAPACK call counts on a 1601-node m = 1 grid: loading
-    checks all samples in one stacked SVD, and the half-line M takes its
-    2x2 exponentials in closed form."""
+    """Deterministic LAPACK call counts: loading a 1601-node m = 1 grid
+    checks all samples in one stacked SVD, the half-line M takes its 2x2
+    exponentials in closed form, and the 4x4 exponentials and period powers
+    of kp2 take no eigendecomposition."""
 
     @staticmethod
     def _counting(monkeypatch, name):
@@ -228,6 +301,20 @@ class TestWorkCounts:
         h = halfline_m(64j, 0.0, alpha_dirichlet(1), spec)
         assert eig == []
         assert np.isfinite(h.M).all()
+
+    def test_kp2_bands(self, monkeypatch):
+        eig = self._counting(monkeypatch, "eig")
+        cond = self._counting(monkeypatch, "cond")
+        bands = band_spectrum(kp2_spec(), np.linspace(-8.0, 8.0, 4001))
+        assert eig == [] and cond == []
+        assert bands.bands and bands.gaps
+
+    def test_kp2_period_power(self, monkeypatch):
+        eig = self._counting(monkeypatch, "eig")
+        t = Propagator(np.array([0.3 + 0.2j, -1.0]), kp2_spec()).transfer(
+            0.1, 7.45)
+        assert eig == []
+        assert np.isfinite(t).all()
 
 
 class TestStackedZ:
@@ -275,16 +362,16 @@ class TestStackedZ:
         assert np.all(err <= 1e-13 * np.max(np.abs(single), axis=(-2, -1)))
 
     @pytest.mark.parametrize("a,b", SPANS)
-    def test_rejected_eigenbasis_falls_back_per_z(self, a, b):
+    def test_jordan_block_rows(self, a, b):
         # at lambda = +-1 the q = 1 coefficient is a Jordan block (two of
-        # them for m = 2), so its eigenbasis is rejected there and expm
-        # (m = 2; m = 1 takes the closed form) and binary powering of the
-        # period transfer take over for those rows only
+        # them for m = 2); those rows, their exponentials and the period
+        # power come out of the stack exactly as they do alone
         zs = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.5 + 0.1j])
         for m in (1, 2):
             q = normal_form_matrix(np.zeros((m, m)), np.eye(m))
-            ok = _eig_basis(system_matrix(zs[:, None, None], q))[3]
-            assert list(ok) == [True, False, True, True, False, True]
+            for lam in (-1.0, 1.0):
+                a_lam = system_matrix(lam, q)
+                assert np.array_equal(a_lam @ a_lam, np.zeros((2 * m,) * 2))
             spec = PotentialSpec.constant(q, period=1.0)
             stacked, single = self._rows(spec, zs, a, b)
             assert np.array_equal(stacked, single)

@@ -327,8 +327,8 @@ class TestPeriodicMixedPoint:
             warnings.simplefilter("error", RuntimeWarning)
             h = halfline_m(z, 0.0, alpha_dirichlet(2), kp2_spec())
         assert matnorm(h.M - oracle) <= 1e-10 * matnorm(oracle)
-        # one eigendecomposition per constant piece, at most one more
-        assert len(eig_calls) <= 3
+        # constant pieces take Pade exponentials: no eigendecomposition
+        assert eig_calls == []
         assert spans and all(abs(b - a) <= 1.0 for a, b, _ in spans)
         assert all(ok for _, _, ok in spans)
 
@@ -355,8 +355,8 @@ class TestConstantOverflow:
     def test_bisects_past_overflowing_piece_transfers(self, monkeypatch):
         # constant coupling diag(q) on the window [0, L] with zero tails, at
         # lambda = 0.5: for m = 2 one channel in a gap, one in a band.  The
-        # exponential of long spans overflows (eigenbasis for m = 2, closed
-        # form for m = 1), and the carry from L to 0 must bisect past it.
+        # exponential of long spans overflows (Pade for m = 2, closed form
+        # for m = 1), and the carry from L to 0 must bisect past it.
         # The band channel's reflection at L is e^{-2 L Im k} ~ 1e-19 down,
         # so the whole-line closed form is the oracle
         z = 0.5 + 1e-3j
