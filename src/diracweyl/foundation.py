@@ -481,7 +481,8 @@ def _complex_in(data, ndim=3):
     arr = np.asarray(data, dtype=float)
     if arr.ndim != ndim or arr.shape[-1] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a bit-exact reinterpretation keeps the sign of a zero imaginary part
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def _edge_out(v):

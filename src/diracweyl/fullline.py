@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import LogBranchFailure, SingularDifference
 from .foundation import (
@@ -91,6 +90,7 @@ def principal_logm(mat):
         logw[cut] = np.log(np.abs(w[cut])) + 1j * math.pi
         out = (v * logw) @ np.linalg.inv(v)
     else:
+        import scipy.linalg
         out = scipy.linalg.logm(mat)
     if not np.all(np.isfinite(out)):
         raise LogBranchFailure("matrix logarithm did not converge")

@@ -74,7 +74,10 @@ def _expm2(omega):
     both even in mu.  They are formed from e^{t + mu} and e^{t - mu}, never
     as e^t times cosh(mu): under the rescale e^t can underflow while
     cosh(mu) overflows.  Below |mu| = 0.5, s takes the Taylor series of
-    sinh(mu) / mu, which stays exact through a Jordan block."""
+    sinh(mu) / mu, which stays exact through a Jordan block.  A single
+    matrix runs as a stack of one, so it rounds exactly as a stack row."""
+    if omega.ndim == 2:
+        return _expm2(omega[None])[0]
     t = 0.5 * (omega[..., 0, 0] + omega[..., 1, 1])
     n00 = omega[..., 0, 0] - t
     # overflow to inf is an expected probe outcome on long spans; callers
@@ -317,10 +320,7 @@ class Propagator:
         const = [p is None or p.kind == "constant" for _, _, p, _ in segs]
         omegas = [self._const_coefficient(p, scale) * ((b - off) - (a - off))
                   for (a, b, p, off), c in zip(segs, const) if c]
-        # several exponents stacked cost about one call; a lone one goes
-        # unstacked, so that for a scalar z _expm2 works on numpy scalars
-        factors = iter(_expm(np.stack(omegas)) if len(omegas) > 1
-                       else map(_expm, omegas))
+        factors = iter(_expm(np.stack(omegas)) if omegas else ())
         t = self._eye.copy()
         for (a, b, piece, off), c in zip(segs, const):
             if c:

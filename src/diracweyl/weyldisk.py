@@ -5,9 +5,10 @@ For Im z != 0 exactly m solutions decay toward each end (Hinton & Shaw,
 J. Differential Equations 40, 1981), and the half-line M is read off the
 subspace they span, with no truncation radius: for a periodic spec the
 dominant invariant subspace of the period transfer toward the other side,
-for a constant tail the stable subspace of its system matrix, both from an
-ordered Schur form (Golub & Van Loan, 7.6).  From the tail's inner edge
-the subspace is carried to x0 in the Cayley chart
+for a constant tail the stable subspace of its system matrix.  Its
+orthonormal basis is the leading Schur vectors, built from LAPACK
+eigenvectors by unitary deflation (Golub & Van Loan, 7.6).  From the
+tail's inner edge the subspace is carried to x0 in the Cayley chart
 theta = (u1 + i*sigma*u2)(u1 - i*sigma*u2)^{-1}, which stays in the closed
 unit ball; segments are split until each Moebius factor is finite and well
 conditioned, and the backward flow contracts earlier roundoff.
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     DegenerateArguments,
@@ -158,21 +158,50 @@ def _mobius_across(prop, a, b, theta, frame, scale, depth=0):
 
 def _invariant_subspace(mat, m, sort=None):
     """Orthonormal basis of the m-dimensional invariant subspace of mat
-    whose eigenvalues ``sort`` selects (an ordered complex Schur form; None
-    keeps the m of largest modulus), with ||mat|| / gap, its first-order
-    sensitivity (Stewart & Sun, ch. V); gap is the smallest distance
-    between a kept and a rejected eigenvalue."""
+    whose eigenvalues ``sort`` selects ("lhp" or "rhp" for the open half
+    planes; None keeps the m of largest modulus), with ||mat|| / gap, its
+    first-order sensitivity (Stewart & Sun, ch. V); gap is the smallest
+    distance between a kept and a rejected eigenvalue.
+
+    The basis is the leading m Schur vectors, built by unitary deflation
+    (Golub & Van Loan, 7.6): an eigenvector x of a kept eigenvalue of the
+    trailing block is mapped to e1 by a Householder reflector h, and the
+    block deflates to (h t h)[1:, 1:].  zgeev takes x from its own Schur
+    form, so x stays accurate to eps ||mat|| / gap even inside a nearly
+    defective kept pair; null vectors of t - mu I or a QR of the kept
+    eigenvectors would not."""
     if not np.all(np.isfinite(mat)):
         raise NoConvergence("tail generator is not finite")
+    ev, vec = np.linalg.eig(mat)
     if sort is None:
-        mods = np.sort(np.abs(np.linalg.eigvals(mat)))
-        cut = math.sqrt(mods[-m]) * math.sqrt(mods[-m - 1])
-        sort = lambda mu: abs(mu) > cut      # noqa: E731
-    s, q, sdim = schur(mat, output="complex", sort=sort)
-    if sdim != m:
-        raise NoConvergence(f"decaying subspace has dim {sdim}, not {m}")
-    ev = np.diag(s)
-    gap = np.min(np.abs(ev[:m, None] - ev[None, m:]))
+        score = np.abs
+        mods = np.sort(score(ev))
+        edge = math.sqrt(mods[-m]) * math.sqrt(mods[-m - 1])
+    else:
+        sgn = -1.0 if sort == "lhp" else 1.0
+        score = lambda mu: sgn * mu.real      # noqa: E731
+        edge = 0.0
+    keep = score(ev) > edge
+    dim = np.count_nonzero(keep)
+    if dim != m:
+        raise NoConvergence(f"decaying subspace has dim {dim}, not {m}")
+    gap = np.min(np.abs(ev[keep, None] - ev[None, ~keep]))
+    q = np.eye(len(ev), dtype=complex)
+    t = mat
+    for k in range(m):
+        if k:
+            ev, vec = np.linalg.eig(t)
+        x = vec[:, np.argmax(score(ev))]
+        x = x / np.linalg.norm(x)
+        if k == m - 1:           # the last vector needs no reflector
+            q[:, k] = q[:, k:] @ x
+            break
+        # v = x + phase(x0) e1, so h x = -phase(x0) e1 without cancellation
+        v = x.copy()
+        v[0] += x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        h = np.eye(len(x)) - np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real)
+        t = (h @ t @ h)[1:, 1:]
+        q[:, k:] = q[:, k:] @ h
     return q[:, :m], matnorm(mat) / gap
 
 

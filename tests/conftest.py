@@ -14,9 +14,37 @@ from diracweyl import (
     ConstantPiece,
     GridPiece,
     PotentialSpec,
+    Propagator,
     normal_form_matrix,
     validate_boundary_data,
 )
+
+
+# ---------------------------------------------------------------------------
+# call counts
+# ---------------------------------------------------------------------------
+
+def count_eig(monkeypatch):
+    """Record the shape of every np.linalg.eig argument: (under, outside)
+    lists for calls made under Propagator.transfer and for all others."""
+    under, outside = [], []
+    depth = [0]
+    eig, transfer = np.linalg.eig, Propagator.transfer
+
+    def counted_eig(a):
+        (under if depth[0] else outside).append(np.shape(a))
+        return eig(a)
+
+    def counted_transfer(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return transfer(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(Propagator, "transfer", counted_transfer)
+    return under, outside
 
 
 # ---------------------------------------------------------------------------

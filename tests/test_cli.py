@@ -20,6 +20,7 @@ from diracweyl import (
     uniqueness_decay,
 )
 from diracweyl.cli import build_parser, main
+from conftest import kp2_spec
 
 
 @pytest.fixture
@@ -60,17 +61,47 @@ def _read_csv(path):
     return comment, header, rows
 
 
-def test_cli_import_skips_signal_and_integrate():
-    # every CLI process pays for what `import diracweyl.cli` pulls in;
-    # scipy.signal and scipy.integrate are imported where they are used
+def test_cli_import_skips_signal_and_integrate(tmp_path):
+    # every CLI process pays for what `import diracweyl.cli` pulls in: it
+    # loads no scipy at all, and the commands below run on numpy alone
+    # (scipy stays a dependency of the Volterra route, the Riccati
+    # integrator and the log's fallback, imported where they are used)
     import diracweyl
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracweyl.__file__)))
-    code = ("import sys, diracweyl.cli; print([m for m in ('scipy.signal', "
-            "'scipy.integrate') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    xs = np.linspace(0.0, 1.0, 41)
+    bump = np.array([normal_form_matrix([[0.0]], [[np.sin(np.pi * x) ** 2]])
+                     for x in xs])
+    save_potential(PotentialSpec.from_samples(xs, bump), tmp_path / "bump.json")
+    save_potential(PotentialSpec.constant(
+        normal_form_matrix([[0.0]], [[1.0]]), period=1.0), tmp_path / "q1.json")
+    save_potential(kp2_spec(), tmp_path / "kp2.json")
+    rng = np.random.default_rng(5)
+    xs = np.linspace(0.0, 2.0, 21)
+    herm = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    herm += herm.conj().T
+    save_potential(PotentialSpec.from_samples(
+        xs, np.cos(xs)[:, None, None] * herm), tmp_path / "gauge.json")
+    runs = [
+        ["mfunc", "--potential", "bump.json", "--z", "1i,2+0.5i"],
+        ["fullline", "--potential", "q1.json", "--z", "2i,0.5+1i"],
+        ["upsilon", "--potential", "q1.json", "--lambda=-3:3:5",
+         "--eps", "1e-6"],
+        ["upsilon", "--potential", "kp2.json", "--lambda=-4:4:5",
+         "--eps", "1e-3"],
+        ["bands", "--potential", "kp2.json", "--lambda=-4:4:101"],
+        ["gauge", "--potential", "gauge.json", "--x0", "0", "--x1", "2"],
+    ]
+    # scipy modules loaded after the import, then after every command
+    loaded = ("print(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.')))\n")
+    code = "import sys\nfrom diracweyl.cli import main\n" + loaded
+    for k, argv in enumerate(runs):
+        code += f"assert main({argv + ['--out', f'out{k}']!r}) == 0\n"
+    out = subprocess.run([sys.executable, "-c", code + loaded], env=env,
+                         check=True, capture_output=True, cwd=tmp_path,
+                         text=True).stdout
+    assert out.split() == ["[]", "[]"]
 
 
 class TestMfunc:

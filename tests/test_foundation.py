@@ -242,8 +242,11 @@ class TestFileRoundtrip:
         save_potential(spec, path)
         assert path.read_text().count("\n") == 1      # compact
         back = load_potential(path)
-        # every number comes back equal (a zero imaginary part may lose its
-        # sign), so the document written again is the same
+        # every number comes back bit for bit, the sign of a zero imaginary
+        # part included, so the file written again is byte-identical
+        again = tmp_path / "again.json"
+        save_potential(back, again)
+        assert again.read_bytes() == path.read_bytes()
         assert potential_to_dict(back) == potential_to_dict(spec)
         for p, q in zip(back.pieces, spec.pieces):
             if p.kind == "grid":

@@ -30,6 +30,7 @@ from diracweyl.errors import (
 from diracweyl.propagator import _CELL_BLOCK, _expm2, _expm_pade, _matpow
 from conftest import (
     const_transfer_eig,
+    count_eig,
     free_psi,
     kp2_spec,
     random_boundary,
@@ -271,8 +272,9 @@ class TestExpmPade:
 class TestWorkCounts:
     """Deterministic LAPACK call counts: loading a 1601-node m = 1 grid
     checks all samples in one stacked SVD, the half-line M takes its 2x2
-    exponentials in closed form, and the 4x4 exponentials and period powers
-    of kp2 take no eigendecomposition."""
+    exponentials in closed form and one eig of the 2x2 tail generator, and
+    the 4x4 exponentials and period powers of kp2 take no
+    eigendecomposition."""
 
     @staticmethod
     def _counting(monkeypatch, name):
@@ -294,12 +296,13 @@ class TestWorkCounts:
         path = tmp_path / "grid.json"
         save_potential(PotentialSpec.from_samples(xs, vals), path)
         svd = self._counting(monkeypatch, "svd")
-        eig = self._counting(monkeypatch, "eig")
+        under, outside = count_eig(monkeypatch)
         spec = load_potential(path)
         assert len(svd) <= 2
         assert np.array_equal(spec.pieces[0].values, vals)
         h = halfline_m(64j, 0.0, alpha_dirichlet(1), spec)
-        assert eig == []
+        # no eig under the propagator; the decaying subspace takes one
+        assert under == [] and outside == [(2, 2)]
         assert np.isfinite(h.M).all()
 
     def test_kp2_bands(self, monkeypatch):
@@ -375,6 +378,16 @@ class TestStackedZ:
             spec = PotentialSpec.constant(q, period=1.0)
             stacked, single = self._rows(spec, zs, a, b)
             assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("a,b", [(0.1, 0.85), (0.3, 7.45), (0.25, 1.7)])
+    def test_closed_form_rows_bit_for_bit(self, a, b):
+        # m = 1 rows away from the Jordan block: a single 2x2 takes the
+        # closed-form exponential as a stack of one, rounding as a row does
+        spec = PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
+                                      period=1.0)
+        zs = np.linspace(-4.0, 4.0, 81) + 1e-3j
+        stacked, single = self._rows(spec, zs, a, b, scale=1)
+        assert np.array_equal(stacked, single)
 
     def test_scalar_z_keeps_matrix_shape(self):
         t = Propagator(0.3 + 0.2j, kp2_spec()).transfer(0.0, 3.5)

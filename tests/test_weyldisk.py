@@ -16,6 +16,7 @@ from diracweyl import (
     matnorm,
     normal_form_matrix,
     regular_m,
+    system_matrix,
 )
 from diracweyl.errors import (
     DegenerateArguments,
@@ -23,8 +24,10 @@ from diracweyl.errors import (
     NoConvergence,
     SingularDenominator,
 )
+from diracweyl.weyldisk import _invariant_subspace
 from conftest import (
     KP2_PIECES,
+    count_eig,
     floquet_mplus,
     kp2_spec,
     mminus_const_q,
@@ -215,7 +218,6 @@ class TestHalfLineM:
         assert abs(halfline_m(z, -2.0, a0, spec).M[0, 0] - u[1] / u[0]) < 1e-14
 
     def test_subspace_dimension_checked(self):
-        from diracweyl.weyldisk import _invariant_subspace
         with pytest.raises(NoConvergence):
             _invariant_subspace(-np.eye(2), 1, "lhp")     # both decay
         with pytest.raises(NoConvergence):
@@ -297,6 +299,66 @@ class TestHalfLineM:
         assert abs(z * mv * mv + 2 * q * mv + z) < 1e-8
 
 
+class TestInvariantSubspace:
+    """The decaying-subspace kernel: Schur vectors by unitary deflation."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("sort", ["lhp", None])
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_matches_ordered_schur(self, d, sort):
+        # largest principal angle to scipy's ordered Schur basis within
+        # 10 eps ||T|| / gap, the kernel's own first-order sensitivity
+        import scipy.linalg
+        rng = np.random.default_rng(1000 + d)
+        m = d // 2
+        for _ in range(20):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            ev = np.linalg.eigvals(a)
+            if sort == "lhp":
+                re = np.sort(ev.real)
+                a -= 0.5 * (re[m - 1] + re[m]) * np.eye(d)
+                select = "lhp"
+            else:
+                mods = np.sort(np.abs(ev))
+                cut = math.sqrt(mods[-m] * mods[-m - 1])
+                select = lambda mu: abs(mu) > cut      # noqa: E731
+            _, qs, sdim = scipy.linalg.schur(a, output="complex", sort=select)
+            assert sdim == m
+            q, sens = _invariant_subspace(a, m, sort)
+            assert matnorm(q.conj().T @ q - np.eye(m)) <= 1e-14
+            sin_max = matnorm(qs[:, :m] - q @ (q.conj().T @ qs[:, :m]))
+            assert sin_max <= 10 * self.EPS * sens
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_tail(self, m):
+        # -z J (x) I_m: the eigenvalues -+iz, each m-fold; the stable
+        # subspace is span [I; iI] for Im z > 0, the unstable one [I; -iI]
+        z = 0.7 + 0.9j
+        mat = system_matrix(z, np.zeros((2 * m, 2 * m)))
+        for sort, s in (("lhp", 1j), ("rhp", -1j)):
+            q, _ = _invariant_subspace(mat, m, sort)
+            p = np.vstack([np.eye(m), s * np.eye(m)]) / math.sqrt(2.0)
+            assert matnorm(q @ q.conj().T - p @ p.conj().T) <= 2e-15
+            assert matnorm(q.conj().T @ q - np.eye(m)) <= 2e-15
+
+    def test_kept_jordan_block(self):
+        # a defective kept pair: eig returns two nearly parallel vectors,
+        # and the deflated basis still spans an invariant subspace
+        rng = np.random.default_rng(7)
+        tri = np.array([[-1.0, 1.0, 0.3, -0.2],
+                        [0.0, -1.0, 0.5, 0.1],
+                        [0.0, 0.0, 2.0, 0.4],
+                        [0.0, 0.0, 0.0, 3.0]], dtype=complex)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4))
+                            + 1j * rng.normal(size=(4, 4)))
+        a = u @ tri @ u.conj().T
+        q, _ = _invariant_subspace(a, 2, "lhp")
+        assert matnorm(q.conj().T @ q - np.eye(2)) <= 1e-14
+        resid = a @ q - q @ (q.conj().T @ a @ q)
+        assert matnorm(resid) <= 1e-14 * matnorm(a)
+
+
 class TestPeriodicMixedPoint:
     """m = 2 periodic potential at points where one channel is in a band
     and the other in a gap (and one pure band point): the decaying
@@ -306,13 +368,7 @@ class TestPeriodicMixedPoint:
     @pytest.mark.parametrize("z", [-1 + 1e-3j, -1 + 2e-3j, 0.5 + 1e-2j])
     def test_matches_floquet_oracle(self, z, monkeypatch):
         oracle = floquet_mplus(z, KP2_PIECES)
-        eig_calls = []
-        eig = np.linalg.eig
-
-        def counted_eig(a):
-            eig_calls.append(a.shape)
-            return eig(a)
-
+        under, outside = count_eig(monkeypatch)
         spans = []
         transfer = Propagator.transfer
 
@@ -321,14 +377,15 @@ class TestPeriodicMixedPoint:
             spans.append((xa, xb, bool(np.all(np.isfinite(t)))))
             return t
 
-        monkeypatch.setattr(np.linalg, "eig", counted_eig)
         monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             h = halfline_m(z, 0.0, alpha_dirichlet(2), kp2_spec())
         assert matnorm(h.M - oracle) <= 1e-10 * matnorm(oracle)
         # constant pieces take Pade exponentials: no eigendecomposition
-        assert eig_calls == []
+        # under the propagator; the deflation takes one eig of the period
+        # transfer and one of its 3x3 trailing block
+        assert under == [] and outside == [(4, 4), (3, 3)]
         assert spans and all(abs(b - a) <= 1.0 for a, b, _ in spans)
         assert all(ok for _, _, ok in spans)
 
