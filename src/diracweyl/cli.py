@@ -1,11 +1,13 @@
 """Command-line front end: dispatches to the library and emits CSV plus a
 JSON run summary.
 
-`mfunc`, `fullline` and `upsilon` sweep their z or lambda list point by
-point and record a failed point in the summary; `bands` and `borg`
-evaluate their lambda grid in stacked blocks.  Every CSV's columns are
-fixed by the potential's block size m, so a sweep whose points all fail
-still writes its full header.
+`mfunc`, `fullline` and `upsilon` evaluate their z or lambda list as one
+stacked library call per block of at most 256 points; a block that fails
+is retried point by point, so a failed point is recorded alone in the
+summary and the other rows are the same bytes a clean block writes.
+`bands` and `borg` evaluate their lambda grid in stacked blocks as well.
+Every CSV's columns are fixed by the potential's block size m, so a sweep
+whose points all fail still writes its full header.
 
 Determinism: rows are written in input order with 17-significant-digit
 formatting, so identical configurations produce byte-identical outputs
@@ -33,6 +35,7 @@ from .foundation import (
 from .fullline import GreensEvaluator, fullline_m, upsilon
 from .gauge import gauge_with_omega, normal_form
 from .spectral import (
+    _LAMBDA_BLOCK,
     band_spectrum,
     borg_diagnostic,
     reflectionless_check,
@@ -95,15 +98,23 @@ class _Run:
         self.info = {}
 
     def sweep(self, points, label, f):
-        """Rows f(p) in input order; a point that raises DiracWeylError
-        gives no row and one failure record keyed by label(p)."""
+        """Rows in input order, f(block) giving the rows of one stacked
+        block of at most _LAMBDA_BLOCK points.  A block that raises
+        DiracWeylError is retried point by point: a failing point gives no
+        row and one failure record keyed by label(p)."""
         rows = []
-        for p in points:
+        for i in range(0, len(points), _LAMBDA_BLOCK):
+            block = points[i:i + _LAMBDA_BLOCK]
             try:
-                rows.append(f(p))
-            except DiracWeylError as err:
-                self.failures.append({**label(p), "category": err.category,
-                                      "message": str(err)})
+                rows += f(block)
+            except DiracWeylError:
+                for j, p in enumerate(block):
+                    try:
+                        rows += f(block[j:j + 1])
+                    except DiracWeylError as err:
+                        self.failures.append({**label(p),
+                                              "category": err.category,
+                                              "message": str(err)})
         return rows
 
     def table(self, name, header, rows, fmt=None):
@@ -147,11 +158,12 @@ def cmd_mfunc(args, spec, run):
     sign = 1 if args.sign == "+" else -1
     run.tols = {"halfline_tol": args.tol}
 
-    def point(z):
-        h = halfline_m(z, args.x0, alpha, spec, sign=sign, tol=args.tol)
-        return [z.real, z.imag, h.tail_bound, *_flat(h.M)]
+    def block(zs):
+        h = halfline_m(zs, args.x0, alpha, spec, sign=sign, tol=args.tol)
+        return [[z.real, z.imag, t, *_flat(mat)]
+                for z, t, mat in zip(zs, h.tail_bound, h.M)]
     run.table("mfunc.csv", ["z_re", "z_im", "tail_bound"] + _cols("M", spec.m),
-              run.sweep(zs, lambda z: {"z": str(z)}, point))
+              run.sweep(zs, lambda z: {"z": str(z)}, block))
 
 
 def cmd_disk(args, spec, run):
@@ -185,12 +197,13 @@ def cmd_fullline(args, spec, run):
     zs = _parse_list(args.z, _parse_complex)
     run.tols = {"halfline_tol": args.tol}
 
-    def point(z):
-        f = fullline_m(z, args.x0, alpha, spec, tol=args.tol)
-        return [z.real, z.imag, f.m22_defect, *_flat(f.matrix)]
+    def block(zs):
+        f = fullline_m(zs, args.x0, alpha, spec, tol=args.tol)
+        return [[z.real, z.imag, d, *_flat(mat)]
+                for z, d, mat in zip(zs, f.m22_defect, f.matrix)]
     run.table("fullline.csv",
               ["z_re", "z_im", "m22_defect"] + _cols("M", 2 * spec.m),
-              run.sweep(zs, lambda z: {"z": str(z)}, point))
+              run.sweep(zs, lambda z: {"z": str(z)}, block))
 
 
 def cmd_greens(args, spec, run):
@@ -291,11 +304,11 @@ def cmd_upsilon(args, spec, run):
     lams = _parse_grid(getattr(args, "lambda"))
     run.tols = {"halfline_tol": args.tol, "eps": args.eps}
 
-    def point(lam):
-        u = upsilon(lam, args.x0, alpha, spec, args.eps, tol=args.tol)
-        return [lam, args.eps, *_flat(u.value)]
+    def block(lams):
+        u = upsilon(lams, args.x0, alpha, spec, args.eps, tol=args.tol)
+        return [[lam, args.eps, *_flat(val)] for lam, val in zip(lams, u.value)]
     run.table("upsilon.csv", ["lambda", "eps"] + _cols("Y", 2 * spec.m),
-              run.sweep(lams, lambda lam: {"lambda": float(lam)}, point))
+              run.sweep(lams, lambda lam: {"lambda": float(lam)}, block))
 
 
 # ---------------------------------------------------------------------------

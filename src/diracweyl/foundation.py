@@ -33,22 +33,35 @@ COND_LIMIT = 1e12
 
 def matnorm(x):
     """Spectral norm (largest singular value), the norm of every defect and
-    convergence check; a vector gets its 2-norm.  Equal bit for bit to
+    convergence check; a vector gets its 2-norm, and a stack of matrices an
+    array of norms from one batched SVD.  Equal bit for bit to
     np.linalg.norm(x, 2) on matrices, without its axis bookkeeping."""
-    return float(np.linalg.svd(np.atleast_2d(x), compute_uv=False)[0])
+    s = np.linalg.svd(np.atleast_2d(x), compute_uv=False)[..., 0]
+    return float(s) if s.ndim == 0 else s
 
 
 def inv_cond(mat, scale=1.0):
     """scale / sigma_min(mat) from one SVD, the condition of inverting mat
     inside a product whose inputs have the given scale (np.linalg.cond is
-    scale-blind); inf for a non-finite or singular mat."""
-    if not np.all(np.isfinite(mat)):
-        return math.inf
+    scale-blind); inf for a non-finite or singular mat.  A stack of
+    matrices (scale a scalar or one per matrix) gives an array of
+    conditions from one batched SVD; a single matrix runs as a stack of
+    one and gives a float."""
+    mat = np.asarray(mat)
+    if mat.ndim == 2:
+        return float(inv_cond(mat[None], scale)[0])
+    scale = np.broadcast_to(scale, mat.shape[:1])
+    out = np.full(mat.shape[:1], math.inf)
+    ok = np.all(np.isfinite(mat), axis=(-2, -1))
     try:
-        smin = np.linalg.svd(mat, compute_uv=False)[-1]
+        smin = np.linalg.svd(mat[ok], compute_uv=False)[..., -1]
     except np.linalg.LinAlgError:
-        return math.inf
-    return scale / smin if smin > 0 else math.inf
+        if len(mat) > 1:         # one failing entry fails the whole stack
+            return np.array([inv_cond(a, s) for a, s in zip(mat, scale)])
+        return out
+    with np.errstate(divide="ignore"):
+        out[ok] = np.where(smin > 0, scale[ok] / smin, math.inf)
+    return out
 
 
 def jmat(m):
@@ -66,8 +79,9 @@ def herm_defect(x):
 
 
 def hermitize(x):
+    """Hermitian part of a matrix or of each matrix of a stack."""
     x = np.asarray(x)
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + x.conj().mT)
 
 
 def mat_imag(x):

@@ -29,7 +29,8 @@ _EIG_COND_MAX = 1e6
 
 @dataclass(frozen=True, eq=False)
 class FullLineM:
-    """Block 2m x 2m Weyl-Titchmarsh matrix of the whole-line operator."""
+    """Block 2m x 2m Weyl-Titchmarsh matrix of the whole-line operator; for
+    an array of z the blocks are stacks and z and m22_defect arrays."""
 
     z: complex
     x0: float
@@ -52,21 +53,25 @@ def fullline_m(z, x0, alpha, spec, tol=1e-10):
 
     M11 = (M_- - M_+)^{-1}, M12 = M11 (M_- + M_+)/2,
     M21 = (M_- + M_+)/2 M11, M22 = M_+- M11 M_-+ (both orderings averaged,
-    their distance reported as m22_defect).
+    their distance reported as m22_defect).  z may be a scalar or a 1-D
+    array, as for halfline_m, with one half-line call per side.
     """
     mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol)
     mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol)
     diff = mm.M - mp.M
-    scale = 1.0 + max(matnorm(mp.M), matnorm(mm.M))
-    if inv_cond(diff, scale) > COND_LIMIT:
+    scale = 1.0 + np.maximum(matnorm(mp.M), matnorm(mm.M))
+    bad = np.flatnonzero(np.atleast_1d(inv_cond(diff, scale)) > COND_LIMIT)
+    if len(bad):
         raise SingularDifference(
-            f"M_- - M_+ numerically singular at z = {z} "
+            f"M_- - M_+ numerically singular at z = "
+            f"{complex(np.atleast_1d(z)[bad[0]])} "
             "(z at the spectrum within resolution)")
     dinv = np.linalg.inv(diff)
     ssum = 0.5 * (mm.M + mp.M)
     m22a = mp.M @ dinv @ mm.M
     m22b = mm.M @ dinv @ mp.M
-    return FullLineM(z=complex(z), x0=float(x0), alpha=alpha,
+    return FullLineM(z=complex(z) if np.ndim(z) == 0 else np.asarray(z),
+                     x0=float(x0), alpha=alpha,
                      m11=dinv, m12=dinv @ ssum, m21=ssum @ dinv,
                      m22=0.5 * (m22a + m22b),
                      m22_defect=matnorm(m22a - m22b),
@@ -78,20 +83,26 @@ def principal_logm(mat):
     cond(v) exceeds the eigenbasis cap.  Eigenvalues on the cut take the
     upper side log|w| + i*pi: a Herglotz matrix reaches the cut only as a
     real boundary value, approached from above.  Zero or non-finite
-    eigenvalues raise LogBranchFailure."""
+    eigenvalues raise LogBranchFailure.  mat may be a stack, taken with one
+    eig and a condition guard per entry; a single matrix runs as a stack of
+    one."""
     mat = np.asarray(mat, complex)
+    if mat.ndim == 2:
+        return principal_logm(mat[None])[0]
     w, v = np.linalg.eig(mat)
     if not np.all(np.isfinite(w)) or np.any(np.abs(w) < 1e-300):
         raise LogBranchFailure("matrix logarithm undefined: zero or "
                                "non-finite eigenvalue")
-    if np.linalg.cond(v) <= _EIG_COND_MAX:
-        logw = np.log(w)
-        cut = (w.real < 0) & (np.abs(w.imag) < 1e-12)
-        logw[cut] = np.log(np.abs(w[cut])) + 1j * math.pi
-        out = (v * logw) @ np.linalg.inv(v)
-    else:
+    basis = np.linalg.cond(v) <= _EIG_COND_MAX
+    w, v = w[basis], v[basis]
+    logw = np.log(w)
+    cut = (w.real < 0) & (np.abs(w.imag) < 1e-12)
+    logw[cut] = np.log(np.abs(w[cut])) + 1j * math.pi
+    out = np.empty_like(mat)
+    out[basis] = (v * logw[:, None, :]) @ np.linalg.inv(v)
+    if not basis.all():
         import scipy.linalg
-        out = scipy.linalg.logm(mat)
+        out[~basis] = [scipy.linalg.logm(a) for a in mat[~basis]]
     if not np.all(np.isfinite(out)):
         raise LogBranchFailure("matrix logarithm did not converge")
     return out
@@ -99,29 +110,30 @@ def principal_logm(mat):
 
 @dataclass(frozen=True, eq=False)
 class UpsilonSample:
-    lam: float
+    lam: float              # or an array of lambda, leading the axes below
     eps: float
     value: np.ndarray       # Hermitian, spectrum in [0, 1] up to tolerance
     raw: np.ndarray         # value at eps without Richardson correction
 
 
-def upsilon(lam, x0, alpha, spec, eps, tol=1e-8, richardson=True):
-    """Boundary-value sample pi^{-1} Im log M(lam + i*eps, x0, alpha).
+def upsilon(lam, x0, alpha, spec, eps, tol=1e-8):
+    """Boundary-value sample pi^{-1} Im log M(lam + i*eps, x0, alpha), its
+    eps -> 0 limit accelerated by the two-point rule 2 Y(eps) - Y(2 eps).
 
-    With richardson=True the eps -> 0 limit is accelerated with the
-    two-point rule 2 Y(eps) - Y(2 eps).
+    lam may be a scalar or a 1-D array; lam + i*eps and lam + 2i*eps are
+    evaluated as one stack of whole-line M and logs.
     """
-    def one(e):
-        mat = fullline_m(lam + 1j * e, x0, alpha, spec, tol=tol).matrix
-        logm = principal_logm(mat)
-        return hermitize((logm - logm.conj().T) / 2j) / math.pi
-
-    raw = one(eps)
-    if richardson:
-        val = 2.0 * raw - one(2.0 * eps)
-    else:
-        val = raw
-    return UpsilonSample(lam=float(lam), eps=float(eps), value=val, raw=raw)
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    n = len(lams)
+    mat = fullline_m(np.concatenate([lams + 1j * eps, lams + 2j * eps]), x0,
+                     alpha, spec, tol=tol).matrix
+    logm = principal_logm(mat)
+    y = hermitize((logm - logm.conj().mT) / 2j) / math.pi
+    raw, val = y[:n], 2.0 * y[:n] - y[n:]
+    if np.ndim(lam) == 0:
+        return UpsilonSample(lam=float(lam), eps=float(eps), value=val[0],
+                             raw=raw[0])
+    return UpsilonSample(lam=lams, eps=float(eps), value=val, raw=raw)
 
 
 # ---------------------------------------------------------------------------

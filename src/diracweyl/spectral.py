@@ -105,9 +105,10 @@ class BandStructure:
     gaps: tuple               # interior out-of-band runs
 
 
-# lambda per stacked monodromy in band_spectrum; it only bounds the stacks'
-# memory (4001 lambda in one stack add ~7 MB), and far smaller blocks bring
-# the per-call overhead back
+# lambda per stacked monodromy in band_spectrum, and points per stacked
+# call of the CLI's z and lambda sweeps; it only bounds the stacks' memory
+# (4001 lambda in one stack add ~7 MB), and far smaller blocks bring the
+# per-call overhead back
 _LAMBDA_BLOCK = 256
 
 
@@ -148,9 +149,13 @@ class ReflectionlessReport:
     samples: tuple            # (x, lam, deviation)
 
 
-def reflectionless_check(spec, xs, lams, eps=1e-6, tol=1e-3,
-                         upsilon_tol=1e-7):
-    """True iff ||Upsilon(lam, x) - I/2|| <= tol over all samples.
+# half-line tolerance of the Upsilon samples of reflectionless_check
+_UPSILON_TOL = 1e-7
+
+
+def reflectionless_check(spec, xs, lams, eps=1e-6, tol=1e-3):
+    """True iff ||Upsilon(lam, x) - I/2|| <= tol over all samples, with one
+    stacked upsilon over lams per x.
 
     lams should lie inside the essential spectrum (use band_spectrum for
     periodic potentials to pick them).
@@ -160,12 +165,13 @@ def reflectionless_check(spec, xs, lams, eps=1e-6, tol=1e-3,
     worst = 0.0
     samples = []
     alpha = alpha_dirichlet(m)
+    lams = np.asarray(lams, dtype=float)
     for x in xs:
-        for lam in lams:
-            val = upsilon(lam, x, alpha, spec, eps, tol=upsilon_tol).value
-            dev = matnorm(val - half)
-            samples.append((float(x), float(lam), dev))
-            worst = max(worst, dev)
+        devs = matnorm(upsilon(lams, x, alpha, spec, eps,
+                               tol=_UPSILON_TOL).value - half)
+        for lam, dev in zip(lams, devs):
+            samples.append((float(x), float(lam), float(dev)))
+            worst = max(worst, float(dev))
     return ReflectionlessReport(ok=worst <= tol, worst=worst,
                                 samples=tuple(samples))
 
@@ -231,9 +237,13 @@ class DecayFit:
     used: tuple               # sample indices that entered the fit
 
 
+# uniqueness_decay discards differences within this factor of the noise
+_NOISE_FACTOR = 10.0
+
+
 def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
                      zmags=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0), alpha=None,
-                     tol=1e-11, noise_factor=10.0):
+                     tol=1e-11):
     """Fit the exponential decay rate of ||M_{1,+} - M_{2,+}|| along a ray.
 
     For potentials in the reduced (normal) form that agree a.e. on
@@ -241,29 +251,26 @@ def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
     |z|; the fit therefore solves
     log||dM|| = c - p log|z| - s Im z and reports s (target 2a) together
     with the prefactor exponent p.  Samples whose difference is within
-    noise_factor times the half-line solver tolerance are discarded; if
-    none survive the two potentials are indistinguishable and
-    DifferenceBelowNoise is raised.
+    _NOISE_FACTOR times their error estimates plus the half-line solver
+    tolerance are discarded; if fewer than three survive the two
+    potentials are indistinguishable and DifferenceBelowNoise is raised.
+    Each potential takes one stacked half-line call over the ray.
     """
     alpha = alpha or alpha_dirichlet(spec1.m)
     direction = cmath.exp(1j * ray_angle)
-    norms = []
-    noise = []
-    for mag in zmags:
-        z = mag * direction
-        m1 = halfline_m(z, x0, alpha, spec1, sign=+1, tol=tol)
-        m2 = halfline_m(z, x0, alpha, spec2, sign=+1, tol=tol)
-        norms.append(matnorm(m1.M - m2.M))
-        noise.append(m1.tail_bound + m2.tail_bound + tol)
-    norms = np.array(norms)
+    zs = np.asarray(zmags, dtype=float) * direction
+    m1 = halfline_m(zs, x0, alpha, spec1, sign=+1, tol=tol)
+    m2 = halfline_m(zs, x0, alpha, spec2, sign=+1, tol=tol)
+    norms = matnorm(m1.M - m2.M)
+    noise = m1.tail_bound + m2.tail_bound + tol
     used = [i for i, (d, n) in enumerate(zip(norms, noise))
-            if d > noise_factor * n]
+            if d > _NOISE_FACTOR * n]
     if len(used) < 3:
         raise DifferenceBelowNoise(
             "M-function differences sit at the solver noise floor "
             f"(max {norms.max():.3e}); the potentials are indistinguishable "
             "at this tolerance")
-    zs = np.array([zmags[i] * direction for i in used])
+    zs = zs[used]
     y = np.log(norms[used])
     design = np.column_stack([np.ones(len(zs)),
                               -np.log(np.abs(zs)),

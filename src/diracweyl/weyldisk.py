@@ -129,31 +129,44 @@ def _cayley_frame(sig, m):
     return c, cinv
 
 
+def _right_solve(num, den):
+    """num den^{-1} for matrices or stacks of them."""
+    return np.linalg.solve(den.mT, num.mT).mT
+
+
 def _mobius_across(prop, a, b, theta, frame, scale, depth=0):
-    """Carry theta from a to b through the Moebius factor
-    S = C T(b <- a) C^{-1}, bisecting the interval until each factor is
-    finite and well conditioned; returns theta at b and the worst accepted
-    factor's kappa."""
+    """Carry the stack theta from a to b through the Moebius factors
+    S = C T(b <- a) C^{-1} of the stacked Propagator prop, bisecting the
+    interval for the entries whose factor is not finite or not well
+    conditioned (only they recurse, on a Propagator of their z); returns
+    theta at b and each entry's worst accepted kappa."""
     t = prop.transfer(a, b, scale=scale)
-    kappa = math.inf
-    if np.all(np.isfinite(t)):
+    m = theta.shape[-1]
+    kappa = np.full(len(t), math.inf)
+    out = np.empty_like(theta)
+    fin = np.flatnonzero(np.all(np.isfinite(t), axis=(-2, -1)))
+    if len(fin):
         c, cinv = frame
-        s = c @ t @ cinv
-        m = theta.shape[0]
-        num = s[:m, :m] @ theta + s[:m, m:]
-        den = s[m:, :m] @ theta + s[m:, m:]
-        kappa = inv_cond(den, matnorm(s))
-    if kappa > _MOBIUS_COND:
+        s = c @ t[fin] @ cinv
+        num = s[:, :m, :m] @ theta[fin] + s[:, :m, m:]
+        den = s[:, m:, :m] @ theta[fin] + s[:, m:, m:]
+        kappa[fin] = inv_cond(den, matnorm(s))
+        good = kappa[fin] <= _MOBIUS_COND
+        if good.any():
+            out[fin[good]] = _right_solve(num[good], den[good])
+    bad = kappa > _MOBIUS_COND
+    if bad.any():
         if abs(b - a) < _MIN_SEG or depth > 80:
             raise IntegrationFailure(
                 f"Moebius factor on [{a}, {b}] stayed ill-conditioned")
+        sub = prop if bad.all() else Propagator(prop.z[bad], prop.spec)
         mid = 0.5 * (a + b)
-        theta, k1 = _mobius_across(prop, a, mid, theta, frame, scale,
-                                   depth + 1)
-        theta, k2 = _mobius_across(prop, mid, b, theta, frame, scale,
-                                   depth + 1)
-        return theta, max(k1, k2)
-    return np.linalg.solve(den.T, num.T).T, kappa
+        th, k1 = _mobius_across(sub, a, mid, theta[bad], frame, scale,
+                                depth + 1)
+        out[bad], k2 = _mobius_across(sub, mid, b, th, frame, scale,
+                                      depth + 1)
+        kappa[bad] = np.maximum(k1, k2)
+    return out, kappa
 
 
 def _invariant_subspace(mat, m, sort=None):
@@ -161,7 +174,9 @@ def _invariant_subspace(mat, m, sort=None):
     whose eigenvalues ``sort`` selects ("lhp" or "rhp" for the open half
     planes; None keeps the m of largest modulus), with ||mat|| / gap, its
     first-order sensitivity (Stewart & Sun, ch. V); gap is the smallest
-    distance between a kept and a rejected eigenvalue.
+    distance between a kept and a rejected eigenvalue.  mat may be a stack
+    (one basis and sensitivity per entry); a single matrix runs as a stack
+    of one.
 
     The basis is the leading m Schur vectors, built by unitary deflation
     (Golub & Van Loan, 7.6): an eigenvector x of a kept eigenvalue of the
@@ -170,64 +185,75 @@ def _invariant_subspace(mat, m, sort=None):
     form, so x stays accurate to eps ||mat|| / gap even inside a nearly
     defective kept pair; null vectors of t - mu I or a QR of the kept
     eigenvectors would not."""
+    if mat.ndim == 2:
+        q, sens = _invariant_subspace(mat[None], m, sort)
+        return q[0], sens[0]
     if not np.all(np.isfinite(mat)):
         raise NoConvergence("tail generator is not finite")
     ev, vec = np.linalg.eig(mat)
     if sort is None:
         score = np.abs
-        mods = np.sort(score(ev))
-        edge = math.sqrt(mods[-m]) * math.sqrt(mods[-m - 1])
+        mods = np.sort(score(ev), axis=-1)
+        edge = np.sqrt(mods[:, -m]) * np.sqrt(mods[:, -m - 1])
     else:
         sgn = -1.0 if sort == "lhp" else 1.0
         score = lambda mu: sgn * mu.real      # noqa: E731
-        edge = 0.0
-    keep = score(ev) > edge
-    dim = np.count_nonzero(keep)
-    if dim != m:
-        raise NoConvergence(f"decaying subspace has dim {dim}, not {m}")
-    gap = np.min(np.abs(ev[keep, None] - ev[None, ~keep]))
-    q = np.eye(len(ev), dtype=complex)
+        edge = np.zeros(len(ev))
+    keep = score(ev) > edge[:, None]
+    dim = np.count_nonzero(keep, axis=-1)
+    if np.any(dim != m):
+        raise NoConvergence(f"decaying subspace has dim {dim[dim != m][0]}, "
+                            f"not {m}")
+    pairs = keep[:, :, None] & ~keep[:, None, :]      # (kept, rejected)
+    gap = np.min(np.abs(ev[:, :, None] - ev[:, None, :]), axis=(-2, -1),
+                 where=pairs, initial=math.inf)
+    n, d = ev.shape
+    rows = np.arange(n)
+    q = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
     t = mat
     for k in range(m):
         if k:
             ev, vec = np.linalg.eig(t)
-        x = vec[:, np.argmax(score(ev))]
-        x = x / np.linalg.norm(x)
+        x = vec[rows, :, np.argmax(score(ev), axis=-1)]
+        x = x / np.linalg.norm(x, axis=-1, keepdims=True)
         if k == m - 1:           # the last vector needs no reflector
-            q[:, k] = q[:, k:] @ x
+            q[:, :, k] = (q[:, :, k:] @ x[:, :, None])[:, :, 0]
             break
         # v = x + phase(x0) e1, so h x = -phase(x0) e1 without cancellation
         v = x.copy()
-        v[0] += x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        h = np.eye(len(x)) - np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real)
-        t = (h @ t @ h)[1:, 1:]
-        q[:, k:] = q[:, k:] @ h
-    return q[:, :m], matnorm(mat) / gap
+        v[:, 0] += np.exp(1j * np.angle(x[:, 0]))
+        vv = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
+        h = np.eye(d - k) - (v[:, :, None] * v[:, None, :].conj()) * (
+            2.0 / vv)[:, None, None]
+        t = (h @ t @ h)[:, 1:, 1:]
+        q[:, :, k:] = q[:, :, k:] @ h
+    return q[:, :, :m], matnorm(mat) / gap
 
 
 def _theta_from_subspace(w1, w2, sig):
     p = w1 + 1j * sig * w2
     q = w1 - 1j * sig * w2
-    if inv_cond(q, matnorm(w1) + matnorm(w2)) > COND_LIMIT:
+    if np.any(inv_cond(q, matnorm(w1) + matnorm(w2)) > COND_LIMIT):
         raise SingularDenominator("subspace not representable in the Cayley chart")
-    return np.linalg.solve(q.T, p.T).T
+    return _right_solve(p, q)
 
 
 def _m_from_theta(theta, sig, alpha):
-    m = theta.shape[0]
-    eye = np.eye(m)
-    w = np.vstack([0.5 * (theta + eye), -0.5j * sig * (theta - eye)])
+    eye = np.eye(theta.shape[-1])
+    w = np.concatenate([0.5 * (theta + eye), -0.5j * sig * (theta - eye)],
+                       axis=-2)
     aw = alpha.alpha @ w
     ajw = alpha.alpha_j() @ w
-    if inv_cond(aw, matnorm(w)) > COND_LIMIT:
+    if np.any(inv_cond(aw, matnorm(w)) > COND_LIMIT):
         raise SingularDenominator("alpha-chart readoff singular")
-    return -np.linalg.solve(aw.T, ajw.T).T
+    return -_right_solve(ajw, aw)
 
 
 @dataclass(frozen=True, eq=False)
 class HalfLineM:
     """Limit-point half-line Weyl-Titchmarsh matrix with its error estimate;
-    the subspace was taken at c_final, and sweeps is always 1."""
+    for an array of z, M is an (n, m, m) stack and z and tail_bound are
+    arrays.  The subspace was taken at c_final, and sweeps is always 1."""
 
     M: np.ndarray
     z: complex
@@ -239,6 +265,30 @@ class HalfLineM:
     sweeps: int
 
 
+def _halfline_rows(zs, x0, c, alpha, spec, sign):
+    """M and the sensitivity sum ||T|| / gap + kappa for z in one half
+    plane, where the rescale sign and sigma are the same for every entry."""
+    m = alpha.m
+    sig = sigma(x0 + sign, x0, zs[0])
+    prop = Propagator(zs, spec)
+    if spec.is_periodic:
+        back = x0 - sign * spec.period
+        u, sens = _invariant_subspace(
+            prop.transfer(x0, back, scale=auto_scale(zs[0], x0, back)), m)
+    else:
+        piece, _ = spec.locate(c + sign)
+        b = np.zeros((2 * m, 2 * m)) if piece is None else piece.eval(0.0)
+        u, sens = _invariant_subspace(system_matrix(zs[:, None, None], b), m,
+                                      "lhp" if sign > 0 else "rhp")
+    theta = _theta_from_subspace(u[:, :m], u[:, m:], sig)
+    if c != x0:
+        scale = 1 if zs[0].imag * sign < 0 else -1   # damps the carry c -> x0
+        theta, kappa = _mobius_across(prop, c, x0, theta,
+                                      _cayley_frame(sig, m), scale)
+        sens = sens + kappa
+    return _m_from_theta(theta, sig, alpha), sens
+
+
 def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
     """Half-line M-function M_plus (sign=+1) or M_minus (sign=-1), from the
     m solutions that decay toward ``sign``: the dominant invariant subspace
@@ -246,39 +296,39 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
     the constant tail beyond its inner edge c, carried from c to x0.
     tail_bound, eps * (||T|| / gap + worst carry kappa) * (1 + ||M||), is
     gated by tol * (1 + ||M||): above it NoConvergence carries M as best.
+
+    z may be a scalar or a 1-D array, evaluated as one stack (entries with
+    Im z < 0 in a stack of their own); a scalar runs as a stack of one, and
+    each row of a stacked result equals the result for that z alone, bit
+    for bit.  Any failing entry fails the whole call.
     """
-    z = complex(z)
-    if z.imag == 0:
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(zs.imag == 0):
         raise DegenerateArguments("half-line M needs Im z != 0")
     m = alpha.m
-    sig = sigma(x0 + sign, x0, z)
-    frame = _cayley_frame(sig, m)
-    prop = Propagator(z, spec)
-    if spec.is_periodic:
-        c = x0
-        back = x0 - sign * spec.period
-        u, sens = _invariant_subspace(
-            prop.transfer(x0, back, scale=auto_scale(z, x0, back)), m)
-    else:
+    c = x0
+    if not spec.is_periodic:      # the tail's inner edge
         ends = [e for p in spec.pieces for e in (p.x_lo, p.x_hi)
                 if math.isfinite(e)]
         c = sign * max(sign * e for e in ends + [x0])
-        piece, _ = spec.locate(c + sign)
-        b = np.zeros((2 * m, 2 * m)) if piece is None else piece.eval(0.0)
-        u, sens = _invariant_subspace(system_matrix(z, b), m,
-                                      "lhp" if sign > 0 else "rhp")
-    theta = _theta_from_subspace(u[:m], u[m:], sig)
-    kappa = 0.0
-    if c != x0:
-        scale = 1 if z.imag * sign < 0 else -1   # damps the carry c -> x0
-        theta, kappa = _mobius_across(prop, c, x0, theta, frame, scale)
-    mval = _m_from_theta(theta, sig, alpha)
+    mval = np.empty((len(zs), m, m), dtype=complex)
+    sens = np.empty(len(zs))
+    for rows in (np.flatnonzero(zs.imag > 0), np.flatnonzero(zs.imag < 0)):
+        if len(rows):
+            mval[rows], sens[rows] = _halfline_rows(zs[rows], x0, c, alpha,
+                                                    spec, sign)
     size = 1.0 + matnorm(mval)
-    tail = _EPS * (sens + kappa) * size
-    if tail > tol * size:
-        raise NoConvergence(f"decaying subspace at z = {z} ill conditioned "
-                            f"(estimate {tail:.1e})", best=mval, tail=tail)
-    return HalfLineM(M=mval, z=z, x0=float(x0), alpha=alpha, sign=sign,
+    tail = _EPS * sens * size
+    bad = np.flatnonzero(tail > tol * size)
+    if len(bad):
+        i = bad[0]
+        raise NoConvergence(f"decaying subspace at z = {complex(zs[i])} ill "
+                            f"conditioned (estimate {tail[i]:.1e})",
+                            best=mval[i], tail=tail[i])
+    if np.ndim(z) == 0:
+        return HalfLineM(M=mval[0], z=complex(z), x0=float(x0), alpha=alpha,
+                         sign=sign, tail_bound=tail[0], c_final=c, sweeps=1)
+    return HalfLineM(M=mval, z=zs, x0=float(x0), alpha=alpha, sign=sign,
                      tail_bound=tail, c_final=c, sweeps=1)
 
 
@@ -294,4 +344,4 @@ def lft_boundary_change(m_gamma, alpha, gamma):
     if inv_cond(den, 1.0 + matnorm(m_gamma)) > COND_LIMIT:
         raise SingularDenominator(
             "alpha gamma* + alpha J gamma* M is singular")
-    return np.linalg.solve(den.T, num.T).T
+    return _right_solve(num, den)

@@ -20,7 +20,7 @@ from diracweyl import (
     uniqueness_decay,
 )
 from diracweyl.cli import build_parser, main
-from conftest import kp2_spec
+from conftest import count_eig, kp2_spec
 
 
 @pytest.fixture
@@ -147,13 +147,21 @@ class TestMfunc:
 
     def test_partial_failures_flagged(self, free_file, tmp_path):
         out = str(tmp_path / "o")
-        # the real z cannot converge and is reported per-point
-        rc = main(["mfunc", "--potential", free_file, "--z", "1i,2.0",
+        # the real z cannot converge and is reported per-point; the block is
+        # retried point by point, and the good rows are the bytes a run
+        # without the bad point writes
+        rc = main(["mfunc", "--potential", free_file, "--z", "1i,2.0,3+1i",
                    "--out", out])
         assert rc == 1
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["partial"]
         assert summary["failures"][0]["category"] == "DegenerateArguments"
+        clean = str(tmp_path / "clean")
+        assert main(["mfunc", "--potential", free_file, "--z", "1i,3+1i",
+                     "--out", clean]) == 0
+        with open(os.path.join(out, "mfunc.csv"), "rb") as fh, \
+                open(os.path.join(clean, "mfunc.csv"), "rb") as fc:
+            assert fh.read() == fc.read()
 
 
 class TestBands:
@@ -224,6 +232,41 @@ class TestOtherCommands:
         _, header, rows = _read_csv(os.path.join(out, "upsilon.csv"))
         vals = dict(zip(header, rows[0]))
         assert abs(float(vals["Y11_re"]) - 0.5) < 1e-6
+
+
+class TestUpsilonSweep:
+    def test_partial_failures_flagged(self, q1_file, tmp_path):
+        # the tail estimate at the q = 1 band edges lambda = +-1 (1.9e-13)
+        # fails --tol 1e-14, the other points (below 5e-16) pass; their rows
+        # are the bytes a run without the edges writes
+        out, clean = str(tmp_path / "o"), str(tmp_path / "clean")
+        common = ["--potential", q1_file, "--eps", "1e-6", "--tol", "1e-14"]
+        assert main(["upsilon", "--lambda=-2:1:4", "--out", out]
+                    + common) == 1
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert [(f["lambda"], f["category"]) for f in summary["failures"]] \
+            == [(-1.0, "NoConvergence"), (1.0, "NoConvergence")]
+        assert main(["upsilon", "--lambda=-2:0:2", "--out", clean]
+                    + common) == 0
+        with open(os.path.join(out, "upsilon.csv"), "rb") as fh, \
+                open(os.path.join(clean, "upsilon.csv"), "rb") as fc:
+            assert fh.read() == fc.read()
+
+    def test_eig_calls_independent_of_lambda_count(self, tmp_path,
+                                                   monkeypatch):
+        # one stacked block: the decaying subspaces of both sides and the
+        # log take the same eig calls at 9 and at 17 lambda
+        path = tmp_path / "kp2.json"
+        save_potential(kp2_spec(), path)
+        counts = []
+        for n in (9, 17):
+            with monkeypatch.context() as mp:
+                under, outside = count_eig(mp)
+                assert main(["upsilon", "--potential", str(path),
+                             f"--lambda=-4:4:{n}", "--eps", "1e-3",
+                             "--out", str(tmp_path / f"o{n}")]) == 0
+            counts.append(len(under) + len(outside))
+        assert counts[0] == counts[1] == 5
 
 
 class TestTableShape:

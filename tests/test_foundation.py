@@ -74,6 +74,11 @@ class TestMatnorm:
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             assert matnorm(v) == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
+    def test_stack_rows_bit_for_bit(self, rng):
+        x = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        assert isinstance(matnorm(x[0]), float)
+        assert np.array_equal(matnorm(x), [matnorm(a) for a in x])
+
 
 class TestInvCond:
     def test_scale_over_smallest_singular_value(self, rng):
@@ -89,6 +94,18 @@ class TestInvCond:
     ])
     def test_singular_or_nonfinite_is_inf(self, mat):
         assert inv_cond(np.array(mat)) == math.inf
+
+    def test_stack_rows_bit_for_bit(self, rng):
+        # a regular, a singular and a non-finite entry, each with its scale
+        x = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        x[1] = 0.0
+        x[2, 0, 1] = math.nan
+        scale = np.array([2.0, 3.0, 4.0])
+        got = inv_cond(x, scale)
+        assert np.array_equal(got, [inv_cond(a, s) for a, s in zip(x, scale)])
+        assert got[0] == 2.0 / np.linalg.svd(x[0], compute_uv=False)[-1]
+        assert got[1] == got[2] == math.inf
+        assert isinstance(inv_cond(x[0]), float)
 
 
 class TestSigma:

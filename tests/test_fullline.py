@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from scipy.integrate import simpson
 
 from diracweyl import (
     GreensEvaluator,
+    PotentialSpec,
     Propagator,
     alpha_dirichlet,
     fullline_m,
     greens_matrix,
+    halfline_m,
     jmat,
     matnorm,
+    normal_form_matrix,
     principal_logm,
     upsilon,
 )
@@ -22,6 +26,7 @@ from conftest import (
     mminus_const_q,
     mplus_const_q,
     random_normal_form_spec,
+    smooth_bump_spec,
 )
 
 
@@ -254,3 +259,122 @@ class TestWorkCount:
         upsilon(-1.0, 0.0, alpha_dirichlet(2), kp2_spec(), 1e-3)
         assert len(transfers) <= 4
         assert not logms
+
+
+def _q1_periodic():
+    return PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
+                                  period=1.0)
+
+
+class TestStackedM:
+    """halfline_m, fullline_m, principal_logm and upsilon on an array give,
+    row by row and bit for bit, what each point gives as a stack of one and
+    as a scalar; a scalar keeps the unstacked shapes and types."""
+
+    # the q = 1 band edges, the kp2 mixed-channel point, a gap point, far
+    # from the axis, and the lower half plane
+    ZS = np.array([-1 + 1e-6j, 1 + 1e-6j, -1 + 1e-3j, 0.5 + 1e-2j, 2j,
+                   -2.5 - 0.3j, 0.3 - 1e-4j])
+    SPECS = {"q1": _q1_periodic, "kp2": kp2_spec,
+             "bump": lambda: smooth_bump_spec(n=401, tail_q=0.5)}
+
+    @staticmethod
+    def _rows(f, points, *fields):
+        stacked = f(points)
+        for i, p in enumerate(points):
+            alone, scalar = f(points[i:i + 1]), f(p)
+            for name in fields:
+                row = getattr(stacked, name)[i]
+                assert np.array_equal(row, getattr(alone, name)[0])
+                assert np.array_equal(row, getattr(scalar, name))
+        return stacked
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_halfline_rows(self, name, sign):
+        spec = self.SPECS[name]()
+        alpha = alpha_dirichlet(spec.m)
+        self._rows(lambda z: halfline_m(z, 0.0, alpha, spec, sign=sign),
+                   self.ZS, "M", "tail_bound")
+
+    @pytest.mark.parametrize("q", [(1.0, 0.2), (1.0,)])
+    def test_carry_bisects_only_failing_entries(self, q, monkeypatch):
+        # TestConstantOverflow's window: the carry at 0.5 +- 1e-3i bisects
+        # past overflowing transfers, the one at 2 + 1e-3i takes a single
+        # transfer, and stacked with the others it keeps that factor
+        m = len(q)
+        spec = PotentialSpec.constant(
+            normal_form_matrix(np.zeros((m, m)), np.diag(q)),
+            x_lo=0.0, x_hi=2e4)
+        alpha = alpha_dirichlet(m)
+        depths = []
+        transfer = Propagator.transfer
+
+        def recorded_transfer(prop, xa, xb, scale=0):
+            depths.append(np.size(prop.z))
+            return transfer(prop, xa, xb, scale)
+
+        monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
+        halfline_m(2 + 1e-3j, 0.0, alpha, spec)
+        assert depths == [1]
+        zs = np.array([0.5 + 1e-3j, 2 + 1e-3j])
+        depths.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = halfline_m(zs, 0.0, alpha, spec)
+        # one transfer of the pair, then the bisection on the failing entry
+        assert depths[0] == 2 and set(depths[1:]) == {1}
+        for i in range(len(zs)):
+            alone = halfline_m(zs[i:i + 1], 0.0, alpha, spec)
+            assert np.array_equal(h.M[i], alone.M[0])
+            assert h.tail_bound[i] == alone.tail_bound[0]
+
+    @pytest.mark.parametrize("name", ["q1", "kp2"])
+    def test_fullline_rows(self, name):
+        spec = self.SPECS[name]()
+        alpha = alpha_dirichlet(spec.m)
+        self._rows(lambda z: fullline_m(z, 0.2, alpha, spec), self.ZS,
+                   "matrix", "m22_defect")
+
+    @pytest.mark.parametrize("name,eps", [("q1", 1e-6), ("kp2", 1e-3)])
+    def test_upsilon_rows(self, name, eps):
+        spec = self.SPECS[name]()
+        alpha = alpha_dirichlet(spec.m)
+        self._rows(lambda lam: upsilon(lam, 0.0, alpha, spec, eps),
+                   np.linspace(-4.0, 4.0, 9), "value", "raw")
+
+    def test_principal_logm_rows(self, monkeypatch):
+        # an eigenvalue on the cut, a nearly defective basis (the scipy
+        # fallback) and a whole-line M in one stack
+        mats = np.array([
+            np.diag([-1.0, 2.0]),
+            [[1.0, 1.0], [0.0, 1.0 + 1e-9]],
+            fullline_m(0.3 + 1e-3j, 0.0, alpha_dirichlet(1),
+                       _q1_periodic()).matrix], dtype=complex)
+        calls = []
+        logm = scipy.linalg.logm
+        monkeypatch.setattr(scipy.linalg, "logm",
+                            lambda a: calls.append(a) or logm(a))
+        stacked = principal_logm(mats)
+        assert len(calls) == 1 and np.array_equal(calls[0], mats[1])
+        assert stacked[0, 0, 0] == 1j * math.pi
+        for i, mat in enumerate(mats):
+            assert np.array_equal(stacked[i], principal_logm(mats[i:i + 1])[0])
+            assert np.array_equal(stacked[i], principal_logm(mat))
+
+    def test_scalar_shapes_and_types(self):
+        spec, alpha = kp2_spec(), alpha_dirichlet(2)
+        h = halfline_m(1 + 1j, 0.0, alpha, spec)
+        assert h.M.shape == (2, 2) and type(h.z) is complex
+        assert isinstance(h.tail_bound, float)
+        h = halfline_m([1 + 1j, 2j], 0.0, alpha, spec)
+        assert h.M.shape == (2, 2, 2) and h.tail_bound.shape == (2,)
+        f = fullline_m(1 + 1j, 0.0, alpha, spec)
+        assert f.matrix.shape == (4, 4) and type(f.z) is complex
+        assert isinstance(f.m22_defect, float)
+        assert principal_logm(f.matrix).shape == (4, 4)
+        u = upsilon(0.5, 0.0, alpha, spec, 1e-3)
+        assert u.value.shape == u.raw.shape == (4, 4)
+        assert type(u.lam) is float
+        u = upsilon([0.5], 0.0, alpha, spec, 1e-3)
+        assert u.value.shape == (1, 4, 4) and u.lam.shape == (1,)
