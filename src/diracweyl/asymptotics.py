@@ -40,7 +40,7 @@ def derivative_samples(spec, xs, order):
     xs = np.asarray(xs, float)
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
-    b = np.array([spec.eval(x) for x in xs])
+    b = spec.eval(xs)
     derivs = []
     cur = b
     for _ in range(order):

@@ -73,9 +73,9 @@ def jmat(m):
 
 
 def herm_defect(x):
-    """Distance of x from its Hermitian part."""
+    """Distance of x from its Hermitian part (an array of them for a stack)."""
     x = np.asarray(x)
-    return matnorm(x - x.conj().T)
+    return matnorm(x - x.conj().mT)
 
 
 def hermitize(x):
@@ -85,9 +85,9 @@ def hermitize(x):
 
 
 def mat_imag(x):
-    """Matrix imaginary part (X - X*) / 2i (Hermitian)."""
+    """Matrix imaginary part (X - X*) / 2i (Hermitian), per matrix."""
     x = np.asarray(x)
-    return (x - x.conj().T) / 2j
+    return (x - x.conj().mT) / 2j
 
 
 def sigma(s, t, z):
@@ -183,9 +183,7 @@ def alpha_neumann(m):
 # ---------------------------------------------------------------------------
 
 def _check_hermitian_samples(values, tol, what):
-    # one stacked SVD: per sample the same LAPACK call as herm_defect
-    diff = values - np.swapaxes(values.conj(), -1, -2)
-    defect = float(np.linalg.svd(diff, compute_uv=False)[..., 0].max())
+    defect = float(np.max(herm_defect(values)))
     if defect > tol:
         raise NonHermitianPiece(
             f"{what}: Hermiticity defect {defect:.3e} exceeds tol {tol:.1e}")
@@ -210,7 +208,7 @@ class ConstantPiece:
         _check_hermitian_samples(v, ALG_TOL, "constant piece")
 
     def eval(self, x):
-        return self.value
+        return np.broadcast_to(self.value, np.shape(x) + self.value.shape)
 
     def bound(self):
         return matnorm(self.value)
@@ -249,20 +247,28 @@ class GridPiece:
         return float(self.xs[-1])
 
     def eval(self, x):
-        xs = self.xs
-        if x <= xs[0]:
-            return self.values[0]
-        if x >= xs[-1]:
-            return self.values[-1]
-        k = int(np.searchsorted(xs, x))
+        """B at a scalar x, or an (n, 2m, 2m) stack at a 1-D array of x;
+        a scalar runs as a stack of one."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return self.eval(x[None])[0]
+        xs, vals, hi = self.xs, self.values, self.x_hi
+        x = np.minimum(np.maximum(x, self.x_lo), hi)
+        k = np.maximum(np.searchsorted(xs, x), 1)
+        km = k - 1
+        a, b = xs[km], xs[k]
+        dx = x - a                    # a <= x <= b
+        t = (dx / (b - a))[:, None, None]
+        out = (1.0 - t) * vals.take(km, axis=0) + t * vals.take(k, axis=0)
         # snap to nodes so that period translates of aligned points evaluate
-        # bit-identically despite float wrap error
-        snap = 1e-12 * (1.0 + abs(x))
-        for j in (k - 1, k):
-            if abs(x - xs[j]) <= snap:
-                return self.values[j]
-        t = (x - xs[k - 1]) / (xs[k] - xs[k - 1])
-        return (1.0 - t) * self.values[k - 1] + t * self.values[k]
+        # bit-identically despite float wrap error; the end clamps come
+        # first, then the left node, then the right one
+        snap = 1e-12 * (1.0 + np.abs(x))
+        left = (dx <= snap) & (x < hi)
+        node = left | (b - x <= snap)
+        np.copyto(out, vals.take(np.where(left, km, k), axis=0),
+                  where=node[:, None, None])
+        return out
 
     def bound(self):
         return float(np.linalg.svd(self.values, compute_uv=False)[:, 0].max())
@@ -387,15 +393,23 @@ class PotentialSpec:
                 for a, b in zip(pts, pts[1:])]
 
     def eval(self, x, side=0):
-        """B(x); ``side`` = +1 / -1 selects the one-sided limit at piece edges."""
-        x = float(x)
-        if self.domain is not None and not (self.domain[0] <= x <= self.domain[1]):
-            raise OutOfDomain(f"x = {x} outside domain {self.domain}")
-        piece, off = self.locate(x, side)
-        if piece is None:
-            return np.zeros((2 * self.m, 2 * self.m), dtype=complex)
-        y = min(max(x - off, piece.x_lo), piece.x_hi)
-        return np.asarray(piece.eval(y))
+        """B(x) at a scalar x, or an (n, 2m, 2m) stack at a 1-D array of x
+        whose row i equals B(x[i]) bit for bit; ``side`` = +1 / -1 selects
+        the one-sided limit at piece edges."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return self.eval(x[None], side)[0]
+        if self.domain is not None:
+            bad = x[~((self.domain[0] <= x) & (x <= self.domain[1]))]
+            if len(bad):
+                raise OutOfDomain(f"x = {bad[0]} outside domain {self.domain}")
+        out = np.zeros((len(x), 2 * self.m, 2 * self.m), dtype=complex)
+        # locate resolves each point; each piece evaluates all it owns
+        located = [self.locate(t, side) for t in x.tolist()]
+        for piece in {id(p): p for p, _ in located if p is not None}.values():
+            idx = [i for i, (p, _) in enumerate(located) if p is piece]
+            out[idx] = piece.eval(x[idx] - [located[i][1] for i in idx])
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -454,7 +468,7 @@ def truncate_potential(spec, x0, y0):
             xs = piece.xs + off
             keep = (xs > a + 1e-13) & (xs < b - 1e-13)
             nodes = np.concatenate([[a], xs[keep], [b]])
-            vals = np.array([piece.eval(t - off) for t in nodes])
+            vals = piece.eval(nodes - off)
             out.append(GridPiece(nodes, vals))
     name = f"{spec.name}|[{x0},{y0}]" if spec.name else f"truncated[{x0},{y0}]"
     return PotentialSpec(m=spec.m, pieces=tuple(out), name=name)
@@ -465,17 +479,15 @@ def check_normal_form(spec, interval, tol=ALG_TOL, samples=101):
 
     Sampled check; piece edges are probed from both sides.
     """
-    lo, hi = interval
     m = spec.m
-    xs = list(np.linspace(lo, hi, samples))
-    for x in xs:
-        for side in (-1, 1):
-            b = spec.eval(x, side=side)
-            b11, b12 = b[:m, :m], b[:m, m:]
-            b21, b22 = b[m:, :m], b[m:, m:]
-            if (matnorm(b22 + b11) > tol or matnorm(b21 - b12) > tol
-                    or herm_defect(b11) > tol or herm_defect(b12) > tol):
-                return False
+    xs = np.linspace(*interval, samples)
+    for side in (-1, 1):
+        b = spec.eval(xs, side=side)
+        b11, b12 = b[:, :m, :m], b[:, :m, m:]
+        defects = (matnorm(b[:, m:, m:] + b11), matnorm(b[:, m:, :m] - b12),
+                   herm_defect(b11), herm_defect(b12))
+        if any(np.any(dd > tol) for dd in defects):
+            return False
     return True
 
 
@@ -485,8 +497,9 @@ def check_normal_form(spec, interval, tol=ALG_TOL, samples=101):
 # ---------------------------------------------------------------------------
 
 def _complex_out(mat):
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    # a bit-exact reinterpretation keeps the sign of a zero part
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return mat.view(float).reshape(mat.shape + (2,)).tolist()
 
 
 def _complex_in(data, ndim=3):
@@ -500,19 +513,8 @@ def _complex_in(data, ndim=3):
 
 
 def _edge_out(v):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return float(v)
-
-
-def _edge_in(v):
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
+    # an infinite edge is written "inf" / "-inf", which float() reads back
+    return str(float(v)) if math.isinf(v) else float(v)
 
 
 def potential_to_dict(spec):
@@ -523,8 +525,8 @@ def potential_to_dict(spec):
         if p.kind == "constant":
             entry["data"] = _complex_out(p.value)
         else:
-            entry["data"] = {"x": [float(t) for t in p.xs],
-                             "values": [_complex_out(v) for v in p.values]}
+            entry["data"] = {"x": p.xs.tolist(),
+                             "values": _complex_out(p.values)}
         pieces.append(entry)
     doc = {"m": spec.m, "pieces": pieces}
     if spec.period is not None:
@@ -538,8 +540,8 @@ def potential_from_dict(doc):
     m = int(doc["m"])
     pieces = []
     for entry in doc.get("pieces", []):
-        x_lo = _edge_in(entry["x_lo"])
-        x_hi = _edge_in(entry["x_hi"])
+        x_lo = float(entry["x_lo"])
+        x_hi = float(entry["x_hi"])
         kind = entry.get("kind", "constant")
         if kind == "constant":
             pieces.append(ConstantPiece(x_lo, x_hi, _complex_in(entry["data"])))

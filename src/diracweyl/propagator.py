@@ -188,16 +188,16 @@ def segment_cuts(spec, a, b, piece, off, extra=()):
     the piece's sample nodes strictly between them and any extra points,
     ordered from a to b, with B at each of them."""
     lo, hi = min(a, b), max(a, b)
-    ts = [a, b] + [t for t in extra if lo < t < hi]
+    extra = np.asarray(extra, dtype=float)
+    ts = np.concatenate([[a, b], extra[(extra > lo) & (extra < hi)]])
     if piece is None:
         d = 2 * spec.m
         vals = np.zeros((len(ts), d, d), dtype=complex)
     else:
-        vals = np.array([piece.eval(min(max(t - off, piece.x_lo), piece.x_hi))
-                         for t in ts])
+        vals = piece.eval(ts - off)       # grid pieces clamp to their ends
     if piece is not None and piece.kind == "grid":
         inner = (piece.xs + off > lo) & (piece.xs + off < hi)
-        ts += (piece.xs[inner] + off).tolist()
+        ts = np.concatenate([ts, piece.xs[inner] + off])
         vals = np.concatenate([vals, piece.values[inner]])
     ts, idx = np.unique(ts, return_index=True)
     if b < a:
@@ -323,10 +323,11 @@ class Propagator:
         factors = iter(_expm(np.stack(omegas)) if omegas else ())
         t = self._eye.copy()
         for (a, b, piece, off), c in zip(segs, const):
-            if c:
-                t = next(factors) @ t
-            else:
-                t = self._grid_transfer(piece, off, a, b, scale) @ t
+            f = (next(factors) if c
+                 else self._grid_transfer(piece, off, a, b, scale))
+            # overflow is an expected probe outcome, which callers bisect
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = f @ t
         return t
 
     def transfer(self, xa, xb, scale=0):

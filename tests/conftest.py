@@ -47,6 +47,20 @@ def count_eig(monkeypatch):
     return under, outside
 
 
+def count_calls(monkeypatch, owner, attr):
+    """Record the shape of the first argument of every call of
+    owner.attr."""
+    shapes = []
+    fn = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return shapes
+
+
 # ---------------------------------------------------------------------------
 # closed-form oracles
 # ---------------------------------------------------------------------------

@@ -98,7 +98,9 @@ def test_cli_import_skips_signal_and_integrate(tmp_path):
     code = "import sys\nfrom diracweyl.cli import main\n" + loaded
     for k, argv in enumerate(runs):
         code += f"assert main({argv + ['--out', f'out{k}']!r}) == 0\n"
-    out = subprocess.run([sys.executable, "-c", code + loaded], env=env,
+    # a RuntimeWarning leaked by any command fails the run
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code + loaded], env=env,
                          check=True, capture_output=True, cwd=tmp_path,
                          text=True).stdout
     assert out.split() == ["[]", "[]"]

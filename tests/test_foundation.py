@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from diracweyl import (
+    ConstantPiece,
+    GridPiece,
     PotentialSpec,
     alpha_dirichlet,
     alpha_neumann,
@@ -27,7 +29,7 @@ from diracweyl.errors import (
     OutOfDomain,
 )
 from diracweyl.foundation import inv_cond, potential_to_dict
-from conftest import kp2_spec, random_boundary
+from conftest import kp2_spec, random_boundary, random_hermitian
 
 
 class TestBoundaryData:
@@ -190,6 +192,102 @@ class TestPotential:
             assert np.array_equal(spec.eval(k, side=+1), left)
 
 
+def _reference_eval(spec, x, side=0):
+    """B(x) one point at a time by the scalar rules: the reference for the
+    row-equals-scalar contract."""
+    piece, off = spec.locate(x, side)
+    if piece is None:
+        return np.zeros((2 * spec.m, 2 * spec.m), dtype=complex)
+    y = min(max(x - off, piece.x_lo), piece.x_hi)
+    if piece.kind == "constant":
+        return piece.value
+    xs, vals = piece.xs, piece.values
+    if y <= xs[0]:
+        return vals[0]
+    if y >= xs[-1]:
+        return vals[-1]
+    k = int(np.searchsorted(xs, y))
+    snap = 1e-12 * (1.0 + abs(y))
+    for j in (k - 1, k):
+        if abs(y - xs[j]) <= snap:
+            return vals[j]
+    t = (y - xs[k - 1]) / (xs[k] - xs[k - 1])
+    return (1.0 - t) * vals[k - 1] + t * vals[k]
+
+
+def _bits(a):
+    """The bit patterns of a complex array (tells -0.0 from 0.0)."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+class TestStackedEval:
+    @staticmethod
+    def _grid(rng, lo, hi, n, m):
+        xs = np.linspace(lo, hi, n)
+        vals = np.array([random_hermitian(rng, 2 * m) for _ in xs])
+        vals[::3, 0, 0] = -0.0              # signed zeros must survive
+        return GridPiece(xs, vals)
+
+    def _assert_rows(self, spec, xs, side):
+        got = spec.eval(xs, side=side)
+        assert got.shape == (len(xs), 2 * spec.m, 2 * spec.m)
+        for x, row in zip(xs, got):
+            assert np.array_equal(_bits(row), _bits(spec.eval(x, side=side)))
+            assert np.array_equal(_bits(row),
+                                  _bits(_reference_eval(spec, x, side)))
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_mixed_pieces(self, rng, side):
+        # constant and grid pieces with a gap: nodes, mid-cells, points
+        # inside and just outside the node snap, piece edges, and points
+        # outside the support, in shuffled order
+        m = 2
+        grid = self._grid(rng, 0.0, 2.0, 21, m)
+        spec = PotentialSpec(m=m, pieces=(
+            ConstantPiece(-1.0, 0.0, random_hermitian(rng, 2 * m)),
+            grid,
+            ConstantPiece(2.0, 2.5, random_hermitian(rng, 2 * m)),
+            self._grid(rng, 3.0, 4.0, 5, m)))
+        nodes = grid.xs
+        xs = np.concatenate([
+            nodes, 0.5 * (nodes[1:] + nodes[:-1]), nodes + 4e-13,
+            nodes - 4e-13, nodes + 2e-11, nodes - 2e-11,
+            [-1.0, 2.5, 3.0, 4.0, 4.0 + 5e-13, -7.0, 2.7, 10.0],
+            rng.uniform(-2.0, 5.0, 40)])
+        self._assert_rows(spec, rng.permutation(xs), side)
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_periodic_far_out(self, rng, side):
+        m = 1
+        grid = self._grid(rng, 0.0, 0.4, 9, m)
+        spec = PotentialSpec(m=m, period=1.0, pieces=(
+            grid, ConstantPiece(0.4, 1.0, random_hermitian(rng, 2 * m))))
+        xs = np.concatenate([
+            3e4 + grid.xs, 3e4 + 0.5 * (grid.xs[1:] + grid.xs[:-1]),
+            np.arange(-3.0, 4.0), np.arange(-3.0, 4.0) + 0.4, -2.6 + grid.xs,
+            [3e4, 3e4 + 0.7, 3e4 + 1.0, 3e4 + 0.4 + 3e-12]])
+        self._assert_rows(spec, rng.permutation(xs), side)
+
+    def test_scalar_shape_and_empty(self, rng):
+        spec = PotentialSpec(m=2, pieces=(self._grid(rng, 0.0, 1.0, 5, 2),))
+        assert spec.eval(0.3).shape == (4, 4)
+        assert spec.eval(np.array([0.3])).shape == (1, 4, 4)
+        assert spec.eval(np.array([])).shape == (0, 4, 4)
+        assert spec.pieces[0].eval(0.3).shape == (4, 4)
+        c = ConstantPiece(0.0, 1.0, np.eye(2))
+        assert c.eval(0.5).shape == (2, 2)
+        assert c.eval(np.array([0.1, 0.5])).shape == (2, 2, 2)
+
+    def test_out_of_domain_entry(self, rng):
+        spec = PotentialSpec(m=1, pieces=(self._grid(rng, 0.0, 1.0, 5, 1),),
+                             domain=(0.0, 1.0))
+        assert spec.eval(np.array([0.0, 0.5, 1.0])).shape == (3, 2, 2)
+        with pytest.raises(OutOfDomain, match="x = 1.5 "):
+            spec.eval(np.array([0.2, 1.5, 0.7]))
+        with pytest.raises(OutOfDomain):
+            spec.eval(np.array([-1e-9]))
+
+
 class TestTruncate:
     def test_window(self, const_q1):
         t = truncate_potential(const_q1, 0.0, 1.0)
@@ -271,6 +369,22 @@ class TestFileRoundtrip:
                 assert np.array_equal(p.values, q.values)
             else:
                 assert np.array_equal(p.value, q.value)
+
+    def test_dict_pairs_keep_signed_zeros(self, rng):
+        # the whole grid is written by one reinterpretation; it must give
+        # the nested pairs of formatting entry by entry, signed zeros kept
+        vals = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        vals[1, 0, 0] = complex(-0.0, 0.0)
+        vals[2, 1, 1] = complex(0.0, -0.0)
+        spec = PotentialSpec(m=2, pieces=(
+            GridPiece(np.arange(5.0), np.asfortranarray(vals)),
+            ConstantPiece(4.0, 5.0, vals[1])))
+        want = [[[[float(v.real), float(v.imag)] for v in row] for row in mat]
+                for mat in vals]
+        doc = potential_to_dict(spec)
+        assert (json.dumps(doc["pieces"][0]["data"]["values"])
+                == json.dumps(want))
+        assert json.dumps(doc["pieces"][1]["data"]) == json.dumps(want[1])
 
     def test_infinite_edges(self, tmp_path, const_q1):
         path = tmp_path / "c.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diracweyl import (
+    ConstantPiece,
     GridPiece,
     PotentialSpec,
     band_spectrum,
@@ -14,8 +15,12 @@ from diracweyl import (
     normal_form,
     normal_form_matrix,
 )
+from diracweyl import gauge
+from diracweyl.cli import main
 from diracweyl.errors import NotHermitianOmega
-from conftest import random_hermitian
+from diracweyl.foundation import save_potential
+from diracweyl.propagator import magnus_steps, segment_cuts
+from conftest import count_calls, random_hermitian
 
 
 def random_hermitian_spec(rng, m, x1=1.0, n=201, scale=0.4):
@@ -27,6 +32,38 @@ def random_hermitian_spec(rng, m, x1=1.0, n=201, scale=0.4):
     for _ in range(8):
         vals[1:-1] = 0.5 * vals[1:-1] + 0.25 * (vals[:-2] + vals[2:])
     return PotentialSpec(m=m, pieces=(GridPiece(xs, vals),))
+
+
+def reference_factors(spec, x0, x1):
+    """Both gauge factors one at a time, node by node: the reference for
+    the stacked product and its re-projection rule."""
+    m = spec.m
+    segs = spec.segments(x0, x1)
+    xs = np.array(sorted({
+        *np.linspace(x0, x1, max(201, int(50 * (x1 - x0)) + 1)).tolist(),
+        *(seg[0] for seg in segs)}))
+    out = {1: np.empty((len(xs), m, m), dtype=complex),
+           2: np.empty((len(xs), m, m), dtype=complex)}
+    drift, projections = 0.0, 0
+    for j in (1, 2):
+        u = np.eye(m, dtype=complex)
+        out[j][0] = u
+        i = 0
+        for seg in segs:
+            ts, vals = segment_cuts(spec, *seg, extra=xs)
+            for t, f in zip(ts[1:], magnus_steps(
+                    ts, gauge._generator(vals, m, j))):
+                u = f @ u
+                if t != xs[i + 1]:
+                    continue
+                d = matnorm(u.conj().T @ u - np.eye(m))
+                drift = max(drift, d)
+                if d > gauge._REUNIT_TOL:
+                    u = gauge._polar_unitary(u)
+                    projections += 1
+                i += 1
+                out[j][i] = u
+    return xs, out[1], out[2], drift, projections
 
 
 class TestGaugeFactors:
@@ -74,6 +111,27 @@ class TestGaugeFactors:
                           + 1j * np.interp(gf.xs, ts, cum.imag))
             assert np.max(np.abs(us[:, 0, 0] - want)) <= 1e-12
 
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("tol", [None, 2e-16])
+    def test_stacked_matches_per_node_loop(self, rng, monkeypatch, m, tol):
+        # a grid piece, a constant piece and a gap, so that several
+        # segments carry the product; at tol 2e-16 the re-projection fires
+        # at many nodes, in one factor or both
+        if tol is not None:
+            monkeypatch.setattr(gauge, "_REUNIT_TOL", tol)
+        grid = random_hermitian_spec(rng, m, x1=2.0, n=81).pieces[0]
+        spec = PotentialSpec(m=m, pieces=(
+            grid, ConstantPiece(2.0, 2.6, random_hermitian(rng, 2 * m, 0.4)),
+            ConstantPiece(3.1, 4.0, random_hermitian(rng, 2 * m, 0.4))))
+        xs, u11, u22, drift, projections = reference_factors(spec, 0.0, 4.0)
+        gf = gauge_factors(spec, 0.0, 4.0)
+        assert np.array_equal(gf.xs, xs)
+        assert np.array_equal(gf.u11, u11)
+        assert np.array_equal(gf.u22, u22)
+        assert gf.drift == drift
+        if tol is not None:
+            assert projections > 20
 
     def test_polar_reprojection(self, rng):
         # the guard gauge_factors applies once drift exceeds 1e-10: the
@@ -151,3 +209,20 @@ class TestOmegaTwist:
         with pytest.raises(NotHermitianOmega):
             gauge_with_omega(const_q1, np.array([[0.0, 1.0], [0.0, 0.0]]),
                              0.0, 1.0)
+
+
+class TestWorkCounts:
+    def test_gauge_command_svd_and_magnus_calls(self, rng, tmp_path,
+                                                 monkeypatch):
+        # one SVD for the Hermiticity check on load, one for the drift of
+        # both factors at every node, one for the check of the output piece;
+        # one Magnus stack for both factors
+        spec = random_hermitian_spec(rng, 2, x1=10.0, n=401)
+        save_potential(spec, tmp_path / "g.json")
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        magnus = count_calls(monkeypatch, gauge, "magnus_steps")
+        assert main(["gauge", "--potential", str(tmp_path / "g.json"),
+                     "--x0", "0", "--x1", "5",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(svd) <= 3
+        assert len(magnus) == 1

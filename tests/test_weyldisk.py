@@ -441,6 +441,22 @@ class TestConstantOverflow:
             assert matnorm(h.M - want) <= 1e-12 * matnorm(want)
 
 
+    @pytest.mark.parametrize("z", [3j, -3j])
+    def test_walk_products_silent(self, z):
+        # at +-3i an overflowing Pade factor of the m = 2 window meets zero
+        # entries of the walk's running product; the carry bisects past it
+        # without a warning
+        q = (1.0, 0.2)
+        spec = PotentialSpec.constant(
+            normal_form_matrix(np.zeros((2, 2)), np.diag(q)),
+            x_lo=0.0, x_hi=2e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = halfline_m(z, 0.0, alpha_dirichlet(2), spec)
+        want = np.diag([mplus_const_q(z, qj) for qj in q])
+        assert matnorm(h.M - want) <= 1e-12 * matnorm(want)
+
+
 class TestLft:
     def test_identity_transform(self, rng, const_q1):
         alpha = random_boundary(rng, 1)
