@@ -59,7 +59,6 @@ from .riccati import (
     RiccatiTrajectory,
     cayley,
     cayley_inverse,
-    cayley_rhs,
     integrate_cayley,
     integrate_riccati,
     riccati_rhs,

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import IllConditionedFit, InsufficientDerivatives, SectorViolation
 from .foundation import matnorm
 
+_SECTOR_ANGLE, _MIN_RATIO = 0.1, 4.0    # fit_expansion's sector, |z| spread
+
 
 @dataclass(frozen=True, eq=False)
 class DerivativeSamples:
@@ -103,12 +105,12 @@ def expansion_coefficients(derivs, x, order, sign=1):
                                  order=order)
 
 
-def fit_expansion(samples, order, sector_angle=0.1, min_ratio=4.0):
+def fit_expansion(samples, order):
     """Weighted least squares for the model sum_k c_k z^{-k} on M samples.
 
     samples: iterable of (z, M).  All z must lie in the sector
-    sector_angle < arg z < pi - sector_angle, with a magnitude spread of at
-    least min_ratio.  Rows are weighted by |z|^order to equalize the
+    _SECTOR_ANGLE < arg z < pi - _SECTOR_ANGLE, with a magnitude spread of
+    at least _MIN_RATIO.  Rows are weighted by |z|^order to equalize the
     conditioning of the Vandermonde system in 1/z.
 
     Returns (coeffs, residuals): coefficient matrices c_0..c_order and the
@@ -121,13 +123,13 @@ def fit_expansion(samples, order, sector_angle=0.1, min_ratio=4.0):
     zs = np.array([complex(z) for z, _ in samples])
     mats = np.array([np.atleast_2d(np.asarray(v, complex)) for _, v in samples])
     args = np.angle(zs)
-    if np.any((args <= sector_angle) | (args >= math.pi - sector_angle)):
-        raise SectorViolation(
-            f"samples must satisfy {sector_angle} < arg z < pi - {sector_angle}")
+    if np.any((args <= _SECTOR_ANGLE) | (args >= math.pi - _SECTOR_ANGLE)):
+        raise SectorViolation(f"samples must satisfy {_SECTOR_ANGLE} < arg z "
+                              f"< pi - {_SECTOR_ANGLE}")
     mags = np.abs(zs)
-    if mags.max() / mags.min() < min_ratio:
+    if mags.max() / mags.min() < _MIN_RATIO:
         raise IllConditionedFit(
-            f"|z| spread {mags.max() / mags.min():.2f} below {min_ratio}")
+            f"|z| spread {mags.max() / mags.min():.2f} below {_MIN_RATIO}")
 
     w = mags ** order
     design = np.vander(1.0 / zs, order + 1, increasing=True) * w[:, None]

@@ -45,7 +45,7 @@ class EmptyWindow(DiracWeylError):
 # -- propagation -------------------------------------------------------------
 
 class IntegrationFailure(DiracWeylError):
-    """The ODE integrator failed (step-size underflow or non-finite state)."""
+    """A propagation failed: a non-finite carry or an unresolvable step."""
 
 
 class MismatchedEvaluation(DiracWeylError):

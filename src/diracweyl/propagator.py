@@ -499,13 +499,11 @@ def weyl_solution_volterra(z, x, x0, spec, alpha=None, tol=1e-12,
         segs.append(np.linspace(a, b, n))
 
     j = jmat(m)
-    jb = []   # J B at nodes, per segment
+    jb = []   # J B at nodes, per segment; the last node takes the left limit
     for xs in segs:
-        mats = np.empty((len(xs), 2 * m, 2 * m), dtype=complex)
-        for i, t in enumerate(xs):
-            side = 1 if i < len(xs) - 1 else -1
-            mats[i] = j @ spec.eval(t, side=side)
-        jb.append(mats)
+        vals = spec.eval(xs, side=1)
+        vals[-1] = spec.eval(xs[-1], side=-1)
+        jb.append(j @ vals)
 
     phi = 2j * z
     seed_b = np.broadcast_to(seed, (1, 2 * m, m))

@@ -3,10 +3,12 @@
 V solves V' + z V^2 + V B22 V + B12 V + V B21 + B11 + z I = 0 and blows up
 at eigenvalue crossings of the truncated problem; the Cayley image
 theta = (I + i*sigma*V)(I - i*sigma*V)^{-1} stays in the closed unit ball
-along Weyl-disk trajectories, which doubles as a numerical stabilization for
-large |z|.
+along Weyl-disk trajectories.  Both are Moebius images of the transfer
+matrices, V(x) = u2 u1^{-1} for u = T(x <- x0) [I; V0]: one orthonormal
+basis of u is carried through Propagator transfers; no chart is chosen.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +21,13 @@ from .errors import (
     SingularCayley,
 )
 from .foundation import COND_LIMIT, inv_cond, matnorm
+from .propagator import Propagator, auto_scale
+from .weyldisk import _right_solve, _theta_from_subspace
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 _POLE_LIMIT = 1e8
 _CONTRACT_TOL = 1e-9
+_CELL_REACH = 0.25       # bound on h (|z| + sup ||B||) per carry cell
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def cayley(mat, sign):
@@ -55,19 +59,36 @@ def riccati_rhs(z, v, b):
              + z * np.eye(m))
 
 
-def cayley_rhs(z, theta, b, sign):
-    """Compactified flow: the quadratic form of the block coefficient matrix
-    applied to (I + theta, I - theta)."""
-    m = theta.shape[0]
-    eye = np.eye(m)
-    plus, minus = eye + theta, eye - theta
-    b11, b12 = b[:m, :m], b[:m, m:]
-    b21, b22 = b[m:, :m], b[m:, m:]
-    out = (-1j * sign * (plus @ ((z * eye + b11) @ plus))
-           + plus @ (b12 @ minus)
-           + minus @ (b21 @ plus)
-           + 1j * sign * (minus @ ((z * eye + b22) @ minus)))
-    return 0.5 * out
+def _carry(z, w0, x0, x1, spec, n_out):
+    """Orthonormal bases of span T(x <- x0) w0 on linspace(x0, x1, n_out)
+    refined by the least integer factor r with h (|z| + sup ||B||) <=
+    _CELL_REACH; returns the Propagator, the grid, the bases, r and that
+    reach.  auto_scale's factor is a scalar, which each QR cancels."""
+    prop, rate = Propagator(z, spec), abs(z) + spec.bound()
+    steps = max(n_out - 1, 1)
+    r = max(1, math.ceil(abs(x1 - x0) * rate / (steps * _CELL_REACH)))
+    xs = np.linspace(x0, x1, steps * r + 1)
+    qs = [np.linalg.qr(w0)[0]]
+    for xa, xb in zip(xs[:-1].tolist(), xs[1:].tolist()):
+        u = prop.transfer(xa, xb, scale=auto_scale(z, xa, xb)) @ qs[-1]
+        if not np.all(np.isfinite(u)):
+            raise IntegrationFailure(f"carry not finite at x = {xb:.6g}")
+        qs.append(np.linalg.qr(u)[0])
+    return prop, xs, np.array(qs), r, rate * abs(x1 - x0) / (len(xs) - 1)
+
+
+def _least_smin(prop, xa, xb, q, m):
+    """(x, sigma_min(Q1)) where the basis carried from q at xa is nearest
+    singular, by golden-section search of [xa, xb]."""
+    def smin(x):
+        u = prop.transfer(xa, x, scale=auto_scale(prop.z, xa, x)) @ q
+        return np.linalg.svd(np.linalg.qr(u)[0][:m], compute_uv=False)[-1]
+    a, b = xa, xb
+    while abs(b - a) > 1e-12 * (1.0 + abs(a)):
+        c, d = b - _GOLD * (b - a), a + _GOLD * (b - a)
+        a, b = (a, d) if smin(c) < smin(d) else (c, b)
+    x = 0.5 * (a + b)
+    return x, smin(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +96,6 @@ class RiccatiTrajectory:
     z: complex
     xs: np.ndarray
     vs: np.ndarray            # (n, m, m)
-    nfev: int = 0
 
     @property
     def final(self):
@@ -83,43 +103,32 @@ class RiccatiTrajectory:
 
     def herglotz_floor(self):
         """min over samples of lambda_min(Im V), the disk-sign monitor."""
-        return min(float(np.linalg.eigvalsh((v - v.conj().T) / 2j)[0])
-                   for v in self.vs)
+        im = (self.vs - self.vs.conj().mT) / 2j
+        return float(np.linalg.eigvalsh(im)[:, 0].min())
 
 
-def integrate_riccati(z, v0, x0, x1, spec, n_out=33, rtol=DEFAULT_RTOL,
-                      atol=DEFAULT_ATOL, pole_limit=_POLE_LIMIT):
-    """Integrate the Riccati equation from V(x0) = v0 to x1.
+def integrate_riccati(z, v0, x0, x1, spec, n_out=33):
+    """V = u2 u1^{-1} at n_out nodes from x0 to x1, u = T(x <- x0) [I; v0].
 
-    Aborts with PoleEncountered (carrying the last good x) when ||V||
-    crosses pole_limit; poles mark eigenvalues of the truncated problem and
-    are a diagnostic, not a numerical accident.
+    Aborts with PoleEncountered where ||V|| passes _POLE_LIMIT, i.e. where
+    sigma_min(Q1) of the carried basis Q drops below 1/_POLE_LIMIT; last_x
+    is where it is least.  It moves at most ||A|| <= |z| + ||B|| per unit
+    x, so only cells with an end at or below their reach are searched.
+    Poles mark eigenvalues of the truncated problem: a diagnostic.
     """
-    from scipy.integrate import solve_ivp
-
     z = complex(z)
     v0 = np.atleast_2d(np.asarray(v0, complex))
     m = v0.shape[0]
-
-    def rhs(x, y):
-        return riccati_rhs(z, y.reshape(m, m), spec.eval(x)).ravel()
-
-    def pole(x, y):
-        return float(np.max(np.abs(y))) - pole_limit
-    pole.terminal = True
-
-    xs = np.linspace(x0, x1, n_out)
-    sol = solve_ivp(rhs, (x0, x1), v0.ravel(), t_eval=xs, events=pole,
-                    method="DOP853", rtol=rtol, atol=atol)
-    if sol.status == 1:
-        last = float(sol.t_events[0][0]) if len(sol.t_events[0]) else x0
-        raise PoleEncountered(
-            f"Riccati trajectory blew up near x = {last:.6g} "
-            "(u1 near-singular)", last_x=last)
-    if not sol.success:
-        raise IntegrationFailure(f"Riccati integration failed: {sol.message}")
-    vs = sol.y.T.reshape(-1, m, m)
-    return RiccatiTrajectory(z=z, xs=sol.t.copy(), vs=vs, nfev=sol.nfev)
+    prop, xs, qs, r, reach = _carry(z, np.vstack([np.eye(m), v0]), x0, x1,
+                                    spec, n_out)
+    smin = np.linalg.svd(qs[:, :m], compute_uv=False)[:, -1]
+    for i in np.flatnonzero(np.minimum(smin[:-1], smin[1:]) <= reach):
+        x, s = _least_smin(prop, float(xs[i]), float(xs[i + 1]), qs[i], m)
+        if s < 1.0 / _POLE_LIMIT:
+            raise PoleEncountered(f"Riccati trajectory blew up near x = "
+                                  f"{x:.6g} (u1 near-singular)", last_x=x)
+    vs = _right_solve(qs[::r, m:], qs[::r, :m])
+    return RiccatiTrajectory(z=z, xs=xs[::r], vs=vs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +138,6 @@ class CayleyTrajectory:
     xs: np.ndarray
     thetas: np.ndarray        # (n, m, m)
     contractivity: np.ndarray  # lambda_min(I - theta* theta) per sample
-    nfev: int = 0
 
     @property
     def final(self):
@@ -137,40 +145,33 @@ class CayleyTrajectory:
 
 
 def integrate_cayley(z, theta0, x0, x1, spec, sign, n_out=65,
-                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                      tol=_CONTRACT_TOL):
-    """Integrate the compactified equation with a contractivity monitor.
+    """theta at n_out nodes from x0 to x1, carried as the subspace
+    [(theta0 + I)/2; -i*sigma*(theta0 - I)/2], with a contractivity monitor.
 
     theta0 must satisfy ||theta0|| <= 1 + tol (NotContractive otherwise);
-    if lambda_min(I - theta* theta) drops below -tol along the way the
-    initial matrix was outside the Weyl disk and ContractivityLost is
-    raised.
+    if lambda_min(I - theta* theta) drops below -tol at a node the initial
+    matrix was outside the Weyl disk and ContractivityLost is raised.
     """
-    from scipy.integrate import solve_ivp
-
     z = complex(z)
     theta0 = np.atleast_2d(np.asarray(theta0, complex))
     m = theta0.shape[0]
     if matnorm(theta0) > 1.0 + tol:
         raise NotContractive(
             f"||theta0|| = {matnorm(theta0):.6f} exceeds 1 + {tol:.1e}")
-
-    def rhs(x, y):
-        return cayley_rhs(z, y.reshape(m, m), spec.eval(x), sign).ravel()
-
-    xs = np.linspace(x0, x1, n_out)
-    sol = solve_ivp(rhs, (x0, x1), theta0.ravel(), t_eval=xs,
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationFailure(f"Cayley integration failed: {sol.message}")
-    thetas = sol.y.T.reshape(-1, m, m)
-    monitor = np.empty(len(thetas))
-    for i, th in enumerate(thetas):
-        monitor[i] = float(np.linalg.eigvalsh(np.eye(m) - th.conj().T @ th)[0])
-        if monitor[i] < -tol:
+    eye = np.eye(m)
+    w0 = np.vstack([0.5 * (theta0 + eye), -0.5j * sign * (theta0 - eye)])
+    _, xs, qs, r, _ = _carry(z, w0, x0, x1, spec, n_out)
+    thetas, monitor = [], []
+    for x, q in zip(xs[::r].tolist(), qs[::r]):
+        th = _theta_from_subspace(q[:m], q[m:], sign)
+        mon = float(np.linalg.eigvalsh(eye - th.conj().T @ th)[0])
+        if mon < -tol:
             raise ContractivityLost(
-                f"contractivity lost at x = {sol.t[i]:.6g} "
-                f"(monitor {monitor[i]:.3e}): initial M was exterior",
-                x=float(sol.t[i]), monitor=float(monitor[i]))
-    return CayleyTrajectory(z=z, sign=sign, xs=sol.t.copy(), thetas=thetas,
-                            contractivity=monitor, nfev=sol.nfev)
+                f"contractivity lost at x = {x:.6g} (monitor {mon:.3e}): "
+                "initial M was exterior", x=x, monitor=mon)
+        thetas.append(th)
+        monitor.append(mon)
+    return CayleyTrajectory(z=z, sign=sign, xs=xs[::r],
+                            thetas=np.array(thetas),
+                            contractivity=np.array(monitor))

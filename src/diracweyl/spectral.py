@@ -19,6 +19,8 @@ from .fullline import fullline_m, principal_logm, upsilon
 from .propagator import Propagator
 from .weyldisk import halfline_m
 
+_BORG_SAMPLES = 201     # borg_diagnostic's samples per period
+
 
 @dataclass(frozen=True, eq=False)
 class TraceCheck:
@@ -189,7 +191,7 @@ class BorgReport:
 
 
 def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
-                    band_tol=1e-6, samples=201):
+                    band_tol=1e-6):
     """Rigidity check for periodic potentials: if the spectrum fills the
     sampled window (with multiplier-unimodularity as the multiplicity
     evidence), the combinations B11 - B22 and B12 + B21 must vanish.
@@ -208,12 +210,9 @@ def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
 
     m = spec.m
     lo = spec.pieces[0].x_lo
-    xs = np.linspace(lo, lo + spec.period, samples)
-    cd = co = 0.0
-    for x in xs:
-        b = spec.eval(x, side=+1)
-        cd = max(cd, matnorm(b[:m, :m] - b[m:, m:]))
-        co = max(co, matnorm(b[:m, m:] + b[m:, :m]))
+    b = spec.eval(np.linspace(lo, lo + spec.period, _BORG_SAMPLES), side=+1)
+    cd = float(matnorm(b[:, :m, :m] - b[:, m:, m:]).max())
+    co = float(matnorm(b[:, :m, m:] + b[:, m:, :m]).max())
     consistent = (not full) or (cd <= comb_tol and co <= comb_tol)
     return BorgReport(full_spectrum=full, lam_max=float(lam_max),
                       grid_step=float(grid_step), bands=bands.bands,

@@ -64,8 +64,8 @@ def _read_csv(path):
 def test_cli_import_skips_signal_and_integrate(tmp_path):
     # every CLI process pays for what `import diracweyl.cli` pulls in: it
     # loads no scipy at all, and the commands below run on numpy alone
-    # (scipy stays a dependency of the Volterra route, the Riccati
-    # integrator and the log's fallback, imported where they are used)
+    # (scipy stays a dependency of the Volterra route's lfilter and the
+    # log's fallback only, imported where they are used)
     import diracweyl
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracweyl.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from diracweyl.errors import (
     PoleEncountered,
     SingularCayley,
 )
-from conftest import smooth_bump_spec
+from conftest import kp2_spec, smooth_bump_spec
 
 
 class TestCayleyAlgebra:
@@ -140,3 +143,55 @@ class TestHalfLineConsistency:
         deriv = (mm[2] - mm[0]) / (2 * h)
         residual = matnorm(deriv - riccati_rhs(z, mm[1], spec.eval(x)))
         assert residual < 1e-6
+
+
+class TestTransferCarry:
+    """Both flows are Moebius images of Propagator transfers, so they are
+    exact to roundoff wherever the transfers are."""
+
+    @pytest.mark.parametrize("spec, z", [(smooth_bump_spec(n=801), 2 + 1j),
+                                         (kp2_spec(), 0.7 + 0.9j)],
+                             ids=["bump801", "kp2"])
+    def test_matches_halfline_at_every_node(self, spec, z):
+        a0 = alpha_dirichlet(spec.m)
+        tr = integrate_riccati(z, halfline_m(z, 0.0, a0, spec).M, 0.0, 1.0,
+                               spec)
+        worst = max(matnorm(v - halfline_m(z, x, a0, spec).M)
+                    for x, v in zip(tr.xs, tr.vs))
+        assert worst <= 1e-12
+
+    def test_pole_located_for_m2(self, zero2):
+        # the tan(z(1 - x)) channel has its pole at 1 - pi/2; the other
+        # channel's pole, at 0.3 - pi/2, lies beyond x1 = -1
+        z = 1.0 + 1e-9j
+        v0 = np.diag([np.tan(z), np.tan(0.3 * z)])
+        with pytest.raises(PoleEncountered) as err:
+            integrate_riccati(z, v0, 0.0, -1.0, zero2)
+        assert abs(err.value.last_x - (1.0 - math.pi / 2)) < 1e-6
+
+    def test_no_false_pole(self, zero1):
+        # |V| = |tan(z(1 - x))| peaks near 1/Im z = 1e3 at x = 1 - pi/2,
+        # far below the pole limit
+        z = 1.0 + 1e-3j
+        tr = integrate_riccati(z, np.array([[np.tan(z)]]), 0.0, -1.0, zero1)
+        want = np.tan(z * (1.0 - tr.xs))
+        assert np.max(np.abs(tr.vs[:, 0, 0] - want) / np.abs(want)) < 1e-12
+
+    def test_flows_load_no_scipy(self):
+        import diracweyl
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            diracweyl.__file__)))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from diracweyl import PotentialSpec, integrate_cayley, "
+            "integrate_riccati\n"
+            "spec = PotentialSpec.zero(1)\n"
+            "integrate_riccati(1j, np.array([[0.5j]]), 0.0, 1.0, spec)\n"
+            "integrate_cayley(1j, np.zeros((1, 1)), 0.0, 1.0, spec, 1)\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["[]"]
