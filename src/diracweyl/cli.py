@@ -211,9 +211,8 @@ def cmd_greens(args, spec, run):
     ev = GreensEvaluator(z, args.x0, spec, tol=args.tol)
     xps = _parse_list(args.xp, float)
     run.tols = {"halfline_tol": args.tol}
-    rows = [[args.x, xp, *_flat(ev.value(
-        args.x, xp, side=args.side if args.x == xp else None).value)]
-        for xp in xps]
+    g = ev.value(args.x, xps, side=args.side)
+    rows = [[args.x, xp, *_flat(val)] for xp, val in zip(xps, g.value)]
     run.table("greens.csv", ["x", "xp"] + _cols("G", 2 * spec.m), rows)
 
 

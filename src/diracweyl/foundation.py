@@ -143,11 +143,11 @@ class BoundaryData:
         return np.hstack([self.alpha2, -self.alpha1])
 
 
-def validate_boundary_data(alpha1, alpha2, tol=ALG_TOL):
+def validate_boundary_data(alpha1, alpha2):
     """Check the normalization and Lagrangian conditions and build the value.
 
-    Raises NotNormalized when ||alpha alpha* - I|| > tol and NotLagrangian
-    when ||alpha J alpha*|| > tol.
+    Raises NotNormalized when ||alpha alpha* - I|| > ALG_TOL and
+    NotLagrangian when ||alpha J alpha*|| > ALG_TOL.
     """
     a1 = np.atleast_2d(np.array(alpha1, dtype=complex))
     a2 = np.atleast_2d(np.array(alpha2, dtype=complex))
@@ -155,14 +155,14 @@ def validate_boundary_data(alpha1, alpha2, tol=ALG_TOL):
         raise ValueError("alpha blocks must be square and of equal shape")
     m = a1.shape[0]
     norm_defect = matnorm(a1 @ a1.conj().T + a2 @ a2.conj().T - np.eye(m))
-    if norm_defect > tol:
+    if norm_defect > ALG_TOL:
         raise NotNormalized(
-            f"||alpha alpha* - I|| = {norm_defect:.3e} exceeds tol {tol:.1e}")
+            f"||alpha alpha* - I|| = {norm_defect:.3e} exceeds {ALG_TOL:.1e}")
     lagr = a2 @ a1.conj().T - a1 @ a2.conj().T  # alpha J alpha* / ... = 2i Im
     lagr_defect = matnorm(lagr)
-    if lagr_defect > tol:
+    if lagr_defect > ALG_TOL:
         raise NotLagrangian(
-            f"||alpha J alpha*|| = {lagr_defect:.3e} exceeds tol {tol:.1e}")
+            f"||alpha J alpha*|| = {lagr_defect:.3e} exceeds {ALG_TOL:.1e}")
     a1.flags.writeable = False
     a2.flags.writeable = False
     return BoundaryData(a1, a2)
@@ -474,13 +474,14 @@ def truncate_potential(spec, x0, y0):
     return PotentialSpec(m=spec.m, pieces=tuple(out), name=name)
 
 
-def check_normal_form(spec, interval, tol=ALG_TOL, samples=101):
+def check_normal_form(spec, interval, tol=ALG_TOL):
     """True iff B22 = -B11 and B21 = B12 with Hermitian blocks on the interval.
 
-    Sampled check; piece edges are probed from both sides.
+    Sampled check at 101 equispaced points; piece edges are probed from both
+    sides.
     """
     m = spec.m
-    xs = np.linspace(*interval, samples)
+    xs = np.linspace(*interval, 101)
     for side in (-1, 1):
         b = spec.eval(xs, side=side)
         b11, b12 = b[:, :m, :m], b[:, :m, m:]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LogBranchFailure, SingularDifference
+from .errors import DegenerateArguments, LogBranchFailure, SingularDifference
 from .foundation import (
     COND_LIMIT,
     alpha_dirichlet,
@@ -121,8 +121,12 @@ def upsilon(lam, x0, alpha, spec, eps, tol=1e-8):
     eps -> 0 limit accelerated by the two-point rule 2 Y(eps) - Y(2 eps).
 
     lam may be a scalar or a 1-D array; lam + i*eps and lam + 2i*eps are
-    evaluated as one stack of whole-line M and logs.
+    evaluated as one stack of whole-line M and logs.  eps must be positive:
+    at eps < 0 the same formula gives -Upsilon, and DegenerateArguments is
+    raised before any work (eps = 0 raises it through halfline_m).
     """
+    if eps < 0:
+        raise DegenerateArguments(f"upsilon needs eps > 0, got {eps:g}")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     n = len(lams)
     mat = fullline_m(np.concatenate([lams + 1j * eps, lams + 2j * eps]), x0,
@@ -151,9 +155,12 @@ class GreensMatrix:
 class GreensEvaluator:
     """Green's matrix G(z, x, x') of the whole-line operator for fixed z.
 
-    Caches the half-line M-functions and the propagators at z and conj(z),
-    so sweeps over (x, x') are cheap.  Only the canonical boundary data
-    (I_m 0) is supported.
+    Holds the whole-line M at x0, whose half-line M-functions give the Weyl
+    solutions U_+-(z, x) = Psi(z, x, x0) (I; M_+-).  value() takes one x and
+    a scalar or a 1-D array of x': it makes one transfer to x, and on each
+    side of x0 it reaches the x' in order of distance from x0, each from
+    its neighbour, so every cell between x0 and the x' is propagated once.
+    Only the canonical boundary data (I_m 0) is supported.
     """
 
     def __init__(self, z, x0, spec, tol=1e-10):
@@ -166,34 +173,43 @@ class GreensEvaluator:
         self._prop = Propagator(self.z, spec)
         self._prop_bar = Propagator(np.conj(self.z), spec)
 
-    def _weyl(self, x, sign, conjugate=False):
-        # U_sign(z, x) = Psi(z, x, x0) (I; M_sign); at conj(z) the half-line
-        # matrices are the adjoints of those at z
-        m = self.spec.m
-        mhalf = self.full.plus.M if sign > 0 else self.full.minus.M
-        if conjugate:
-            mhalf = mhalf.conj().T
-            prop = self._prop_bar
-        else:
-            prop = self._prop
-        col = np.vstack([np.eye(m), mhalf])
-        return prop.transfer(self.x0, x, scale=0) @ col
+    def _transfers_bar(self, xps):
+        """T(x' <- x0) at conj(z) for each x', chained outward from x0:
+        T(x'_k <- x0) = T(x'_k <- x'_{k-1}) T(x'_{k-1} <- x0)."""
+        d = 2 * self.spec.m
+        out = np.empty((len(xps), d, d), dtype=complex)
+        for side in (xps >= self.x0, xps < self.x0):
+            idx = np.flatnonzero(side)
+            prev, t = self.x0, np.eye(d)
+            order = np.argsort(np.abs(xps[idx] - self.x0), kind="stable")
+            for i in idx[order]:
+                xp = float(xps[i])
+                t = self._prop_bar.transfer(prev, xp) @ t
+                out[i], prev = t, xp
+        return out
 
     def value(self, x, xp, side=None):
-        if x == xp:
-            if side not in (1, -1):
-                raise ValueError("on the diagonal pass side=+1 (x'=x+0) or -1")
-            upper = side > 0
-        else:
-            upper = x < xp
-        if upper:
-            left = self._weyl(x, -1)
-            right = self._weyl(xp, +1, conjugate=True)
-        else:
-            left = self._weyl(x, +1)
-            right = self._weyl(xp, -1, conjugate=True)
-        val = left @ self.dinv @ right.conj().T
-        return GreensMatrix(z=self.z, x=float(x), xp=float(xp), value=val)
+        """G(z, x, x') for a scalar or a 1-D array of x'; on the diagonal
+        x' = x pass side=+1 (x' = x + 0) or -1 (x' = x - 0)."""
+        xps = np.atleast_1d(np.asarray(xp, dtype=float))
+        diag = xps == x
+        if diag.any() and side not in (1, -1):
+            raise ValueError("on the diagonal pass side=+1 (x'=x+0) or -1")
+        # x < x' pairs U_-(x) with U_+(x'), x > x' U_+(x) with U_-(x')
+        upper = (x < xps) | (diag & (side == 1))
+        plus, minus = self.full.plus.M, self.full.minus.M
+        eye = np.eye(self.spec.m)
+        tx = self._prop.transfer(self.x0, x)
+        left = np.where(upper[:, None, None], tx @ np.vstack([eye, minus]),
+                        tx @ np.vstack([eye, plus]))
+        mbar = np.where(upper[:, None, None], plus.conj().T, minus.conj().T)
+        right = self._transfers_bar(xps) @ np.concatenate(
+            [np.broadcast_to(eye, mbar.shape), mbar], axis=-2)
+        val = left @ self.dinv @ right.conj().mT
+        if np.ndim(xp) == 0:
+            return GreensMatrix(z=self.z, x=float(x), xp=float(xp),
+                                value=val[0])
+        return GreensMatrix(z=self.z, x=float(x), xp=xps, value=val)
 
     def diagonal_m(self, x):
         """[G(z, x, x+0) + G(z, x, x-0)] / 2, the block M matrix at x."""

@@ -250,11 +250,11 @@ def magnus_steps(ts, acoef):
 
 
 class Propagator:
-    """Transfer matrices for one spec at one z or at a 1-D array of z, with
-    caching.  For an array of z every coefficient and cached transfer
-    carries a leading z axis; a scalar z gives (2m, 2m) matrices.
-
-    Not thread-safe per instance (it memoizes); build one per worker.
+    """Transfer matrices for one spec at one z or at a 1-D array of z.  For
+    an array of z every coefficient and transfer carries a leading z axis;
+    a scalar z gives (2m, 2m) matrices.  A plain value of (z, spec): a
+    transfer depends on its arguments only, and nothing is stored between
+    calls.
     """
 
     def __init__(self, z, spec):
@@ -262,9 +262,6 @@ class Propagator:
         self.spec = spec
         self.m = spec.m
         self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2)
-        self._acoef = {}      # (piece id, scale) -> system matrix
-        self._seg = {}        # (piece id, a, b, scale) -> transfer
-        self._period_t = {}   # (phase, scale) -> period transfer
 
     def _coefficient(self, b, scale):
         # the z axis, if any, leads the axes of b
@@ -274,31 +271,19 @@ class Propagator:
             acoef = acoef + 1j * scale * z * np.eye(2 * self.m)
         return acoef
 
-    def _const_coefficient(self, piece, scale):
-        """System matrix of a constant piece (zero B for piece None)."""
-        key = (id(piece), scale)
-        if key not in self._acoef:
-            d = 2 * self.m
-            self._acoef[key] = self._coefficient(
-                np.zeros((d, d)) if piece is None else piece.value, scale)
-        return self._acoef[key]
-
     def _grid_transfer(self, piece, off, a, b, scale):
         """Ordered product of the Magnus factors of a grid piece on [a, b]."""
-        key = (id(piece), a, b, scale)
-        if key not in self._seg:
-            ts, vals = segment_cuts(self.spec, a, b, piece, off)
-            # cells go in aligned power-of-two chunks of at most
-            # _CELL_BLOCK / (number of z) cells, each reduced to its subtree
-            # of the one pairwise product over all cells
-            cells = max(1, _CELL_BLOCK // np.size(self.z))
-            chunk = 1 << (cells.bit_length() - 1)
-            f = np.concatenate([self._pairwise(magnus_steps(
-                ts[i:i + chunk + 1],
-                self._coefficient(vals[i:i + chunk + 1], scale)))
-                for i in range(0, len(ts) - 1, chunk)], axis=-3)
-            self._seg[key] = self._pairwise(f)[..., 0, :, :]
-        return self._seg[key]
+        ts, vals = segment_cuts(self.spec, a, b, piece, off)
+        # cells go in aligned power-of-two chunks of at most
+        # _CELL_BLOCK / (number of z) cells, each reduced to its subtree of
+        # the one pairwise product over all cells
+        cells = max(1, _CELL_BLOCK // np.size(self.z))
+        chunk = 1 << (cells.bit_length() - 1)
+        f = np.concatenate([self._pairwise(magnus_steps(
+            ts[i:i + chunk + 1],
+            self._coefficient(vals[i:i + chunk + 1], scale)))
+            for i in range(0, len(ts) - 1, chunk)], axis=-3)
+        return self._pairwise(f)[..., 0, :, :]
 
     def _pairwise(self, f):
         """Product of the factors along axis -3, later ones on the left,
@@ -311,14 +296,16 @@ class Propagator:
 
     def _walk(self, xa, xb, scale):
         """Product of piece transfers over [xa, xb] (no period powering);
-        the exponentials of its constant pieces are taken in one stacked
-        call."""
+        the exponentials of its constant pieces (zero B for piece None) are
+        taken in one stacked call."""
         segs = self.spec.segments(min(xa, xb), max(xa, xb))
         if xb < xa:
             segs = [(b, a, p, off) for a, b, p, off in reversed(segs)]
         segs = [s for s in segs if abs(s[1] - s[0]) >= 1e-13]
         const = [p is None or p.kind == "constant" for _, _, p, _ in segs]
-        omegas = [self._const_coefficient(p, scale) * ((b - off) - (a - off))
+        zero = np.zeros((2 * self.m,) * 2)
+        omegas = [self._coefficient(zero if p is None else p.value, scale)
+                  * ((b - off) - (a - off))
                   for (a, b, p, off), c in zip(segs, const) if c]
         factors = iter(_expm(np.stack(omegas)) if omegas else ())
         t = self._eye.copy()
@@ -342,15 +329,11 @@ class Propagator:
             r = span - k * w
             if abs(r) < 1e-12 * max(1.0, abs(span)):
                 r = 0.0
-            phase = (xa - spec.pieces[0].x_lo) % w
-            pkey = (round(phase, 12), scale)
-            if pkey not in self._period_t:
-                self._period_t[pkey] = self._walk(xa, xa + w, scale)
-            tk = _matpow(self._period_t[pkey], k)
+            tk = _matpow(self._walk(xa, xa + w, scale), k)
             if not r:
                 return tk
             # B(x + k*w) = B(x): the remainder T(xa+kw+r <- xa+kw) equals
-            # T(xa+r <- xa), which stays inside the cached cell structure
+            # T(xa+r <- xa)
             return self._walk(xa, xa + r, scale) @ tk
         return self._walk(xa, xb, scale)
 
@@ -448,7 +431,6 @@ class WeylSolution:
     u2: np.ndarray
     v1: np.ndarray           # rescaled by e^{-i z (x - x0)}
     v2: np.ndarray
-    normalization: str = "tilde"
     iterations: int = 0
     last_diff: float = math.nan
 

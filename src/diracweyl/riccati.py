@@ -144,21 +144,22 @@ class CayleyTrajectory:
         return self.thetas[-1]
 
 
-def integrate_cayley(z, theta0, x0, x1, spec, sign, n_out=65,
-                     tol=_CONTRACT_TOL):
+def integrate_cayley(z, theta0, x0, x1, spec, sign, n_out=65):
     """theta at n_out nodes from x0 to x1, carried as the subspace
     [(theta0 + I)/2; -i*sigma*(theta0 - I)/2], with a contractivity monitor.
 
-    theta0 must satisfy ||theta0|| <= 1 + tol (NotContractive otherwise);
-    if lambda_min(I - theta* theta) drops below -tol at a node the initial
-    matrix was outside the Weyl disk and ContractivityLost is raised.
+    theta0 must satisfy ||theta0|| <= 1 + _CONTRACT_TOL (NotContractive
+    otherwise); if lambda_min(I - theta* theta) drops below -_CONTRACT_TOL at
+    a node the initial matrix was outside the Weyl disk and
+    ContractivityLost is raised.
     """
     z = complex(z)
     theta0 = np.atleast_2d(np.asarray(theta0, complex))
     m = theta0.shape[0]
-    if matnorm(theta0) > 1.0 + tol:
+    if matnorm(theta0) > 1.0 + _CONTRACT_TOL:
         raise NotContractive(
-            f"||theta0|| = {matnorm(theta0):.6f} exceeds 1 + {tol:.1e}")
+            f"||theta0|| = {matnorm(theta0):.6f} exceeds "
+            f"1 + {_CONTRACT_TOL:.1e}")
     eye = np.eye(m)
     w0 = np.vstack([0.5 * (theta0 + eye), -0.5j * sign * (theta0 - eye)])
     _, xs, qs, r, _ = _carry(z, w0, x0, x1, spec, n_out)
@@ -166,7 +167,7 @@ def integrate_cayley(z, theta0, x0, x1, spec, sign, n_out=65,
     for x, q in zip(xs[::r].tolist(), qs[::r]):
         th = _theta_from_subspace(q[:m], q[m:], sign)
         mon = float(np.linalg.eigvalsh(eye - th.conj().T @ th)[0])
-        if mon < -tol:
+        if mon < -_CONTRACT_TOL:
             raise ContractivityLost(
                 f"contractivity lost at x = {x:.6g} (monitor {mon:.3e}): "
                 "initial M was exterior", x=x, monitor=mon)

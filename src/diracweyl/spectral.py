@@ -32,37 +32,36 @@ class TraceCheck:
 
 
 def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
-                rel_step=1e-3, tol=1e-12, alpha=None):
+                rel_step=1e-3, tol=1e-12):
     """Check the trace identity: 2 z^2 (d/dz) log M(z, x) converges to the
     one-sided combination matrix of B at x along a ray in the upper half
-    plane.
+    plane, for Dirichlet data at x.
 
     The derivative is a central difference with step |z| * rel_step along
     the ray (a complex-step scheme is pointless here because M itself comes
-    out of a solver).
+    out of a solver); the 2 len(zmags) points z (1 +- rel_step) take one
+    stacked fullline_m and one stacked principal_logm.
     """
     spec_m = spec.m
-    alpha = alpha or alpha_dirichlet(spec_m)
     lhs = 0.5 * (_combination(spec.eval(x, side=+1), spec_m)
                  + _combination(spec.eval(x, side=-1), spec_m))
     direction = cmath.exp(1j * ray_angle)
-    zs, rhs, residuals = [], [], []
-    for mag in zmags:
-        z = mag * direction
-        try:
-            lp = principal_logm(
-                fullline_m(z * (1 + rel_step), x, alpha, spec, tol=tol).matrix)
-            lm = principal_logm(
-                fullline_m(z * (1 - rel_step), x, alpha, spec, tol=tol).matrix)
-        except Exception as exc:
-            raise DifferentiationFailure(
-                f"log M derivative failed at |z| = {mag:g}: {exc}") from exc
-        deriv = (lp - lm) / (2.0 * rel_step * z)
-        val = 2.0 * z * z * deriv
+    zs = [mag * direction for mag in zmags]
+    try:
+        logs = principal_logm(fullline_m(
+            np.array([z * (1 + rel_step) for z in zs]
+                     + [z * (1 - rel_step) for z in zs]),
+            x, alpha_dirichlet(spec_m), spec, tol=tol).matrix)
+    except Exception as exc:
+        raise DifferentiationFailure(
+            f"log M derivative failed for |z| in {tuple(zmags)}: {exc}"
+        ) from exc
+    rhs, residuals = [], []
+    for mag, z, lp, lm in zip(zmags, zs, logs, logs[len(zs):]):
+        val = 2.0 * z * z * ((lp - lm) / (2.0 * rel_step * z))
         if not np.all(np.isfinite(val)):
             raise DifferentiationFailure(
                 f"non-finite derivative at |z| = {mag:g}")
-        zs.append(z)
         rhs.append(val)
         residuals.append(matnorm(val - lhs))
     return TraceCheck(x=float(x), lhs=lhs, zs=tuple(zs), rhs=tuple(rhs),
@@ -82,14 +81,14 @@ class Monodromy:
     multipliers: np.ndarray   # eigenvalues sorted by modulus
 
 
-def monodromy(z, spec, x0=None):
-    """One-period transfer matrix Psi(z, x0 + omega, x0), Psi(x0) = I.  For
-    a 1-D array of z, one stacked Propagator gives the matrices as an
-    (n, 2m, 2m) stack and the multipliers as (n, 2m) rows."""
+def monodromy(z, spec):
+    """One-period transfer matrix Psi(z, x0 + omega, x0), Psi(x0) = I, from
+    the left edge x0 of the first piece.  For a 1-D array of z, one stacked
+    Propagator gives the matrices as an (n, 2m, 2m) stack and the
+    multipliers as (n, 2m) rows."""
     if not spec.is_periodic:
         raise NotPeriodic("monodromy needs a periodic potential")
-    if x0 is None:
-        x0 = spec.pieces[0].x_lo
+    x0 = spec.pieces[0].x_lo
     prop = Propagator(z, spec)
     t = prop.transfer(x0, x0 + spec.period, scale=0)
     mult = np.linalg.eigvals(t)
@@ -121,7 +120,7 @@ def _runs(lams, flags):
     return tuple(zip(lams[lo].tolist(), lams[hi].tolist()))
 
 
-def band_spectrum(spec, lams, tol=1e-6, x0=None):
+def band_spectrum(spec, lams, tol=1e-6):
     """Flag each real lambda in-band iff every Floquet multiplier is
     unimodular within tol * max(1, omega).  The multipliers come from one
     stacked monodromy per block of _LAMBDA_BLOCK lambda."""
@@ -132,7 +131,7 @@ def band_spectrum(spec, lams, tol=1e-6, x0=None):
     mults = np.empty((len(lams), 2 * spec.m), dtype=complex)
     for i in range(0, len(lams), _LAMBDA_BLOCK):
         block = slice(i, i + _LAMBDA_BLOCK)
-        mults[block] = monodromy(lams[block], spec, x0=x0).multipliers
+        mults[block] = monodromy(lams[block], spec).multipliers
     flags = np.all(np.abs(np.abs(mults) - 1.0) <= eff, axis=1)
     gaps = tuple((lo, hi) for lo, hi in _runs(lams, ~flags)
                  if lo > lams[0] and hi < lams[-1])
@@ -203,6 +202,9 @@ def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
         raise NotPeriodic("Borg diagnostic needs a periodic potential")
     if lam_max is None:
         lam_max = 10.0 * spec.bound() + 10.0
+    if not (grid_step > 0 and lam_max > 0):
+        raise ValueError("Borg grid needs grid_step > 0 and lam_max > 0, "
+                         f"got {grid_step:g} and {lam_max:g}")
     n = max(3, int(round(2 * lam_max / grid_step)) + 1)
     lams = np.linspace(-lam_max, lam_max, n)
     bands = band_spectrum(spec, lams, tol=band_tol)
@@ -241,9 +243,9 @@ _NOISE_FACTOR = 10.0
 
 
 def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
-                     zmags=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0), alpha=None,
-                     tol=1e-11):
-    """Fit the exponential decay rate of ||M_{1,+} - M_{2,+}|| along a ray.
+                     zmags=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0), tol=1e-11):
+    """Fit the exponential decay rate of ||M_{1,+} - M_{2,+}|| (Dirichlet
+    data at x0) along a ray.
 
     For potentials in the reduced (normal) form that agree a.e. on
     (x0, x0 + a) the difference decays like e^{-2 a Im z} up to a power of
@@ -255,7 +257,7 @@ def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
     potentials are indistinguishable and DifferenceBelowNoise is raised.
     Each potential takes one stacked half-line call over the ray.
     """
-    alpha = alpha or alpha_dirichlet(spec1.m)
+    alpha = alpha_dirichlet(spec1.m)
     direction = cmath.exp(1j * ray_angle)
     zs = np.asarray(zmags, dtype=float) * direction
     m1 = halfline_m(zs, x0, alpha, spec1, sign=+1, tol=tol)

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .foundation import (
     COND_LIMIT,
-    herm_defect,
     hermitize,
     inv_cond,
     jmat,
@@ -44,7 +43,8 @@ _EPS = np.finfo(float).eps
 
 def regular_m(z, c, x0, alpha, beta, spec):
     """M-function of the regular problem on [x0, c] with boundary data
-    (alpha at x0, beta at c): -[beta Phi(z,c)]^{-1} [beta Theta(z,c)].
+    (alpha at x0, beta = (beta1, beta2) at c), the pair of m x m blocks of
+    beta: -[beta Phi(z,c)]^{-1} [beta Theta(z,c)].
 
     Raises EigenvalueHit when beta Phi is singular within the condition
     budget, which happens exactly when z is an eigenvalue of the regular
@@ -53,8 +53,7 @@ def regular_m(z, c, x0, alpha, beta, spec):
     if c == x0:
         raise DegenerateArguments("regular M needs c != x0")
     z = complex(z)
-    b1, b2 = ((beta.alpha1, beta.alpha2) if hasattr(beta, "alpha1") else
-              (np.atleast_2d(np.asarray(b, complex)) for b in beta))
+    b1, b2 = (np.atleast_2d(np.asarray(b, complex)) for b in beta)
     t = Propagator(z, spec).transfer(x0, c, scale=auto_scale(z, x0, c))
     psi = t @ alpha.psi0()
     m = alpha.m
@@ -70,7 +69,7 @@ def regular_m(z, c, x0, alpha, beta, spec):
     return -np.linalg.solve(bphi, btheta)
 
 
-def e_c(mat, z, c, x0, alpha, spec, return_defect=False):
+def e_c(mat, z, c, x0, alpha, spec):
     """Disk functional E_c(M) = sigma(x0,c,z) U(z,c)* (iJ) U(z,c), Hermitian.
 
     Nonpositive exactly on the Weyl disk at c; zero on the circle.
@@ -80,12 +79,7 @@ def e_c(mat, z, c, x0, alpha, spec, return_defect=False):
     m = alpha.m
     col = np.vstack([np.eye(m), np.asarray(mat, complex)])
     u = (Propagator(z, spec).transfer(x0, c) @ alpha.psi0()) @ col
-    e = sig * (u.conj().T @ (1j * jmat(m)) @ u)
-    defect = herm_defect(e)
-    e = hermitize(e)
-    if return_defect:
-        return e, defect
-    return e
+    return hermitize(sig * (u.conj().T @ (1j * jmat(m)) @ u))
 
 
 @dataclass(frozen=True, eq=False)

@@ -271,6 +271,17 @@ class TestUpsilonSweep:
         assert counts[0] == counts[1] == 5
 
 
+    def test_negative_eps_fails_every_point(self, q1_file, tmp_path):
+        # eps < 0 would write -Upsilon; each point fails alone instead
+        out = str(tmp_path / "o")
+        assert main(["upsilon", "--potential", q1_file, "--lambda=0:2:3",
+                     "--eps=-1e-3", "--out", out]) == 1
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert [(f["lambda"], f["category"]) for f in summary["failures"]] \
+            == [(lam, "DegenerateArguments") for lam in (0.0, 1.0, 2.0)]
+        assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
+
+
 class TestTableShape:
     def test_all_failed_sweep_keeps_header(self, free_file, tmp_path):
         # the columns are fixed by m, not by the first point that succeeds
@@ -311,9 +322,8 @@ class TestValuesMatchLibrary:
         _, header, rows = _read_csv(os.path.join(out, "greens.csv"))
         assert header == ["x", "xp"] + _matrix_cols("G", 2)
         ev = GreensEvaluator(1j, 0.0, load_potential(q1_file), tol=1e-10)
-        expect = [_g(0.2, xp, ev.value(0.2, xp, side=-1 if xp == 0.2
-                                       else None).value)
-                  for xp in (0.2, 0.5, -0.3)]
+        g = ev.value(0.2, [0.2, 0.5, -0.3], side=-1)
+        expect = [_g(0.2, xp, val) for xp, val in zip(g.xp, g.value)]
         assert rows == expect
 
     def test_reflectionless(self, free_file, tmp_path):
@@ -342,6 +352,17 @@ class TestValuesMatchLibrary:
                               grid_step=0.05, comb_tol=1e-8, band_tol=1e-6)
         assert not rep.full_spectrum and rep.consistent
         assert rows == [_g(rep.comb_diag_max, rep.comb_off_max) + ["0", "1"]]
+
+    @pytest.mark.parametrize("argv", [["--grid-step", "0"],
+                                      ["--grid-step=-0.5"],
+                                      ["--lam-max=-5"]])
+    def test_borg_grid_not_positive(self, argv, q1_file, tmp_path, capsys):
+        rc = main(["borg", "--potential", q1_file, "--out",
+                   str(tmp_path / "o")] + argv)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "grid_step > 0 and lam_max > 0" in err["message"]
 
     def test_uniqueness(self, tmp_path):
         q1 = normal_form_matrix([[0.0]], [[1.0]])

@@ -20,8 +20,13 @@ from diracweyl import (
     principal_logm,
     upsilon,
 )
-from diracweyl.errors import LogBranchFailure, SingularDifference
+from diracweyl.errors import (
+    DegenerateArguments,
+    LogBranchFailure,
+    SingularDifference,
+)
 from conftest import (
+    count_calls,
     kp2_spec,
     mminus_const_q,
     mplus_const_q,
@@ -178,6 +183,16 @@ class TestUpsilon:
     def test_free_half_identity(self, zero1):
         u = upsilon(0.3, 0.0, alpha_dirichlet(1), zero1, 1e-4)
         assert matnorm(u.value - 0.5 * np.eye(2)) < 1e-6
+
+    @pytest.mark.parametrize("eps", [-1e-3, 0.0])
+    def test_eps_must_be_positive(self, const_q1, eps, monkeypatch):
+        # at eps < 0 the formula gives -Upsilon (eigenvalues -1/2 on q = 1
+        # at lambda = 2); it raises before any whole-line M is formed
+        import diracweyl.fullline as fl
+        calls = count_calls(monkeypatch, fl, "halfline_m")
+        with pytest.raises(DegenerateArguments):
+            upsilon(2.0, 0.0, alpha_dirichlet(1), const_q1, eps)
+        assert len(calls) == (0 if eps < 0 else 1)
 
     def test_band_point(self, const_q1):
         u = upsilon(2.0, 0.0, alpha_dirichlet(1), const_q1, 1e-6, tol=1e-7)
@@ -378,3 +393,63 @@ class TestStackedM:
         assert type(u.lam) is float
         u = upsilon([0.5], 0.0, alpha, spec, 1e-3)
         assert u.value.shape == (1, 4, 4) and u.lam.shape == (1,)
+
+
+class TestGreensSweep:
+    """GreensEvaluator.value over an array of x' chains the transfers
+    outward from x0; its rows agree with scalar calls, each of which takes
+    its own transfer from x0."""
+
+    SPECS = {"q1": _q1_periodic, "kp2": kp2_spec, "bump": smooth_bump_spec}
+    Z, X = 2 + 1j, 0.5
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_rows_match_scalar_calls(self, name):
+        # chaining cuts the cells of a grid piece at every earlier x', so
+        # the rows agree to the Magnus steps' error, not bit for bit
+        ev = GreensEvaluator(self.Z, 0.0, self.SPECS[name]())
+        xps = np.linspace(-3.0, 3.0, 41)
+        g = ev.value(self.X, xps)
+        assert g.value.shape == (len(xps),) + (2 * ev.spec.m,) * 2
+        assert np.array_equal(g.xp, xps)
+        for xp, row in zip(xps, g.value):
+            one = ev.value(self.X, float(xp)).value
+            assert matnorm(row - one) <= 1e-12 * matnorm(one)
+
+    def test_diagonal_honours_side(self, const_q1_window):
+        ev = GreensEvaluator(self.Z, 0.0, const_q1_window)
+        xps = [-0.4, self.X, 1.2]
+        for side in (1, -1):
+            g = ev.value(self.X, xps, side=side).value
+            want = ev.value(self.X, self.X, side=side).value
+            assert matnorm(g[1] - want) <= 1e-13 * matnorm(want)
+        # the jump across the diagonal is J^{-1} = -J
+        jump = (ev.value(self.X, xps, side=1).value[1]
+                - ev.value(self.X, xps, side=-1).value[1])
+        assert matnorm(jmat(1) @ jump + np.eye(2)) < 1e-10
+        for xp in (self.X, xps):
+            with pytest.raises(ValueError):
+                ev.value(self.X, xp)
+
+    def test_scalar_shapes_and_types(self, const_q1):
+        g = GreensEvaluator(self.Z, 0.0, const_q1).value(self.X, 1)
+        assert g.value.shape == (2, 2) and type(g.xp) is float
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_one_transfer_per_point(self, n, monkeypatch):
+        # one transfer to x, then each x' from its neighbour nearer x0
+        ev = GreensEvaluator(self.Z, 0.0, kp2_spec())
+        spans = []
+        transfer = Propagator.transfer
+
+        def counted_transfer(prop, xa, xb, scale=0):
+            spans.append((xa, xb))
+            return transfer(prop, xa, xb, scale)
+
+        monkeypatch.setattr(Propagator, "transfer", counted_transfer)
+        xps = np.linspace(1.7, -2.3, n)
+        ev.value(self.X, xps)
+        assert len(spans) == n + 1
+        # every cell between x0 = 0 and the farthest x' on each side once
+        walked = sum(abs(xb - xa) for xa, xb in spans[1:])
+        assert walked == pytest.approx(max(xps.max(), 0) - min(xps.min(), 0))

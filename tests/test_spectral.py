@@ -19,7 +19,7 @@ from diracweyl import (
 )
 from diracweyl.errors import DifferenceBelowNoise, NotPeriodic
 from diracweyl.spectral import _LAMBDA_BLOCK
-from conftest import kp2_spec
+from conftest import count_calls, kp2_spec
 
 
 @pytest.fixture
@@ -56,6 +56,16 @@ class TestTraceFormula:
         # a ray on the real axis cannot support the z-derivative of log M
         with pytest.raises(DifferentiationFailure):
             trace_check(0.5, const_q1, ray_angle=0.0, zmags=(100.0,))
+
+    def test_one_stacked_call(self, const_q1, monkeypatch):
+        # the 2 len(zmags) points z (1 +- rel_step) take one whole-line M
+        # and one log between them
+        import diracweyl.spectral as sp
+        fulls = count_calls(monkeypatch, sp, "fullline_m")
+        logs = count_calls(monkeypatch, sp, "principal_logm")
+        tc = trace_check(0.5, const_q1, zmags=(1e2, 3e2, 1e3))
+        assert fulls == [(6,)] and logs == [(6, 2, 2)]
+        assert len(tc.rhs) == len(tc.residuals) == 3
 
 
 class TestFloquet:
@@ -215,6 +225,13 @@ class TestBorg:
     def test_not_periodic(self, const_q1):
         with pytest.raises(NotPeriodic):
             borg_diagnostic(const_q1)
+
+    @pytest.mark.parametrize("kw", [{"grid_step": 0.0},
+                                    {"grid_step": -0.5},
+                                    {"lam_max": -5.0}])
+    def test_grid_must_be_positive(self, const_q1_periodic, kw):
+        with pytest.raises(ValueError, match="grid_step > 0"):
+            borg_diagnostic(const_q1_periodic, **{"lam_max": 3.0, **kw})
 
 
 class TestUniquenessDecay:

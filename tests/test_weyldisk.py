@@ -83,11 +83,6 @@ class TestDiskFunctional:
         e = e_c(np.array([[1j * math.tanh(1.0)]]), 1j, 1.0, 0.0, a0, zero1)
         assert abs(e[0, 0]) < 1e-10
 
-    def test_hermitian_defect_reported(self, zero1):
-        _, defect = e_c(np.array([[1j]]), 1j, 1.0, 0.0, alpha_dirichlet(1),
-                        zero1, return_defect=True)
-        assert defect < 1e-12
-
     def test_membership(self, zero1):
         a0 = alpha_dirichlet(1)
         args = (1j, 1.0, 0.0, a0, zero1)
