@@ -7,9 +7,12 @@ in every M-function ratio).  Constant pieces propagate by one matrix
 exponential per span (exact up to roundoff for any span): in closed form
 for m = 1 (_expm2), by a stacked scaling-and-squaring Pade approximant for
 m >= 2 (_expm_pade); sampled pieces take fourth-order Magnus steps between
-sample nodes, as many per cell as its leading error term asks for
-(magnus_steps, shared with the gauge reduction); periodic potentials reduce
-long spans to binary powers of the one-period transfer.
+sample nodes, as many per cell as its leading error term asks for, all
+steps of a cell sharing one commutator (magnus_steps, shared with the gauge
+reduction); periodic potentials reduce long spans to binary powers of the
+one-period transfer.  Every stacked product of the kernel goes through
+_mul, which forms 2x2 products entry by entry over the whole stack (numpy's
+stacked @ hands each small matrix to BLAS on its own).
 
 The Volterra route (successive approximation of the integral equation for
 the decaying Weyl solution of a compactly supported potential) lives here as
@@ -48,7 +51,9 @@ def system_matrix(z, b):
     the stack."""
     b = np.asarray(b)
     d = b.shape[-1]
-    return -jmat(d // 2) @ (z * np.eye(d) + b)
+    x = z * np.eye(d) + b
+    # -J x is the signed block swap [x_lower; -x_upper]
+    return np.concatenate([x[..., d // 2:, :], -x[..., :d // 2, :]], axis=-2)
 
 
 def auto_scale(z, xa, xb):
@@ -109,6 +114,30 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+
+
+def _mul(a, b):
+    """a @ b for d x d matrices or stacks of them that broadcast.  For d = 2
+    the four entries are formed elementwise over the whole stack, and a
+    single pair runs as a stack of one, so it rounds exactly as a stack row;
+    larger d keeps @."""
+    if a.shape[-1] != 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a @ b
+    if a.ndim == 2 and b.ndim == 2:
+        return _mul(a[None], b[None])[0]
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    # overflow is an expected probe outcome on long spans, which callers
+    # detect and bisect
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[..., 0, 0] = a00 * b00 + a01 * b10
+        out[..., 0, 1] = a00 * b01 + a01 * b11
+        out[..., 1, 0] = a10 * b00 + a11 * b10
+        out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
 
 
 def _expm_pade(a):
@@ -213,15 +242,17 @@ def magnus_steps(ts, acoef):
 
     Each fourth-order Magnus step takes Omega = h (A1 + A2) / 2
     + (sqrt(3) / 12) h^2 [A2, A1] at the two Gauss points, which for linear A
-    equals h (A(t0) + A(t1)) / 2 + h^2 / 12 [A(t1), A(t0)] (Iserles &
-    Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Its error is led by the
-    h^5 commutators [A, [A, [A, A']]] and [A', [A, A']], so a cell takes the
+    equals h A(mid) + h^2 / 12 [A(t1), A(t0)] (Iserles & Norsett 1999;
+    Blanes, Casas, Oteo & Ros 2009).  Its error is led by the h^5
+    commutators [A, [A, [A, A']]] and [A', [A, A']], so a cell takes the
     fewest equal steps k with eta / k^5 <= _MAGNUS_ETA, where
     eta = a^3 b + a b^2 for a = h ||A(mid)|| and b = h ||A(t1) - A(t0)||,
     taken of the traceless parts.  Skew-Hermitian A gives unitary factors,
-    Hamiltonian A symplectic ones.  Each step's exponential is taken by
-    _expm: in closed form for d <= 2 (every m = 1 transfer and the m = 2
-    gauge factors), by the stacked Pade approximant for larger d.
+    Hamiltonian A symplectic ones.  The k steps of a cell share one
+    commutator, [A(t1), A(t0)] / k for the cell's ends, taken once per cell.
+    Each step's exponential is taken by _expm: in closed form for d <= 2
+    (every m = 1 transfer and the m = 2 gauge factors), by the stacked Pade
+    approximant for larger d; the products by _mul, elementwise for d = 2.
     """
     d = acoef.shape[-1]
     h = np.broadcast_to(np.diff(ts), acoef.shape[:-3] + (len(ts) - 1,))
@@ -234,18 +265,17 @@ def magnus_steps(ts, acoef):
     k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
     k = np.maximum(k, 1).astype(int)
     a0, a1 = acoef[..., :-1, :, :], acoef[..., 1:, :, :]
+    comm = (_mul(a1, a0) - _mul(a0, a1)) / k[..., None, None]
     out = np.empty(h.shape + (d, d), dtype=complex)
     for j in range(k.max(initial=0)):
         c = k > j          # cells still stepping
         kc = k[c][:, None, None]
         hs = h[c][:, None, None] / kc
-        # A is linear on the cell, so the step ends interpolate it exactly
-        w0, w1 = j / kc, (j + 1) / kc
-        lo = (1 - w0) * a0[c] + w0 * a1[c]
-        hi = (1 - w1) * a0[c] + w1 * a1[c]
-        omega = 0.5 * hs * (lo + hi) + (hs * hs / 12.0) * (hi @ lo - lo @ hi)
+        wm = (j + 0.5) / kc      # the step midpoint, interpolated exactly
+        mid = (1 - wm) * a0[c] + wm * a1[c]
+        omega = hs * mid + (hs * hs / 12.0) * comm[c]
         f = _expm(omega)
-        out[c] = f if j == 0 else f @ out[c]
+        out[c] = f if j == 0 else _mul(f, out[c])
     return out
 
 
@@ -291,7 +321,7 @@ class Propagator:
         while f.shape[-3] > 1:
             if f.shape[-3] % 2:
                 f = np.concatenate([f, self._eye[..., None, :, :]], axis=-3)
-            f = f[..., 1::2, :, :] @ f[..., 0::2, :, :]
+            f = _mul(f[..., 1::2, :, :], f[..., 0::2, :, :])
         return f
 
     def _walk(self, xa, xb, scale):
@@ -312,9 +342,7 @@ class Propagator:
         for (a, b, piece, off), c in zip(segs, const):
             f = (next(factors) if c
                  else self._grid_transfer(piece, off, a, b, scale))
-            # overflow is an expected probe outcome, which callers bisect
-            with np.errstate(over="ignore", invalid="ignore"):
-                t = f @ t
+            t = _mul(f, t)
         return t
 
     def transfer(self, xa, xb, scale=0):
@@ -334,7 +362,7 @@ class Propagator:
                 return tk
             # B(x + k*w) = B(x): the remainder T(xa+kw+r <- xa+kw) equals
             # T(xa+r <- xa)
-            return self._walk(xa, xa + r, scale) @ tk
+            return _mul(self._walk(xa, xa + r, scale), tk)
         return self._walk(xa, xb, scale)
 
 

@@ -72,14 +72,22 @@ def regular_m(z, c, x0, alpha, beta, spec):
 def e_c(mat, z, c, x0, alpha, spec):
     """Disk functional E_c(M) = sigma(x0,c,z) U(z,c)* (iJ) U(z,c), Hermitian.
 
-    Nonpositive exactly on the Weyl disk at c; zero on the circle.
+    Nonpositive exactly on the Weyl disk at c; zero on the circle.  It grows
+    like e^{2 |Im z| |c - x0|}, and IntegrationFailure is raised where it
+    leaves the float range.
     """
     z = complex(z)
     sig = sigma(x0, c, z)
     m = alpha.m
     col = np.vstack([np.eye(m), np.asarray(mat, complex)])
-    u = (Propagator(z, spec).transfer(x0, c) @ alpha.psi0()) @ col
-    return hermitize(sig * (u.conj().T @ (1j * jmat(m)) @ u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (Propagator(z, spec).transfer(x0, c) @ alpha.psi0()) @ col
+        e = hermitize(sig * (u.conj().T @ (1j * jmat(m)) @ u))
+    if not np.isfinite(e).all():
+        raise IntegrationFailure(
+            f"E_c at z = {z}, c = {c} is not finite: the solutions grow "
+            f"like e^(|Im z| |c - x0|) = e^{abs(z.imag * (c - x0)):.4g}")
+    return e
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from diracweyl import (
     uniqueness_decay,
 )
 from diracweyl.cli import build_parser, main
-from conftest import count_eig, kp2_spec
+from conftest import count_eig, kp2_spec, smooth_bump_spec
 
 
 @pytest.fixture
@@ -225,6 +225,17 @@ class TestOtherCommands:
         assert rc == 0
         info = json.load(open(os.path.join(out, "summary.json")))["info"]
         assert info["classification"] == "interior"
+
+    def test_disk_overflow_is_typed(self, tmp_path, capsys):
+        # the solutions on the bump grow like e^2000 over [0, 1]
+        src = tmp_path / "bump.json"
+        save_potential(smooth_bump_spec(tail_q=1.0), src)
+        rc = main(["disk", "--potential", str(src), "--z", "2000i",
+                   "--c", "1.0", "--m-value", "1i",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "IntegrationFailure"
 
     def test_upsilon(self, free_file, tmp_path):
         out = str(tmp_path / "out")

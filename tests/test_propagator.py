@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,13 +29,22 @@ from diracweyl.errors import (
     MismatchedEvaluation,
     NoCompactSupport,
 )
-from diracweyl.propagator import _CELL_BLOCK, _expm2, _expm_pade, _matpow
+from diracweyl.propagator import (
+    _CELL_BLOCK,
+    _expm,
+    _expm2,
+    _expm_pade,
+    _matpow,
+    _mul,
+    magnus_steps,
+)
 from conftest import (
     const_transfer_eig,
     count_eig,
     free_psi,
     kp2_spec,
     random_boundary,
+    random_hermitian,
     smooth_bump_spec,
 )
 
@@ -194,6 +205,42 @@ class TestExpm2:
         assert not np.all(np.isfinite(got))
 
 
+class TestMul:
+    @staticmethod
+    def _stack(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("sa,sb", [
+        ((7,), (7,)),              # step accumulation
+        ((), (7,)),                # one factor against a stack
+        ((5, 3), (5, 3)),          # (z, cell) stacks of the pairwise product
+        ((5, 1), (5, 3)),
+    ])
+    def test_matches_matmul(self, rng, d, sa, sb):
+        a = self._stack(rng, sa + (d, d))
+        b = self._stack(rng, sb + (d, d))
+        want = a @ b
+        got = _mul(a, b)
+        assert got.shape == want.shape
+        err = np.linalg.norm(got - want, axis=(-2, -1))
+        size = (np.linalg.norm(a, axis=(-2, -1))
+                * np.linalg.norm(b, axis=(-2, -1)))
+        assert np.all(err <= 1e-15 * size)
+
+    def test_single_pair_is_its_stack_row(self, rng):
+        a = self._stack(rng, (200, 2, 2))
+        b = self._stack(rng, (200, 2, 2))
+        rows = np.array([_mul(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(_mul(a, b), rows)
+
+    def test_overflow_is_nonfinite_without_warning(self):
+        big = np.full((3, 2, 2), 1e200 + 1e200j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not np.isfinite(_mul(big, big)).any()
+
+
 class TestExpmPade:
     """The stacked [13/13] Pade exponential against scipy's expm, closed
     forms and the structure it must preserve."""
@@ -248,7 +295,6 @@ class TestExpmPade:
 
     def test_overflow_is_nonfinite_without_warning(self):
         # e^800 overflows, which the Moebius sweep detects and bisects
-        import warnings
         a = np.diag([800.0, -800.0, 1.0, 1.0]).astype(complex)
         with warnings.catch_warnings(), \
                 np.errstate(all="raise", under="ignore"):
@@ -388,6 +434,19 @@ class TestStackedZ:
                                       period=1.0)
         zs = np.linspace(-4.0, 4.0, 81) + 1e-3j
         stacked, single = self._rows(spec, zs, a, b, scale=1)
+        assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.13, 1.7), (1.9, 0.2)])
+    def test_grid_rows_bit_for_bit(self, a, b):
+        # the bump and z of the halfline-bump benchmark: |z| = 1, 2, ...,
+        # 128 alternating between the rays arg pi/2 and pi/4, so the rows
+        # split their cells into different numbers of Magnus steps
+        r = np.sqrt(0.5)
+        zs = np.array([complex(0.0, 2.0 ** k) if k % 2 == 0
+                       else complex(r * 2.0 ** k, r * 2.0 ** k)
+                       for k in range(8)])
+        stacked, single = self._rows(smooth_bump_spec(tail_q=1.0), zs, a, b,
+                                     scale=1)
         assert np.array_equal(stacked, single)
 
     def test_scalar_z_keeps_matrix_shape(self):
@@ -563,6 +622,45 @@ class TestMagnusKernel:
         want = (4.0 * fine - coarse) / 3.0
         got = halfline_m(z, 0.0, alpha_dirichlet(1), spec).M
         assert matnorm(got - want) <= bound * matnorm(want)
+
+    @staticmethod
+    def _steps_per_step_commutator(ts, acoef):
+        # magnus_steps with each step's commutator [A(hi), A(lo)] formed
+        # from its own ends, by two products per step; also returns k
+        d = acoef.shape[-1]
+        h = np.broadcast_to(np.diff(ts), acoef.shape[:-3] + (len(ts) - 1,))
+        free = acoef - (np.trace(acoef, axis1=-2, axis2=-1)[..., None, None]
+                        / d) * np.eye(d)
+        a = np.abs(h) * np.linalg.norm(
+            0.5 * (free[..., :-1, :, :] + free[..., 1:, :, :]), axis=(-2, -1))
+        b = np.abs(h) * np.linalg.norm(np.diff(free, axis=-3), axis=(-2, -1))
+        k = np.maximum(np.ceil(((a ** 3 * b + a * b * b) / 1e-10) ** 0.2),
+                       1).astype(int)
+        a0, a1 = acoef[..., :-1, :, :], acoef[..., 1:, :, :]
+        out = np.empty(h.shape + (d, d), dtype=complex)
+        for j in range(k.max()):
+            c = k > j
+            kc = k[c][:, None, None]
+            hs = h[c][:, None, None] / kc
+            lo = (1 - j / kc) * a0[c] + (j / kc) * a1[c]
+            hi = (1 - (j + 1) / kc) * a0[c] + ((j + 1) / kc) * a1[c]
+            f = _expm(0.5 * hs * (lo + hi)
+                      + (hs * hs / 12.0) * (hi @ lo - lo @ hi))
+            out[c] = f if j == 0 else f @ out[c]
+        return out, k
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_cell_commutator_matches_per_step_form(self, rng, m):
+        # two z on 40 cells of a potential that changes by O(1) per cell
+        ts = np.linspace(0.0, 1.0, 41)
+        vals = np.array([random_hermitian(rng, 2 * m) for _ in ts])
+        zs = np.array([60j, 20.0 + 20.0j])[:, None, None, None]
+        acoef = system_matrix(zs, vals)
+        want, k = self._steps_per_step_commutator(ts, acoef)
+        assert k.min() >= 2
+        got = magnus_steps(ts, acoef)
+        err = np.linalg.norm(got - want, axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
 
     def test_bump_large_z_matches_volterra(self):
         # |z| h = 2.5 per sample cell: the kernel must refine the cells.  The

@@ -21,6 +21,7 @@ from diracweyl import (
 from diracweyl.errors import (
     DegenerateArguments,
     EigenvalueHit,
+    IntegrationFailure,
     NoConvergence,
     SingularDenominator,
 )
@@ -34,6 +35,7 @@ from conftest import (
     mplus_const_q,
     random_boundary,
     random_normal_form_spec,
+    smooth_bump_spec,
 )
 
 
@@ -133,6 +135,17 @@ class TestDiskFunctional:
                           const_q1)
         assert disk_membership(m_int, z, c, 0.0, a0,
                                const_q1).classification == "interior"
+
+    @pytest.mark.parametrize("z", [500j, 2000j])
+    def test_overflow_is_typed_and_silent(self, z):
+        # on the bump the solutions grow like e^{|Im z|}: at 500i the
+        # transfer is finite but E_c overflows, at 2000i the transfer does
+        spec = smooth_bump_spec(tail_q=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationFailure, match="not finite"):
+                disk_membership(np.array([[1j]]), z, 1.0, 0.0,
+                                alpha_dirichlet(1), spec)
 
 
 class TestHalfLineM:
