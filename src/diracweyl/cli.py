@@ -9,6 +9,9 @@ summary and the other rows are the same bytes a clean block writes.
 Every CSV's columns are fixed by the potential's block size m, so a sweep
 whose points all fail still writes its full header.
 
+The argparse tree is built once, when this module is imported; `main` only
+parses, so a process that runs many commands pays for the tree once.
+
 Determinism: rows are written in input order with 17-significant-digit
 formatting, so identical configurations produce byte-identical outputs
 (only wall_time_s in the summary differs).
@@ -434,8 +437,13 @@ def build_parser():
     return p
 
 
+# parse_args leaves the parser as it was, also when it exits through
+# SystemExit, so every main call can share the one built at import
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         run = _Run(args)
         args.func(args, load_potential(args.potential), run)

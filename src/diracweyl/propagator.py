@@ -266,16 +266,19 @@ def magnus_steps(ts, acoef):
     k = np.maximum(k, 1).astype(int)
     a0, a1 = acoef[..., :-1, :, :], acoef[..., 1:, :, :]
     comm = (_mul(a1, a0) - _mul(a0, a1)) / k[..., None, None]
-    out = np.empty(h.shape + (d, d), dtype=complex)
-    for j in range(k.max(initial=0)):
+
+    def step(j, k, h, a0, a1, comm):
+        k = k[..., None, None]
+        hs = h[..., None, None] / k
+        wm = (j + 0.5) / k       # the step midpoint, interpolated exactly
+        mid = (1 - wm) * a0 + wm * a1
+        return _expm(hs * mid + (hs * hs / 12.0) * comm)
+
+    # every cell takes its first step, so that one runs on the whole stack
+    out = step(0, k, h, a0, a1, comm)
+    for j in range(1, k.max(initial=0)):
         c = k > j          # cells still stepping
-        kc = k[c][:, None, None]
-        hs = h[c][:, None, None] / kc
-        wm = (j + 0.5) / kc      # the step midpoint, interpolated exactly
-        mid = (1 - wm) * a0[c] + wm * a1[c]
-        omega = hs * mid + (hs * hs / 12.0) * comm[c]
-        f = _expm(omega)
-        out[c] = f if j == 0 else _mul(f, out[c])
+        out[c] = _mul(step(j, k[c], h[c], a0[c], a1[c], comm[c]), out[c])
     return out
 
 

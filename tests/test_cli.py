@@ -19,6 +19,7 @@ from diracweyl import (
     save_potential,
     uniqueness_decay,
 )
+from diracweyl import cli
 from diracweyl.cli import build_parser, main
 from conftest import count_eig, kp2_spec, smooth_bump_spec
 
@@ -395,6 +396,47 @@ class TestValuesMatchLibrary:
                                load_potential(str(tmp_path / "b.json")),
                                0.0, 1.0, tol=1e-11)
         assert rows == [_g(m, n) for m, n in zip(fit.zmags, fit.norms)]
+
+
+def test_parser_is_built_once_and_reused(q1_file, tmp_path, monkeypatch,
+                                         capsys):
+    # main parses with the parser built at import: an argparse error and
+    # --version leave it intact, and repeated runs in one process write the
+    # bytes a fresh interpreter writes
+    out = str(tmp_path / "out")
+    argv = ["upsilon", "--potential", q1_file, "--lambda=-2:2:5",
+            "--eps", "1e-3", "--out", out]
+
+    def outputs():
+        with open(os.path.join(out, "upsilon.csv")) as fh:
+            csv = fh.read()
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
+        del summary["wall_time_s"]
+        return csv, summary
+
+    def no_parser():
+        raise AssertionError("main rebuilt the parser")
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    with pytest.raises(SystemExit) as exc:
+        main(["upsilon", "--potential", q1_file, "--lambda=-2:2:5",
+              "--eps", "small", "--out", out])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append(outputs())
+    import diracweyl
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracweyl.__file__)))
+    subprocess.run([sys.executable, "-m", "diracweyl.cli", *argv], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+    runs.append(outputs())
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0][0].splitlines()) == 2 + 5
 
 
 def test_every_subcommand_has_a_cli_test():

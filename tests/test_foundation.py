@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracweyl import (
+    ALG_TOL,
     ConstantPiece,
     GridPiece,
     PotentialSpec,
@@ -432,6 +434,40 @@ class TestFileRoundtrip:
             load_potential(path)
         with pytest.raises(NonHermitianPiece, match=f"defect {worst:.3e} "):
             PotentialSpec.from_samples(np.arange(7.0), vals)
+
+    @pytest.mark.parametrize("kind", ["constant", "grid"])
+    @pytest.mark.parametrize("defect", [0.9, 1.1])
+    def test_hermiticity_boundary(self, tmp_path, kind, defect):
+        # B - B* = i defect ALG_TOL I has two equal singular values, so its
+        # spectral norm is defect ALG_TOL and its Frobenius norm sqrt(2)
+        # times that: 0.9 must load, whatever the Frobenius norm, and 1.1
+        # must be refused with the spectral defect in the message
+        bad = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+        bad = bad + 0.5j * defect * ALG_TOL * np.eye(2)
+        if kind == "constant":
+            data = np.stack([bad.real, bad.imag], -1).tolist()
+            doc = {"m": 1, "pieces": [{"x_lo": 0.0, "x_hi": 1.0,
+                                       "kind": "constant", "data": data}]}
+            make = functools.partial(ConstantPiece, 0.0, 1.0, bad)
+        else:
+            vals = np.stack([np.eye(2), bad, -np.eye(2)])
+            doc = self._grid_doc(np.stack([vals.real, vals.imag], -1).tolist())
+            make = functools.partial(GridPiece, np.arange(3.0), vals)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        skew = bad - bad.conj().T
+        assert np.linalg.norm(skew) > ALG_TOL
+        if defect < 1:
+            assert matnorm(skew) < ALG_TOL
+            make()
+            assert load_potential(path).m == 1
+            return
+        message = (f"{kind} piece: Hermiticity defect 1.100e-10 "
+                   "exceeds tol 1.0e-10")
+        for build in (make, lambda: load_potential(path)):
+            with pytest.raises(NonHermitianPiece) as exc:
+                build()
+            assert str(exc.value) == message
 
     def test_grid_bound_is_max_sample_norm(self, rng):
         vals = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
