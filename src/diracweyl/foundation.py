@@ -374,6 +374,12 @@ class PotentialSpec:
         return None, off
 
     @cached_property
+    def is_real(self):
+        """True iff every piece has identically zero imaginary part."""
+        return not any(np.any((p.value if p.kind == "constant"
+                               else p.values).imag) for p in self.pieces)
+
+    @cached_property
     def _edges(self):
         """Finite piece edges in order; for a periodic spec, one period's
         edges as offsets from its start, the closing edge left out."""

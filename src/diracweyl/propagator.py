@@ -12,7 +12,9 @@ steps of a cell sharing one commutator (magnus_steps, shared with the gauge
 reduction); periodic potentials reduce long spans to binary powers of the
 one-period transfer.  Every stacked product of the kernel goes through
 _mul, which forms 2x2 products entry by entry over the whole stack (numpy's
-stacked @ hands each small matrix to BLAS on its own).
+stacked @ hands each small matrix to BLAS on its own).  At a real-typed z
+on a potential with real entries the coefficient -J (z I + B) is real, and
+the whole kernel runs in float64; otherwise it runs in complex128.
 
 The Volterra route (successive approximation of the integral equation for
 the decaying Weyl solution of a compactly supported potential) lives here as
@@ -79,7 +81,9 @@ def _expm2(omega):
     both even in mu.  They are formed from e^{t + mu} and e^{t - mu}, never
     as e^t times cosh(mu): under the rescale e^t can underflow while
     cosh(mu) overflows.  Below |mu| = 0.5, s takes the Taylor series of
-    sinh(mu) / mu, which stays exact through a Jordan block.  A single
+    sinh(mu) / mu, which stays exact through a Jordan block.  mu is taken
+    in complex arithmetic for any omega, since it is imaginary for an
+    oscillatory real one, and a real omega gives a real result.  A single
     matrix runs as a stack of one, so it rounds exactly as a stack row."""
     if omega.ndim == 2:
         return _expm2(omega[None])[0]
@@ -88,7 +92,8 @@ def _expm2(omega):
     # overflow to inf is an expected probe outcome on long spans; callers
     # detect it and bisect
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.sqrt(n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0])
+        mu = np.sqrt((n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0])
+                     .astype(complex, copy=False))
         ep, em = np.exp(t + mu), np.exp(t - mu)
         c = 0.5 * (ep + em)
         small = np.abs(mu) < _SINHC_SERIES
@@ -98,7 +103,10 @@ def _expm2(omega):
             sinhc = sinhc * mu2 + coef
         s = np.where(small, np.exp(t) * sinhc,
                      (ep - em) / (2 * np.where(small, 1, mu)))
-        out = np.empty(omega.shape, dtype=complex)
+        if not np.iscomplexobj(omega):
+            # c and s are even in mu, so real for a real omega
+            c, s = c.real, s.real
+        out = np.empty(omega.shape, dtype=np.result_type(omega, float))
         out[..., 0, 0] = c + s * n00
         out[..., 1, 1] = c - s * n00
         out[..., 0, 1] = s * omega[..., 0, 1]
@@ -187,10 +195,10 @@ def _expm(omega):
     return _expm_pade(omega)
 
 
-def _diag(x, shape):
-    """Complex diagonal matrices of the given (stack) shape, with diagonals
-    x."""
-    out = np.zeros(shape, dtype=complex)
+def _diag(x, shape, dtype):
+    """Diagonal matrices of the given (stack) shape and dtype, with
+    diagonals x."""
+    out = np.zeros(shape, dtype=dtype)
     out.reshape(shape[:-2] + (shape[-1] ** 2,))[..., ::shape[-1] + 1] = x
     return out
 
@@ -198,7 +206,7 @@ def _diag(x, shape):
 def _matpow(t, k):
     """t**k for integer k (a matrix or a stack of them), by binary
     powering."""
-    out = _diag(1, t.shape)
+    out = _diag(1, t.shape, t.dtype)
     base = t if k >= 0 else np.linalg.inv(t)
     n = abs(k)
     # overflow to inf is an expected probe outcome for large |k|; callers
@@ -288,15 +296,26 @@ class Propagator:
     a scalar z gives (2m, 2m) matrices.  A plain value of (z, spec): a
     transfer depends on its arguments only, and nothing is stored between
     calls.
+
+    The arithmetic follows the dtype of z, not its value: a real-typed z
+    (a Python float or a float array) on a spec whose pieces are all real
+    (spec.is_real) computes in float64, and self.z and the transfers are
+    real unless a rescale (scale != 0) makes the coefficient complex.
+    Every other z, a complex-typed one with zero imaginary part included,
+    computes in complex128, so a stack row equals its stack-of-one result
+    bit for bit.
     """
 
     def __init__(self, z, spec):
-        self.z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+        dtype = complex if np.iscomplexobj(z) or not spec.is_real else float
+        self.z = dtype(z) if np.ndim(z) == 0 else np.asarray(z, dtype=dtype)
         self.spec = spec
         self.m = spec.m
-        self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2)
+        self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2, dtype)
 
     def _coefficient(self, b, scale):
+        if not np.iscomplexobj(self.z):
+            b = b.real
         # the z axis, if any, leads the axes of b
         z = np.reshape(self.z, np.shape(self.z) + (1,) * np.ndim(b))
         acoef = system_matrix(z, b)

@@ -74,7 +74,8 @@ def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
 
 @dataclass(frozen=True, eq=False)
 class Monodromy:
-    z: complex                # or an array of z, leading the axes below
+    z: complex                # or an array of z, leading the axes below;
+                              # float for real z on a real spec (Propagator)
     x0: float
     period: float
     matrix: np.ndarray
@@ -85,13 +86,15 @@ def monodromy(z, spec):
     """One-period transfer matrix Psi(z, x0 + omega, x0), Psi(x0) = I, from
     the left edge x0 of the first piece.  For a 1-D array of z, one stacked
     Propagator gives the matrices as an (n, 2m, 2m) stack and the
-    multipliers as (n, 2m) rows."""
+    multipliers as (n, 2m) rows.  The matrices are real for a real-typed z
+    on a real spec (see Propagator); the multipliers are always complex."""
     if not spec.is_periodic:
         raise NotPeriodic("monodromy needs a periodic potential")
     x0 = spec.pieces[0].x_lo
     prop = Propagator(z, spec)
     t = prop.transfer(x0, x0 + spec.period, scale=0)
-    mult = np.linalg.eigvals(t)
+    # a real t with only real eigenvalues gives float64 eigvals
+    mult = np.linalg.eigvals(t).astype(complex, copy=False)
     mult = np.take_along_axis(mult, np.argsort(np.abs(mult), axis=-1), axis=-1)
     return Monodromy(z=prop.z, x0=float(x0), period=spec.period,
                      matrix=t, multipliers=mult)

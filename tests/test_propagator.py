@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -188,6 +189,14 @@ class TestExpm2:
             else:
                 want = [[np.cos(x), np.sin(x)], [-np.sin(x), np.cos(x)]]
             assert matnorm(_expm2(omega(x)) - np.array(want)) <= 1e-15
+
+    @pytest.mark.parametrize("theta", [0.3, 2.0, -7.5])
+    def test_real_rotation_generator(self, theta):
+        # mu^2 = -theta^2 < 0: a real square root would be NaN
+        got = _expm2(np.array([[0.0, theta], [-theta, 0.0]]))
+        c, s = math.cos(theta), math.sin(theta)
+        assert got.dtype == np.float64 and np.isfinite(got).all()
+        assert matnorm(got - np.array([[c, s], [-s, c]])) <= 1e-15
 
     def test_skew_hermitian_gives_unitary(self, rng):
         a = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
@@ -454,6 +463,62 @@ class TestStackedZ:
         assert t.shape == (4, 4)
         assert Propagator(np.array([0.3]), kp2_spec()).transfer(
             0.0, 0.0).shape == (1, 4, 4)
+
+
+class TestRealPath:
+    """A real-typed z on a real spec computes in float64, within 1e-13 of
+    the complex128 computation at the same z; anything complex keeps
+    complex128."""
+
+    ZS = np.array([-3.1, -0.4, 0.0, 0.7, 5.0])
+    # inside one period, backwards, and over more than two periods (the
+    # period power)
+    SPANS = [(0.1, 0.85), (0.9, 0.2), (0.3, 7.45), (5.2, 0.1)]
+
+    @staticmethod
+    def _grid_spec(m):
+        xs = np.linspace(0.0, 1.0, 41)
+        c, s = np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs)
+        vals = np.array([normal_form_matrix(
+            0.3 * ci * np.eye(m) + 0.1 * (1 - np.eye(m)),
+            (0.5 + 0.2 * si) * np.eye(m)) for ci, si in zip(c, s)])
+        return PotentialSpec.from_samples(xs, vals, period=1.0)
+
+    @staticmethod
+    def _const_spec(m):
+        if m == 2:
+            return kp2_spec()
+        return PotentialSpec(m=1, period=1.0, pieces=(
+            ConstantPiece(0.0, 0.4, normal_form_matrix([[0.2]], [[0.5]])),
+            ConstantPiece(0.4, 1.0, normal_form_matrix([[-0.1]], [[0.0]]))))
+
+    @pytest.mark.parametrize("a,b", SPANS)
+    @pytest.mark.parametrize("kind", ["constant", "grid"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_float64_matches_complex(self, m, kind, a, b):
+        spec = self._const_spec(m) if kind == "constant" else self._grid_spec(m)
+        assert spec.is_real
+        got = Propagator(self.ZS, spec).transfer(a, b)
+        want = Propagator(self.ZS.astype(complex), spec).transfer(a, b)
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.all(matnorm(got - want) <= 1e-13 * matnorm(want))
+        one = Propagator(float(self.ZS[3]), spec)
+        assert isinstance(one.z, float)
+        assert one.transfer(a, b).dtype == np.float64
+
+    def test_complex_cases_stay_complex(self):
+        spec = kp2_spec()
+        herm = PotentialSpec.constant(
+            np.array([[0.3, 0.2j], [-0.2j, -0.1]]), period=1.0)
+        assert not herm.is_real
+        assert PotentialSpec.zero(1).is_real
+        cases = [(herm, 0.7, 0), (herm, self.ZS, 0),
+                 (spec, 0.7 + 0j, 0), (spec, self.ZS.astype(complex), 0),
+                 (spec, 0.7, 1), (spec, self.ZS, -1)]
+        for sp, z, scale in cases:
+            t = Propagator(z, sp).transfer(0.3, 7.45, scale)
+            assert t.dtype == np.complex128
+            assert np.isfinite(t).all()
 
 
 class TestSymplecticDefect:

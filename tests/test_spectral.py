@@ -103,9 +103,27 @@ class TestFloquet:
     def test_band_edges(self, const_q1_periodic):
         lams = np.linspace(-3.0, 3.0, 601)
         bs = band_spectrum(const_q1_periodic, lams)
+        assert np.isfinite(bs.multipliers).all()
         assert bs.bands == ((-3.0, -1.0), (1.0, 3.0))
         (gap,) = bs.gaps
         assert abs(gap[0] + 1.0) <= 0.011 and abs(gap[1] - 1.0) <= 0.011
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_real_multipliers_stay_complex(self, lam):
+        # in the gap of q = I_2 all four multipliers are real, and eigvals
+        # of the real monodromy returns them as float64; readers such as
+        # the CLI's .view(float) need complex128
+        spec = PotentialSpec.constant(
+            normal_form_matrix(np.zeros((2, 2)), np.eye(2)), period=1.0)
+        for z in (lam, np.array([lam])):
+            mono = monodromy(z, spec)
+            assert mono.matrix.dtype == np.float64
+            assert mono.multipliers.dtype == np.complex128
+            assert np.all(mono.multipliers.imag == 0)
+            assert mono.multipliers.view(float).shape[-1] == 8
+        r = math.sqrt(1.0 - lam * lam)
+        want = [math.exp(-r)] * 2 + [math.exp(r)] * 2
+        assert np.allclose(mono.multipliers[0].real, want, rtol=1e-13)
 
     def test_free_fully_in_band(self):
         spec = PotentialSpec.constant(np.zeros((2, 2), complex), period=1.0)
