@@ -58,7 +58,10 @@ def _parse_list(text, conv):
 
 def _parse_grid(text):
     lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    # an infinite end gives NaN grid points without a RuntimeWarning; the
+    # command decides what they mean (bands raises DegenerateArguments)
+    with np.errstate(invalid="ignore"):
+        return np.linspace(float(lo), float(hi), int(n))
 
 
 def _parse_matrix(text, shape, name):

@@ -25,7 +25,9 @@ class NotLagrangian(DiracWeylError):
 
 
 class DegenerateArguments(DiracWeylError):
-    """Sign factor or Weyl machinery called with s = t or real z."""
+    """Sign factor or Weyl machinery called with s = t or real z, or a
+    spectral parameter outside its range: eps < 0 in upsilon, a lambda that
+    is not real or not finite in band_spectrum."""
 
 
 # -- potential model ---------------------------------------------------------

@@ -1,5 +1,11 @@
 """Trace-formula verification, Floquet band structure, reflectionless and
 Borg-type diagnostics, and the local-uniqueness decay experiment.
+
+The Floquet multipliers of a real monodromy with 2m <= 4 (a real-typed
+lambda on a real potential) come in closed form from its symplectic
+structure, through the per-channel discriminants w_k = mu_k + 1/mu_k
+(Yakubovich & Starzhinskii, Linear Differential Equations with Periodic
+Coefficients, 1975); a complex monodromy and m >= 3 take np.linalg.eigvals.
 """
 
 import cmath
@@ -10,8 +16,10 @@ import numpy as np
 
 from .asymptotics import _combination
 from .errors import (
+    DegenerateArguments,
     DifferenceBelowNoise,
     DifferentiationFailure,
+    IntegrationFailure,
     NotPeriodic,
 )
 from .foundation import alpha_dirichlet, matnorm
@@ -79,7 +87,52 @@ class Monodromy:
     x0: float
     period: float
     matrix: np.ndarray
-    multipliers: np.ndarray   # eigenvalues sorted by modulus
+    multipliers: np.ndarray   # Floquet multipliers (eigenvalues of matrix),
+                              # complex128, sorted by modulus
+
+
+def _symplectic_multipliers(t):
+    """Eigenvalues of a real symplectic (n, 2m, 2m) stack, m = 1 or 2, as
+    complex (n, 2m) rows, without an eigen-solver.
+
+    T^-1 = J^T T^T J = [[T22^T, -T12^T], [-T21^T, T11^T]], so
+    W = T + T^-1 = [[A, B], [C, A^T]] with A = T11 + T22^T and B, C
+    antisymmetric, and W has each w_k = mu_k + 1/mu_k as a double
+    eigenvalue.  For m = 1, w = tr T.  For m = 2,
+    w = tr(W)/4 +- sqrt(tr(W0^2))/2 with W0 the traceless part of W, which
+    is tr(A)/2 +- sqrt(p^2 + A01 A10 - b c) for p = (A00 - A11)/2 and the
+    upper entries b, c of B, C; it is formed from these differences, never
+    from the coefficients of the quadratic in w, which cancel where two
+    channels share w.  Each w gives mu and 1/mu: the root of larger modulus
+    is (w + s)/2 with s = sqrt(w - 2) sqrt(w + 2) on the side of w, and the
+    other is its reciprocal, so a multiplier deep in a gap keeps its
+    relative accuracy.  Near a band edge (w near +-2) the map w -> mu
+    amplifies the rounding of w by about 1/|mu - 1/mu|: on kp2 with
+    |mu - 1/mu| = 9e-4 the multipliers are 2.1e-13 from those of the exact
+    monodromy, where eigvals stays within 1e-15.  As with eigvals, a channel
+    whose w is below eps times the other's is not resolved; its row is a gap
+    anyway.  A single matrix runs as a stack of one, so it rounds exactly
+    as a stack row."""
+    if t.ndim == 2:
+        return _symplectic_multipliers(t[None])[0]
+    m = t.shape[-1] // 2
+    w = np.trace(t, axis1=1, axis2=2)[:, None] / m
+    if m == 2:
+        a = t[:, :2, :2] + t[:, 2:, 2:].swapaxes(1, 2)
+        # entries go by a power of two near max |T| (exact), so the products
+        # stay finite for any finite T
+        k = np.ldexp(1.0, np.frexp(np.abs(t).max(axis=(1, 2)))[1] - 1)
+        p = (0.5 * (a[:, 0, 0] - a[:, 1, 1])) / k
+        b, c = (t[:, 0, 3] - t[:, 1, 2]) / k, (t[:, 2, 1] - t[:, 3, 0]) / k
+        half = k[:, None] * np.sqrt(
+            (p * p + (a[:, 0, 1] / k) * (a[:, 1, 0] / k) - b * c)
+            .astype(complex))[:, None]
+        w = np.concatenate([w - half, w + half], axis=-1)
+    w = w.astype(complex, copy=False)
+    s = np.sqrt(w - 2.0) * np.sqrt(w + 2.0)
+    s = np.where(np.abs(w - s) > np.abs(w + s), -s, s)
+    big = 0.5 * w + 0.5 * s
+    return np.concatenate([1.0 / big, big], axis=-1)
 
 
 def monodromy(z, spec):
@@ -87,14 +140,24 @@ def monodromy(z, spec):
     the left edge x0 of the first piece.  For a 1-D array of z, one stacked
     Propagator gives the matrices as an (n, 2m, 2m) stack and the
     multipliers as (n, 2m) rows.  The matrices are real for a real-typed z
-    on a real spec (see Propagator); the multipliers are always complex."""
+    on a real spec (see Propagator); the multipliers are always complex128.
+    A real matrix with m <= 2 takes its multipliers from the symplectic
+    closed form (_symplectic_multipliers); a complex one, or m >= 3, from
+    np.linalg.eigvals.  IntegrationFailure is raised when a matrix is not
+    finite."""
     if not spec.is_periodic:
         raise NotPeriodic("monodromy needs a periodic potential")
     x0 = spec.pieces[0].x_lo
     prop = Propagator(z, spec)
     t = prop.transfer(x0, x0 + spec.period, scale=0)
-    # a real t with only real eigenvalues gives float64 eigvals
-    mult = np.linalg.eigvals(t).astype(complex, copy=False)
+    if not np.isfinite(t).all():
+        raise IntegrationFailure(
+            f"monodromy not finite over the period {spec.period:g}")
+    if not np.iscomplexobj(t) and spec.m <= 2:
+        mult = _symplectic_multipliers(t)
+    else:
+        # a real t with only real eigenvalues gives float64 eigvals
+        mult = np.linalg.eigvals(t).astype(complex, copy=False)
     mult = np.take_along_axis(mult, np.argsort(np.abs(mult), axis=-1), axis=-1)
     return Monodromy(z=prop.z, x0=float(x0), period=spec.period,
                      matrix=t, multipliers=mult)
@@ -126,10 +189,14 @@ def _runs(lams, flags):
 def band_spectrum(spec, lams, tol=1e-6):
     """Flag each real lambda in-band iff every Floquet multiplier is
     unimodular within tol * max(1, omega).  The multipliers come from one
-    stacked monodromy per block of _LAMBDA_BLOCK lambda."""
+    stacked monodromy per block of _LAMBDA_BLOCK lambda.  A lambda with a
+    nonzero imaginary part or a non-finite one raises DegenerateArguments."""
     if not spec.is_periodic:
         raise NotPeriodic("band structure needs a periodic potential")
-    lams = np.asarray(lams, float)
+    lams = np.asarray(lams)
+    if np.any(np.imag(lams) != 0) or not np.isfinite(lams).all():
+        raise DegenerateArguments("band structure needs real, finite lambda")
+    lams = np.asarray(np.real(lams), float)
     eff = tol * max(1.0, spec.period)
     mults = np.empty((len(lams), 2 * spec.m), dtype=complex)
     for i in range(0, len(lams), _LAMBDA_BLOCK):
@@ -205,9 +272,9 @@ def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
         raise NotPeriodic("Borg diagnostic needs a periodic potential")
     if lam_max is None:
         lam_max = 10.0 * spec.bound() + 10.0
-    if not (grid_step > 0 and lam_max > 0):
+    if not (grid_step > 0 and 0 < lam_max < math.inf):
         raise ValueError("Borg grid needs grid_step > 0 and lam_max > 0, "
-                         f"got {grid_step:g} and {lam_max:g}")
+                         f"lam_max finite, got {grid_step:g} and {lam_max:g}")
     n = max(3, int(round(2 * lam_max / grid_step)) + 1)
     lams = np.linspace(-lam_max, lam_max, n)
     bands = band_spectrum(spec, lams, tol=band_tol)

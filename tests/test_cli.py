@@ -176,6 +176,14 @@ class TestBands:
         info = json.load(open(os.path.join(out, "summary.json")))["info"]
         assert info["bands"] == [[-3.0, -1.0], [1.0, 3.0]]
 
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:3"])
+    def test_non_finite_grid_is_typed(self, q1_file, tmp_path, capsys, grid):
+        rc = main(["bands", "--potential", q1_file, f"--lambda={grid}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "DegenerateArguments"
+
     def test_determinism_across_runs(self, q1_file, tmp_path):
         zlist = "2i,1+1i,3i,0.5+2i"
         outs = []
@@ -367,7 +375,8 @@ class TestValuesMatchLibrary:
 
     @pytest.mark.parametrize("argv", [["--grid-step", "0"],
                                       ["--grid-step=-0.5"],
-                                      ["--lam-max=-5"]])
+                                      ["--lam-max=-5"],
+                                      ["--lam-max=inf"]])
     def test_borg_grid_not_positive(self, argv, q1_file, tmp_path, capsys):
         rc = main(["borg", "--potential", q1_file, "--out",
                    str(tmp_path / "o")] + argv)

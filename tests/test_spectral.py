@@ -17,7 +17,12 @@ from diracweyl import (
     trace_check,
     uniqueness_decay,
 )
-from diracweyl.errors import DifferenceBelowNoise, NotPeriodic
+from diracweyl.errors import (
+    DegenerateArguments,
+    DifferenceBelowNoise,
+    IntegrationFailure,
+    NotPeriodic,
+)
 from diracweyl.spectral import _LAMBDA_BLOCK
 from conftest import count_calls, kp2_spec
 
@@ -199,6 +204,182 @@ class TestFloquet:
         with pytest.raises(NotPeriodic):
             band_spectrum(const_q1, [0.0, 1.0])
 
+    def test_eigvals_route(self, monkeypatch):
+        # eigvals runs for a complex monodromy and for m >= 3 only
+        calls = count_calls(monkeypatch, np.linalg, "eigvals")
+        spec = kp2_spec()
+        monodromy(np.linspace(-2.0, 2.0, 5), spec)
+        monodromy(0.3, spec)
+        assert calls == []
+        monodromy(np.array([0.3 + 0.1j, 1.0 + 0j]), spec)
+        monodromy(0.3, _equal_channels_spec(3))
+        assert calls == [(2, 4, 4), (6, 6)]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_m3_multipliers(self, lam):
+        # m = 3 goes through eigvals; in the gap of q = I_3 (lambda = 0,
+        # 0.5) all six multipliers are real and eigvals returns float64
+        spec = _equal_channels_spec(3)
+        for z in (lam, np.array([lam])):
+            mono = monodromy(z, spec)
+            assert mono.matrix.dtype == np.float64
+            assert mono.multipliers.dtype == np.complex128
+            assert mono.multipliers.view(float).shape[-1] == 12
+        mults = mono.multipliers[0]
+        # reciprocal pairs: the characteristic polynomial is palindromic
+        poly = np.poly(mults)
+        assert np.allclose(poly, poly[::-1], rtol=0, atol=1e-12)
+        if lam < 1.0:
+            r = math.sqrt(1.0 - lam * lam)
+            want = [math.exp(-r)] * 3 + [math.exp(r)] * 3
+            assert np.allclose(mults.real, want, rtol=1e-13)
+        else:
+            assert np.allclose(np.abs(mults), 1.0, rtol=0, atol=1e-13)
+
+    def test_monodromy_not_finite(self):
+        spec = kp2_spec()
+        for z in (math.nan, np.array([0.5, math.nan]), 800j):
+            with pytest.raises(IntegrationFailure):
+                monodromy(z, spec)
+
+    @pytest.mark.parametrize("lams", [[0.0, 1.0 + 1e-3j], [0.0, math.nan],
+                                      [-math.inf, 1.0], [1.0, math.inf]])
+    def test_band_spectrum_rejects_lambda(self, const_q1_periodic, lams):
+        with pytest.raises(DegenerateArguments):
+            band_spectrum(const_q1_periodic, lams)
+
+    def test_band_spectrum_complex_dtype_real_values(self, const_q1_periodic):
+        lams = np.linspace(-3.0, 3.0, 61)
+        want = band_spectrum(const_q1_periodic, lams)
+        got = band_spectrum(const_q1_periodic, lams.astype(complex))
+        assert got.lams.dtype == np.float64
+        assert np.array_equal(got.multipliers, want.multipliers)
+        assert got.bands == want.bands
+
+
+def _equal_channels_spec(m):
+    """Constant B = [[0, I_m], [I_m, 0]] on period 1: m identical channels
+    with coupling q = 1."""
+    return PotentialSpec.constant(np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(m)),
+                                  period=1.0)
+
+
+def _random_real_spec(seed, m, kind):
+    rng = np.random.default_rng(seed)
+
+    def sym(n, scale):
+        a = rng.normal(scale=scale, size=(n, n))
+        return a + a.T
+
+    if kind == "equal":
+        return PotentialSpec(m=m, period=1.0, pieces=(
+            ConstantPiece(0.0, 0.3, np.kron(sym(2, 1.0), np.eye(m))),
+            ConstantPiece(0.3, 1.0, np.kron(sym(2, 1.0), np.eye(m)))))
+    if kind == "constant":
+        return PotentialSpec(m=m, period=1.0, pieces=(
+            ConstantPiece(0.0, 0.4, sym(2 * m, 1.0)),
+            ConstantPiece(0.4, 1.0, sym(2 * m, 1.0))))
+    xs = np.linspace(0.0, 1.0, 6)
+    return PotentialSpec.from_samples(
+        xs, np.array([sym(2 * m, 0.7) for _ in xs]), period=1.0)
+
+
+def _near_edges(spec, grid, steps):
+    """Both ends of each bracket of grid that holds a band edge, narrowed
+    by steps bisections."""
+    def in_band(lams):
+        mults = monodromy(lams, spec).multipliers
+        return np.all(np.abs(np.abs(mults) - 1.0) <= 1e-6, axis=1)
+
+    flags = in_band(grid)
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    lo, hi = grid[edges], grid[edges + 1]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        same = in_band(mid) == flags[edges]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return np.concatenate([lo, hi])
+
+
+def _sorted_eigvals(t):
+    mult = np.linalg.eigvals(t).astype(complex)
+    return np.take_along_axis(mult, np.argsort(np.abs(mult), axis=-1), axis=-1)
+
+
+def _charpoly_dev(a, b):
+    """Largest coefficient difference of the monic polynomials with roots
+    a and b, per row, relative to 1 + the largest coefficient of b."""
+    pa = np.array([np.poly(r) for r in a])
+    pb = np.array([np.poly(r) for r in b])
+    return np.abs(pa - pb).max(axis=1) / (1.0 + np.abs(pb).max(axis=1))
+
+
+class TestClosedFormMultipliers:
+    """The symplectic closed form of the real path against eigvals of the
+    same monodromies, and against a 40-digit eigen-solver."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("m, kind", [(1, "constant"), (1, "grid"),
+                                         (2, "constant"), (2, "grid"),
+                                         (2, "equal")])
+    def test_matches_eigvals(self, seed, m, kind):
+        spec = _random_real_spec(seed, m, kind)
+        grid = np.linspace(-4.0, 4.0, 161)
+        near = _near_edges(spec, grid, 12)
+        assert len(near) >= 4
+        mono = monodromy(np.concatenate([grid, near]), spec)
+        ref = _sorted_eigvals(mono.matrix)
+        assert _charpoly_dev(mono.multipliers, ref).max() < 1e-13
+        eff = 1e-6
+        dev = np.abs(np.abs(mono.multipliers) - 1.0).max(axis=1)
+        dev_ref = np.abs(np.abs(ref) - 1.0).max(axis=1)
+        decided = (np.abs(dev - eff) > 1e-8) & (np.abs(dev_ref - eff) > 1e-8)
+        assert decided.mean() > 0.9
+        assert np.array_equal((dev <= eff)[decided], (dev_ref <= eff)[decided])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q_omega", [30.0, 400.0])
+    def test_deep_gap_relative_accuracy(self, m, q_omega):
+        # B = [[0, Q], [Q, 0]], Q = diag(q, 0.99 q), on a period omega has
+        # the multipliers e^{+-q omega} and e^{+-0.99 q omega} at
+        # lambda = 0.  eigvals would give the small ones only to eps |T|,
+        # and at q omega = 400, where |T| is about 1e173, products of
+        # unscaled entries of T overflow
+        q, omega = q_omega / 10.0, 10.0
+        rates = np.array([1.0, 0.99][:m])
+        spec = PotentialSpec.constant(
+            np.kron([[0.0, 1.0], [1.0, 0.0]], q * np.diag(rates)),
+            x_lo=0.0, x_hi=omega, period=omega)
+        mults = monodromy(0.0, spec).multipliers
+        assert np.all(mults.imag == 0)
+        want = np.exp(np.sort(np.concatenate([-rates, rates])) * q_omega)
+        assert np.allclose(mults.real, want, rtol=1e-12, atol=0)
+
+    def test_kp2_against_mpmath(self):
+        # 40-digit eigenvalues of the same float64 monodromies: within 1e-14
+        # on a grid, and near the band edges within the amplification
+        # 1/|mu - 1/mu| of the rounding of w
+        mpmath = pytest.importorskip("mpmath")
+        spec = kp2_spec()
+        grid = np.linspace(-8.0, 8.0, 41)
+        lams = np.concatenate([grid, _near_edges(spec, grid, 30)])
+        mono = monodromy(lams, spec)
+        errs = []
+        with mpmath.workdps(40):
+            for t, mults in zip(mono.matrix, mono.multipliers):
+                ref = mpmath.eig(mpmath.matrix(t.tolist()), left=False,
+                                 right=False)
+                ref = np.array([complex(v) for v in ref])
+                # pair each multiplier with its reference under the best
+                # permutation: unimodular ones tie in modulus
+                errs.append(min(np.abs(mults - ref[list(perm)]).max()
+                                for perm in itertools.permutations(range(4))))
+        errs = np.array(errs)
+        assert errs[:len(grid)].max() < 1e-14
+        sep = np.abs(mono.multipliers - 1.0 / mono.multipliers).min(axis=1)
+        eps = np.finfo(float).eps
+        assert np.all(errs[len(grid):] < 1e-14 + 8 * eps / sep[len(grid):])
+
 
 class TestReflectionless:
     def test_free(self, zero1):
@@ -246,7 +427,9 @@ class TestBorg:
 
     @pytest.mark.parametrize("kw", [{"grid_step": 0.0},
                                     {"grid_step": -0.5},
-                                    {"lam_max": -5.0}])
+                                    {"lam_max": -5.0},
+                                    {"lam_max": math.inf},
+                                    {"lam_max": math.nan}])
     def test_grid_must_be_positive(self, const_q1_periodic, kw):
         with pytest.raises(ValueError, match="grid_step > 0"):
             borg_diagnostic(const_q1_periodic, **{"lam_max": 3.0, **kw})
