@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import derivative_samples, expansion_coefficients
-from .errors import DiracWeylError
+from .errors import DegenerateArguments, DiracWeylError
 from .foundation import (
     alpha_dirichlet,
     load_potential,
@@ -59,7 +59,8 @@ def _parse_list(text, conv):
 def _parse_grid(text):
     lo, hi, n = text.split(":")
     # an infinite end gives NaN grid points without a RuntimeWarning; the
-    # command decides what they mean (bands raises DegenerateArguments)
+    # command decides what they mean (bands and upsilon raise
+    # DegenerateArguments)
     with np.errstate(invalid="ignore"):
         return np.linspace(float(lo), float(hi), int(n))
 
@@ -307,6 +308,11 @@ def cmd_gauge(args, spec, run):
 def cmd_upsilon(args, spec, run):
     alpha = _parse_alpha(args.alpha, spec.m)
     lams = _parse_grid(getattr(args, "lambda"))
+    # checked before the sweep, which would record each non-finite lambda
+    # as a failure and write it into summary.json, where strict JSON has
+    # no NaN or Infinity
+    if not np.isfinite(lams).all():
+        raise DegenerateArguments("upsilon needs finite lambda")
     run.tols = {"halfline_tol": args.tol, "eps": args.eps}
 
     def block(lams):

@@ -7,6 +7,7 @@ condition).  All value types are immutable after construction, so they can be
 shared freely across concurrent evaluations.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -516,12 +517,26 @@ def _complex_out(mat):
 
 def _complex_in(data, ndim=3):
     """Complex array from nested [re, im] pairs: a matrix for ndim 3, a
-    stack of matrices for ndim 4."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != ndim or arr.shape[-1] != 2:
+    stack of matrices for ndim 4.  The nesting is checked level by level,
+    every list of a level having one length, and the numbers of the last
+    level are converted in one call."""
+    shape, level = [], [data]
+    try:
+        for _ in range(ndim):
+            lens = set(map(len, level))
+            if len(lens) != 1:
+                raise ValueError
+            shape.append(lens.pop())
+            level = list(itertools.chain.from_iterable(level))
+        arr = np.array(level)
+    except (TypeError, ValueError):
+        arr = None
+    # numbers only: a string in place of a list was split into characters
+    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf"
+            or shape[-1] != 2):
         raise ValueError("matrix entries must be [re, im] pairs")
     # a bit-exact reinterpretation keeps the sign of a zero imaginary part
-    return np.ascontiguousarray(arr).view(complex)[..., 0]
+    return arr.astype(float, copy=False).reshape(shape).view(complex)[..., 0]
 
 
 def _edge_out(v):

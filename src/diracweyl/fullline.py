@@ -123,11 +123,14 @@ def upsilon(lam, x0, alpha, spec, eps, tol=1e-8):
     lam may be a scalar or a 1-D array; lam + i*eps and lam + 2i*eps are
     evaluated as one stack of whole-line M and logs.  eps must be positive:
     at eps < 0 the same formula gives -Upsilon, and DegenerateArguments is
-    raised before any work (eps = 0 raises it through halfline_m).
+    raised before any work (eps = 0 raises it through halfline_m), as it is
+    for a non-finite lambda.
     """
     if eps < 0:
         raise DegenerateArguments(f"upsilon needs eps > 0, got {eps:g}")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not np.isfinite(lams).all():
+        raise DegenerateArguments("upsilon needs finite lambda")
     n = len(lams)
     mat = fullline_m(np.concatenate([lams + 1j * eps, lams + 2j * eps]), x0,
                      alpha, spec, tol=tol).matrix

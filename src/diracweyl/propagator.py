@@ -9,12 +9,17 @@ for m = 1 (_expm2), by a stacked scaling-and-squaring Pade approximant for
 m >= 2 (_expm_pade); sampled pieces take fourth-order Magnus steps between
 sample nodes, as many per cell as its leading error term asks for, all
 steps of a cell sharing one commutator (magnus_steps, shared with the gauge
-reduction); periodic potentials reduce long spans to binary powers of the
-one-period transfer.  Every stacked product of the kernel goes through
-_mul, which forms 2x2 products entry by entry over the whole stack (numpy's
-stacked @ hands each small matrix to BLAS on its own).  At a real-typed z
-on a potential with real entries the coefficient -J (z I + B) is real, and
-the whole kernel runs in float64; otherwise it runs in complex128.
+reduction).  The coefficient enters the kernel in the affine form
+A(x) = L(x) + z K, with L = -J B(x) from the samples and K = -J + i s I
+constant, so the traceless parts, norms and commutators of a cell are
+formed once for all z, and only scalar step counts, the exponents, their
+exponentials and the products are formed per (z, cell).  Periodic
+potentials reduce long spans to binary powers of the one-period transfer.
+Every stacked product of the kernel goes through _mul, which forms 2x2
+products entry by entry over the whole stack (numpy's stacked @ hands each
+small matrix to BLAS on its own).  At a real-typed z on a potential with
+real entries the coefficient -J (z I + B) is real, and the whole kernel
+runs in float64; otherwise it runs in complex128.
 
 The Volterra route (successive approximation of the integral equation for
 the decaying Weyl solution of a compactly supported potential) lives here as
@@ -47,15 +52,19 @@ _MAGNUS_ETA = 1e-10
 _CELL_BLOCK = 4096
 
 
+def _minus_j(x):
+    """-J x for a matrix or a stack of them: the signed block swap
+    [x_lower; -x_upper]."""
+    d = x.shape[-1]
+    return np.concatenate([x[..., d // 2:, :], -x[..., :d // 2, :]], axis=-2)
+
+
 def system_matrix(z, b):
     """Coefficient A(x) of Psi' = A Psi, i.e. J^{-1} (z I + B) = -J (z I + B);
     b may be a stack of matrices, and z an array that broadcasts against
     the stack."""
     b = np.asarray(b)
-    d = b.shape[-1]
-    x = z * np.eye(d) + b
-    # -J x is the signed block swap [x_lower; -x_upper]
-    return np.concatenate([x[..., d // 2:, :], -x[..., :d // 2, :]], axis=-2)
+    return _minus_j(z * np.eye(b.shape[-1]) + b)
 
 
 def auto_scale(z, xa, xb):
@@ -242,11 +251,21 @@ def segment_cuts(spec, a, b, piece, off, extra=()):
     return ts, vals[idx]
 
 
-def magnus_steps(ts, acoef):
+def _frob2(x):
+    """Squared Frobenius norms over the last two axes, summed as
+    np.linalg.norm sums them, so that their square roots are its norms bit
+    for bit."""
+    return np.add.reduce((x.conj() * x).real, axis=(-2, -1))
+
+
+def magnus_steps(ts, lcoef, z=None, kcoef=None):
     """Transfer of Y' = A(x) Y across each cell [ts[i], ts[i+1]] (either
-    direction), for A linear on each cell and given at the cut points as the
-    stack acoef, of shape (..., len(ts), d, d); leading axes (one per z, say)
-    batch, and the result has shape (..., len(ts) - 1, d, d).
+    direction), for A = L(x) + z K: L linear on each cell and given at the
+    cut points as the stack lcoef, of shape (..., len(ts), d, d), and K one
+    constant d x d matrix kcoef.  Without z, A = L and the leading axes of
+    lcoef batch: the result has shape (..., len(ts) - 1, d, d).  With z (a
+    scalar or a 1-D array) the result has shape
+    np.shape(z) + (len(ts) - 1, d, d).
 
     Each fourth-order Magnus step takes Omega = h (A1 + A2) / 2
     + (sqrt(3) / 12) h^2 [A2, A1] at the two Gauss points, which for linear A
@@ -257,36 +276,68 @@ def magnus_steps(ts, acoef):
     eta = a^3 b + a b^2 for a = h ||A(mid)|| and b = h ||A(t1) - A(t0)||,
     taken of the traceless parts.  Skew-Hermitian A gives unitary factors,
     Hamiltonian A symplectic ones.  The k steps of a cell share one
-    commutator, [A(t1), A(t0)] / k for the cell's ends, taken once per cell.
-    Each step's exponential is taken by _expm: in closed form for d <= 2
-    (every m = 1 transfer and the m = 2 gauge factors), by the stacked Pade
-    approximant for larger d; the products by _mul, elementwise for d = 2.
+    commutator, [A(t1), A(t0)] / k for the cell's ends.
+
+    The affine form leaves little work per z.  Once per cell, for all z:
+    the traceless parts (subscript f); b, since K is constant and
+    A(t1) - A(t0) = dL = L(t1) - L(t0); ||L_f(mid)||^2 and
+    <K_f, L_f(mid)>, which give
+    a^2 = h^2 (||L_f||^2 + 2 Re(conj(z) <K_f, L_f>) + |z|^2 ||K_f||^2),
+    clamped at 0 against rounding; and [L(t1), L(t0)] and [K, dL], since
+    [A(t1), A(t0)] = [L(t1), L(t0)] - z [K, dL].  Per (z, cell) remain the
+    step counts, Omega = h_s (L(mid_j) + z K) + (h_s^2 / 12) comm / k, the
+    exponentials and the products.  Each step's exponential is taken by
+    _expm: in closed form for d <= 2 (every m = 1 transfer and the m = 2
+    gauge factors), by the stacked Pade approximant for larger d; the
+    products by _mul, elementwise for d = 2.
     """
-    d = acoef.shape[-1]
-    h = np.broadcast_to(np.diff(ts), acoef.shape[:-3] + (len(ts) - 1,))
+    d = lcoef.shape[-1]
+    eye = np.eye(d)
+    h = np.diff(ts)
     # the scalar part of A commutes with the rest and costs no accuracy
-    scalar = np.trace(acoef, axis1=-2, axis2=-1)[..., None, None] / d
-    free = acoef - scalar * np.eye(d)
-    a = np.abs(h) * np.linalg.norm(
-        0.5 * (free[..., :-1, :, :] + free[..., 1:, :, :]), axis=(-2, -1))
-    b = np.abs(h) * np.linalg.norm(np.diff(free, axis=-3), axis=(-2, -1))
+    free = lcoef - (np.trace(lcoef, axis1=-2, axis2=-1)[..., None, None]
+                    / d) * eye
+    mid = 0.5 * (free[..., :-1, :, :] + free[..., 1:, :, :])
+    a2 = _frob2(mid)
+    dfree = np.diff(free, axis=-3)
+    b = np.abs(h) * np.sqrt(_frob2(dfree))
+    l0, l1 = lcoef[..., :-1, :, :], lcoef[..., 1:, :, :]
+    comm = _mul(l1, l0) - _mul(l0, l1)
+    zk = None
+    if z is not None:
+        kfree = kcoef - (np.trace(kcoef) / d) * eye
+        cross = np.add.reduce(kfree.conj() * mid, axis=(-2, -1))
+        z = np.reshape(z, np.shape(z) + (1,))      # the z axis, then cells
+        a2 = np.maximum(a2 + 2 * (z.real * cross.real + z.imag * cross.imag)
+                        + (z.real * z.real + z.imag * z.imag) * _frob2(kfree),
+                        0)
+        z = z[..., None, None]
+        comm = comm - z * (_mul(kcoef, dfree) - _mul(dfree, kcoef))
+        zk = z * kcoef
+    a = np.abs(h) * np.sqrt(a2)
     k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
     k = np.maximum(k, 1).astype(int)
-    a0, a1 = acoef[..., :-1, :, :], acoef[..., 1:, :, :]
-    comm = (_mul(a1, a0) - _mul(a0, a1)) / k[..., None, None]
+    comm = comm / k[..., None, None]
+    h = np.broadcast_to(h, k.shape)
+    l0, l1 = (np.broadcast_to(x, comm.shape) for x in (l0, l1))
+    if zk is not None:
+        zk = np.broadcast_to(zk, comm.shape)
 
-    def step(j, k, h, a0, a1, comm):
-        k = k[..., None, None]
-        hs = h[..., None, None] / k
-        wm = (j + 0.5) / k       # the step midpoint, interpolated exactly
-        mid = (1 - wm) * a0 + wm * a1
-        return _expm(hs * mid + (hs * hs / 12.0) * comm)
+    def step(j, c):
+        """Factor of step j of the cells c (a mask, or ... for all)."""
+        kc = k[c][..., None, None]
+        hs = h[c][..., None, None] / kc
+        wm = (j + 0.5) / kc      # the step midpoint, interpolated exactly
+        mid = (1 - wm) * l0[c] + wm * l1[c]
+        if zk is not None:
+            mid = mid + zk[c]
+        return _expm(hs * mid + (hs * hs / 12.0) * comm[c])
 
     # every cell takes its first step, so that one runs on the whole stack
-    out = step(0, k, h, a0, a1, comm)
+    out = step(0, ...)
     for j in range(1, k.max(initial=0)):
         c = k > j          # cells still stepping
-        out[c] = _mul(step(j, k[c], h[c], a0[c], a1[c], comm[c]), out[c])
+        out[c] = _mul(step(j, c), out[c])
     return out
 
 
@@ -314,14 +365,16 @@ class Propagator:
         self._eye = _diag(1, np.shape(self.z) + (2 * self.m,) * 2, dtype)
 
     def _coefficient(self, b, scale):
-        if not np.iscomplexobj(self.z):
+        """The coefficient -J (z I + B) + i scale z I of Psi' = A Psi at the
+        samples b, split as A = L + z K: L = -J B holds the samples (real on
+        a real spec) and K = -J + i scale I is one constant matrix."""
+        if self.spec.is_real:
             b = b.real
-        # the z axis, if any, leads the axes of b
-        z = np.reshape(self.z, np.shape(self.z) + (1,) * np.ndim(b))
-        acoef = system_matrix(z, b)
+        eye = np.eye(2 * self.m)
+        kcoef = _minus_j(eye)
         if scale:
-            acoef = acoef + 1j * scale * z * np.eye(2 * self.m)
-        return acoef
+            kcoef = kcoef + 1j * scale * eye
+        return _minus_j(b), kcoef
 
     def _grid_transfer(self, piece, off, a, b, scale):
         """Ordered product of the Magnus factors of a grid piece on [a, b]."""
@@ -331,9 +384,9 @@ class Propagator:
         # the one pairwise product over all cells
         cells = max(1, _CELL_BLOCK // np.size(self.z))
         chunk = 1 << (cells.bit_length() - 1)
+        lcoef, kcoef = self._coefficient(vals, scale)
         f = np.concatenate([self._pairwise(magnus_steps(
-            ts[i:i + chunk + 1],
-            self._coefficient(vals[i:i + chunk + 1], scale)))
+            ts[i:i + chunk + 1], lcoef[i:i + chunk + 1], self.z, kcoef))
             for i in range(0, len(ts) - 1, chunk)], axis=-3)
         return self._pairwise(f)[..., 0, :, :]
 
@@ -356,9 +409,14 @@ class Propagator:
         segs = [s for s in segs if abs(s[1] - s[0]) >= 1e-13]
         const = [p is None or p.kind == "constant" for _, _, p, _ in segs]
         zero = np.zeros((2 * self.m,) * 2)
-        omegas = [self._coefficient(zero if p is None else p.value, scale)
-                  * ((b - off) - (a - off))
-                  for (a, b, p, off), c in zip(segs, const) if c]
+        # the z axis, if any, leads the matrix axes
+        z = np.reshape(self.z, np.shape(self.z) + (1, 1))
+        omegas = []
+        for (a, b, p, off), c in zip(segs, const):
+            if c:
+                lcoef, kcoef = self._coefficient(
+                    zero if p is None else p.value, scale)
+                omegas.append((lcoef + z * kcoef) * ((b - off) - (a - off)))
         factors = iter(_expm(np.stack(omegas)) if omegas else ())
         t = self._eye.copy()
         for (a, b, piece, off), c in zip(segs, const):

@@ -301,6 +301,18 @@ class TestUpsilonSweep:
             == [(lam, "DegenerateArguments") for lam in (0.0, 1.0, 2.0)]
         assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
 
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:3"])
+    def test_non_finite_grid_is_typed(self, q1_file, tmp_path, capsys, grid):
+        # rejected before the sweep: no failure records holding NaN or
+        # Infinity, which strict JSON cannot read, and no summary.json
+        out = str(tmp_path / "out")
+        rc = main(["upsilon", "--potential", q1_file, f"--lambda={grid}",
+                   "--out", out])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "DegenerateArguments"
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
 
 class TestTableShape:
     def test_all_failed_sweep_keeps_header(self, free_file, tmp_path):

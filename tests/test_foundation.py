@@ -412,6 +412,8 @@ class TestFileRoundtrip:
         [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
          [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],                     # not pairs
         [[0.0, 1.0], [1.0, 0.0]],                                 # not pairs
+        # pairs of length 3 and 1: ragged, though the float count is right
+        [[[0.0, 0.0, 0.0], [1.0]], [[1.0, 0.0], [0.0, 0.0]]],
     ])
     def test_malformed_grid_sample(self, tmp_path, bad):
         good = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]

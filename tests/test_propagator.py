@@ -716,16 +716,32 @@ class TestMagnusKernel:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_cell_commutator_matches_per_step_form(self, rng, m):
-        # two z on 40 cells of a potential that changes by O(1) per cell
+        # two z on 40 cells of a potential that changes by O(1) per cell,
+        # A given whole and in the affine form L + z K: K = -J, the
+        # rescaled K = -J + i I (complex), and K = -J on the float64 path
+        # (real symmetric samples, real z)
         ts = np.linspace(0.0, 1.0, 41)
-        vals = np.array([random_hermitian(rng, 2 * m) for _ in ts])
-        zs = np.array([60j, 20.0 + 20.0j])[:, None, None, None]
-        acoef = system_matrix(zs, vals)
-        want, k = self._steps_per_step_commutator(ts, acoef)
-        assert k.min() >= 2
-        got = magnus_steps(ts, acoef)
-        err = np.linalg.norm(got - want, axis=(-2, -1))
-        assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
+        d = 2 * m
+        herm = np.array([random_hermitian(rng, d) for _ in ts])
+        cases = [(herm, np.array([60j, 20.0 + 20.0j]), 0, complex),
+                 (herm, np.array([60j, 20.0 + 20.0j]), 1, complex),
+                 (herm.real, np.array([60.0, -25.0]), 0, float)]
+        for vals, zs, scale, dtype in cases:
+            z4 = zs[:, None, None, None]
+            acoef = system_matrix(z4, vals)
+            lcoef = system_matrix(0.0, vals)
+            kcoef = system_matrix(1.0, np.zeros((d, d)))
+            if scale:
+                acoef = acoef + 1j * scale * z4 * np.eye(d)
+                kcoef = kcoef + 1j * scale * np.eye(d)
+            want, k = self._steps_per_step_commutator(ts, acoef)
+            assert k.min() >= 2
+            for got in (magnus_steps(ts, acoef),
+                        magnus_steps(ts, lcoef, zs, kcoef)):
+                assert got.dtype == dtype
+                err = np.linalg.norm(got - want, axis=(-2, -1))
+                assert np.all(err <= 1e-14 * np.linalg.norm(want,
+                                                            axis=(-2, -1)))
 
     def test_bump_large_z_matches_volterra(self):
         # |z| h = 2.5 per sample cell: the kernel must refine the cells.  The
