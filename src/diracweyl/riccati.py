@@ -5,7 +5,8 @@ at eigenvalue crossings of the truncated problem; the Cayley image
 theta = (I + i*sigma*V)(I - i*sigma*V)^{-1} stays in the closed unit ball
 along Weyl-disk trajectories.  Both are Moebius images of the transfer
 matrices, V(x) = u2 u1^{-1} for u = T(x <- x0) [I; V0]: one orthonormal
-basis of u is carried through Propagator transfers; no chart is chosen.
+basis of u is carried on fixed cells by weyldisk's QR carry, the one the
+half-line M runs; a chart is chosen only at the output nodes.
 """
 
 import math
@@ -15,14 +16,15 @@ import numpy as np
 
 from .errors import (
     ContractivityLost,
-    IntegrationFailure,
+    DegenerateArguments,
     NotContractive,
     PoleEncountered,
     SingularCayley,
+    SingularDenominator,
 )
 from .foundation import COND_LIMIT, inv_cond, matnorm
 from .propagator import Propagator, auto_scale
-from .weyldisk import _right_solve, _theta_from_subspace
+from .weyldisk import _carry, _right_solve
 
 _POLE_LIMIT = 1e8
 _CONTRACT_TOL = 1e-9
@@ -59,29 +61,35 @@ def riccati_rhs(z, v, b):
              + z * np.eye(m))
 
 
-def _carry(z, w0, x0, x1, spec, n_out):
+def _flow(z, w0, x0, x1, spec, n_out):
     """Orthonormal bases of span T(x <- x0) w0 on linspace(x0, x1, n_out)
     refined by the least integer factor r with h (|z| + sup ||B||) <=
-    _CELL_REACH; returns the Propagator, the grid, the bases, r and that
-    reach.  auto_scale's factor is a scalar, which each QR cancels."""
-    prop, rate = Propagator(z, spec), abs(z) + spec.bound()
-    steps = max(n_out - 1, 1)
-    r = max(1, math.ceil(abs(x1 - x0) * rate / (steps * _CELL_REACH)))
-    xs = np.linspace(x0, x1, steps * r + 1)
-    qs = [np.linalg.qr(w0)[0]]
-    for xa, xb in zip(xs[:-1].tolist(), xs[1:].tolist()):
-        u = prop.transfer(xa, xb, scale=auto_scale(z, xa, xb)) @ qs[-1]
-        if not np.all(np.isfinite(u)):
-            raise IntegrationFailure(f"carry not finite at x = {xb:.6g}")
-        qs.append(np.linalg.qr(u)[0])
-    return prop, xs, np.array(qs), r, rate * abs(x1 - x0) / (len(xs) - 1)
+    _CELL_REACH, carried by weyldisk._carry; returns the Propagator (a
+    stack of one), the grid, the bases, r and that reach.  n_out < 2
+    raises DegenerateArguments before any transfer."""
+    if n_out < 2:
+        raise DegenerateArguments(f"a flow needs n_out >= 2, not {n_out}")
+    prop, rate = Propagator(np.array([z]), spec), abs(z) + spec.bound()
+    r = max(1, math.ceil(abs(x1 - x0) * rate / ((n_out - 1) * _CELL_REACH)))
+    xs = np.linspace(x0, x1, (n_out - 1) * r + 1)
+    qs, _ = _carry(prop, np.linalg.qr(w0)[0][None], xs.tolist())
+    return prop, xs, qs[:, 0], r, rate * abs(x1 - x0) / (len(xs) - 1)
+
+
+def _theta_from_subspace(w1, w2, sig):
+    p = w1 + 1j * sig * w2
+    q = w1 - 1j * sig * w2
+    if np.any(inv_cond(q, matnorm(w1) + matnorm(w2)) > COND_LIMIT):
+        raise SingularDenominator(
+            "subspace not representable in the Cayley chart")
+    return _right_solve(p, q)
 
 
 def _least_smin(prop, xa, xb, q, m):
     """(x, sigma_min(Q1)) where the basis carried from q at xa is nearest
     singular, by golden-section search of [xa, xb]."""
     def smin(x):
-        u = prop.transfer(xa, x, scale=auto_scale(prop.z, xa, x)) @ q
+        u = prop.transfer(xa, x, scale=auto_scale(prop.z[0], xa, x))[0] @ q
         return np.linalg.svd(np.linalg.qr(u)[0][:m], compute_uv=False)[-1]
     a, b = xa, xb
     while abs(b - a) > 1e-12 * (1.0 + abs(a)):
@@ -119,8 +127,8 @@ def integrate_riccati(z, v0, x0, x1, spec, n_out=33):
     z = complex(z)
     v0 = np.atleast_2d(np.asarray(v0, complex))
     m = v0.shape[0]
-    prop, xs, qs, r, reach = _carry(z, np.vstack([np.eye(m), v0]), x0, x1,
-                                    spec, n_out)
+    prop, xs, qs, r, reach = _flow(z, np.vstack([np.eye(m), v0]), x0, x1,
+                                   spec, n_out)
     smin = np.linalg.svd(qs[:, :m], compute_uv=False)[:, -1]
     for i in np.flatnonzero(np.minimum(smin[:-1], smin[1:]) <= reach):
         x, s = _least_smin(prop, float(xs[i]), float(xs[i + 1]), qs[i], m)
@@ -162,7 +170,7 @@ def integrate_cayley(z, theta0, x0, x1, spec, sign, n_out=65):
             f"1 + {_CONTRACT_TOL:.1e}")
     eye = np.eye(m)
     w0 = np.vstack([0.5 * (theta0 + eye), -0.5j * sign * (theta0 - eye)])
-    _, xs, qs, r, _ = _carry(z, w0, x0, x1, spec, n_out)
+    _, xs, qs, r, _ = _flow(z, w0, x0, x1, spec, n_out)
     thetas, monitor = [], []
     for x, q in zip(xs[::r].tolist(), qs[::r]):
         th = _theta_from_subspace(q[:m], q[m:], sign)

@@ -8,10 +8,12 @@ dominant invariant subspace of the period transfer toward the other side,
 for a constant tail the stable subspace of its system matrix.  Its
 orthonormal basis is the leading Schur vectors, built from LAPACK
 eigenvectors by unitary deflation (Golub & Van Loan, 7.6).  From the
-tail's inner edge the subspace is carried to x0 in the Cayley chart
-theta = (u1 + i*sigma*u2)(u1 - i*sigma*u2)^{-1}, which stays in the closed
-unit ball; segments are split until each Moebius factor is finite and well
-conditioned, and the backward flow contracts earlier roundoff.
+tail's inner edge the basis is carried to x0 by transfers, each followed
+by a QR (orthonormalisation for stiff linear BVPs; Conte, SIAM Rev. 8,
+1966; Davey, J. Comput. Phys. 51, 1983), and M is read off at x0.  Steps
+are split until each product is finite and its R factor well conditioned,
+and the backward flow contracts earlier roundoff.  The Riccati and Cayley
+flows run the same carry.
 """
 
 import math
@@ -36,7 +38,7 @@ from .foundation import (
 )
 from .propagator import Propagator, auto_scale, system_matrix
 
-_MOBIUS_COND = 3e6      # split segments above this factor condition
+_STEP_COND = 3e6        # bisect carry steps above this R condition
 _MIN_SEG = 1e-9
 _EPS = np.finfo(float).eps
 
@@ -124,51 +126,43 @@ def disk_membership(mat, z, c, x0, alpha, spec, tol=1e-8):
 # Half-line M from the decaying subspace of the tail
 # ---------------------------------------------------------------------------
 
-def _cayley_frame(sig, m):
-    eye = np.eye(m)
-    c = np.block([[eye, 1j * sig * eye], [eye, -1j * sig * eye]])
-    cinv = 0.5 * np.block([[eye, eye], [-1j * sig * eye, 1j * sig * eye]])
-    return c, cinv
-
-
 def _right_solve(num, den):
     """num den^{-1} for matrices or stacks of them."""
     return np.linalg.solve(den.mT, num.mT).mT
 
 
-def _mobius_across(prop, a, b, theta, frame, scale, depth=0):
-    """Carry the stack theta from a to b through the Moebius factors
-    S = C T(b <- a) C^{-1} of the stacked Propagator prop, bisecting the
-    interval for the entries whose factor is not finite or not well
-    conditioned (only they recurse, on a Propagator of their z); returns
-    theta at b and each entry's worst accepted kappa."""
-    t = prop.transfer(a, b, scale=scale)
-    m = theta.shape[-1]
-    kappa = np.full(len(t), math.inf)
-    out = np.empty_like(theta)
-    fin = np.flatnonzero(np.all(np.isfinite(t), axis=(-2, -1)))
-    if len(fin):
-        c, cinv = frame
-        s = c @ t[fin] @ cinv
-        num = s[:, :m, :m] @ theta[fin] + s[:, :m, m:]
-        den = s[:, m:, :m] @ theta[fin] + s[:, m:, m:]
-        kappa[fin] = inv_cond(den, matnorm(s))
-        good = kappa[fin] <= _MOBIUS_COND
-        if good.any():
-            out[fin[good]] = _right_solve(num[good], den[good])
-    bad = kappa > _MOBIUS_COND
-    if bad.any():
-        if abs(b - a) < _MIN_SEG or depth > 80:
-            raise IntegrationFailure(
-                f"Moebius factor on [{a}, {b}] stayed ill-conditioned")
-        sub = prop if bad.all() else Propagator(prop.z[bad], prop.spec)
-        mid = 0.5 * (a + b)
-        th, k1 = _mobius_across(sub, a, mid, theta[bad], frame, scale,
+def _carry(prop, q, xs, depth=0):
+    """Orthonormal bases of span T(x <- xs[0]) q at every x of xs, for the
+    stacked Propagator prop and a stack q of orthonormal bases, one per z,
+    with each entry's worst step condition ||T|| / sigma_min(R).  A step
+    forms T q under auto_scale's factor, a scalar the QR cancels, and takes
+    one QR; the entries whose product is not finite or whose R is worse
+    conditioned than _STEP_COND bisect that step (only they recurse, on a
+    Propagator of their z)."""
+    qs = [q]
+    kappa = np.zeros(len(q))
+    for a, b in zip(xs[:-1], xs[1:]):
+        t = prop.transfer(a, b, scale=auto_scale(prop.z[0], a, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = t @ qs[-1]
+        k = np.full(len(u), math.inf)
+        out = np.empty_like(u)
+        fin = np.flatnonzero(np.all(np.isfinite(u), axis=(-2, -1)))
+        if len(fin):
+            out[fin], r = np.linalg.qr(u[fin])
+            k[fin] = inv_cond(r, matnorm(t[fin]))
+        bad = k > _STEP_COND
+        if bad.any():
+            if abs(b - a) < _MIN_SEG or depth > 80:
+                raise IntegrationFailure(
+                    f"carry step on [{a}, {b}] stayed ill-conditioned")
+            sub = prop if bad.all() else Propagator(prop.z[bad], prop.spec)
+            sq, k[bad] = _carry(sub, qs[-1][bad], [a, 0.5 * (a + b), b],
                                 depth + 1)
-        out[bad], k2 = _mobius_across(sub, mid, b, th, frame, scale,
-                                      depth + 1)
-        kappa[bad] = np.maximum(k1, k2)
-    return out, kappa
+            out[bad] = sq[-1]
+        qs.append(out)
+        kappa = np.maximum(kappa, k)
+    return np.array(qs), kappa
 
 
 def _invariant_subspace(mat, m, sort=None):
@@ -232,30 +226,13 @@ def _invariant_subspace(mat, m, sort=None):
     return q[:, :, :m], matnorm(mat) / gap
 
 
-def _theta_from_subspace(w1, w2, sig):
-    p = w1 + 1j * sig * w2
-    q = w1 - 1j * sig * w2
-    if np.any(inv_cond(q, matnorm(w1) + matnorm(w2)) > COND_LIMIT):
-        raise SingularDenominator("subspace not representable in the Cayley chart")
-    return _right_solve(p, q)
-
-
-def _m_from_theta(theta, sig, alpha):
-    eye = np.eye(theta.shape[-1])
-    w = np.concatenate([0.5 * (theta + eye), -0.5j * sig * (theta - eye)],
-                       axis=-2)
-    aw = alpha.alpha @ w
-    ajw = alpha.alpha_j() @ w
-    if np.any(inv_cond(aw, matnorm(w)) > COND_LIMIT):
-        raise SingularDenominator("alpha-chart readoff singular")
-    return -_right_solve(ajw, aw)
-
-
 @dataclass(frozen=True, eq=False)
 class HalfLineM:
     """Limit-point half-line Weyl-Titchmarsh matrix with its error estimate;
     for an array of z, M is an (n, m, m) stack and z and tail_bound are
-    arrays.  The subspace was taken at c_final, and sweeps is always 1."""
+    arrays.  tail_bound is eps (||T|| / gap + kappa) (1 + ||M||), kappa the
+    worst R-factor condition of the QR carry (0 without a carry).  The
+    subspace was taken at c_final, and sweeps is always 1."""
 
     M: np.ndarray
     z: complex
@@ -269,9 +246,8 @@ class HalfLineM:
 
 def _halfline_rows(zs, x0, c, alpha, spec, sign):
     """M and the sensitivity sum ||T|| / gap + kappa for z in one half
-    plane, where the rescale sign and sigma are the same for every entry."""
+    plane, where the rescale sign is the same for every entry."""
     m = alpha.m
-    sig = sigma(x0 + sign, x0, zs[0])
     prop = Propagator(zs, spec)
     if spec.is_periodic:
         back = x0 - sign * spec.period
@@ -282,13 +258,13 @@ def _halfline_rows(zs, x0, c, alpha, spec, sign):
         b = np.zeros((2 * m, 2 * m)) if piece is None else piece.eval(0.0)
         u, sens = _invariant_subspace(system_matrix(zs[:, None, None], b), m,
                                       "lhp" if sign > 0 else "rhp")
-    theta = _theta_from_subspace(u[:, :m], u[:, m:], sig)
     if c != x0:
-        scale = 1 if zs[0].imag * sign < 0 else -1   # damps the carry c -> x0
-        theta, kappa = _mobius_across(prop, c, x0, theta,
-                                      _cayley_frame(sig, m), scale)
-        sens = sens + kappa
-    return _m_from_theta(theta, sig, alpha), sens
+        qs, kappa = _carry(prop, u, [c, x0])
+        u, sens = qs[-1], sens + kappa
+    au = alpha.alpha @ u         # u is orthonormal: the scale is 1
+    if np.any(inv_cond(au) > COND_LIMIT):
+        raise SingularDenominator("alpha-chart readoff singular")
+    return -_right_solve(alpha.alpha_j() @ u, au), sens
 
 
 def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
@@ -296,8 +272,9 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
     m solutions that decay toward ``sign``: the dominant invariant subspace
     of the period transfer T(x0 - sign*w <- x0), or the stable subspace of
     the constant tail beyond its inner edge c, carried from c to x0.
-    tail_bound, eps * (||T|| / gap + worst carry kappa) * (1 + ||M||), is
-    gated by tol * (1 + ||M||): above it NoConvergence carries M as best.
+    tail_bound, eps * (||T|| / gap + kappa) * (1 + ||M||) with kappa the
+    worst R-factor condition of the carry, is gated by tol * (1 + ||M||):
+    above it NoConvergence carries M as best.
 
     z may be a scalar or a 1-D array, evaluated as one stack (entries with
     Im z < 0 in a stack of their own); a scalar runs as a stack of one, and

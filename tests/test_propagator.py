@@ -206,7 +206,7 @@ class TestExpm2:
             assert matnorm(x.conj().T @ x - np.eye(2)) <= 1e-14
 
     def test_overflow_is_nonfinite_without_warning(self):
-        # a long span at z = 5i: e^{2000} overflows, which the Moebius sweep
+        # a long span at z = 5i: e^{2000} overflows, which the QR carry
         # detects and bisects
         omega = system_matrix(5j, np.zeros((2, 2))) * 400.0
         with np.errstate(all="raise", under="ignore"):
@@ -303,7 +303,7 @@ class TestExpmPade:
         assert 0.5 <= matnorm(got) <= 1.0 + 1e-12
 
     def test_overflow_is_nonfinite_without_warning(self):
-        # e^800 overflows, which the Moebius sweep detects and bisects
+        # e^800 overflows, which the QR carry detects and bisects
         a = np.diag([800.0, -800.0, 1.0, 1.0]).astype(complex)
         with warnings.catch_warnings(), \
                 np.errstate(all="raise", under="ignore"):

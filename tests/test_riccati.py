@@ -8,6 +8,7 @@ import pytest
 
 from diracweyl import (
     PotentialSpec,
+    Propagator,
     alpha_dirichlet,
     cayley,
     cayley_inverse,
@@ -20,6 +21,7 @@ from diracweyl import (
 )
 from diracweyl.errors import (
     ContractivityLost,
+    DegenerateArguments,
     NotContractive,
     PoleEncountered,
     SingularCayley,
@@ -150,8 +152,11 @@ class TestTransferCarry:
     exact to roundoff wherever the transfers are."""
 
     @pytest.mark.parametrize("spec, z", [(smooth_bump_spec(n=801), 2 + 1j),
-                                         (kp2_spec(), 0.7 + 0.9j)],
-                             ids=["bump801", "kp2"])
+                                         (kp2_spec(), 0.7 + 0.9j),
+                                         (smooth_bump_spec(n=801), 2 - 1j),
+                                         (kp2_spec(), 0.7 - 0.9j)],
+                             ids=["bump801", "kp2", "bump801-lower",
+                                  "kp2-lower"])
     def test_matches_halfline_at_every_node(self, spec, z):
         a0 = alpha_dirichlet(spec.m)
         tr = integrate_riccati(z, halfline_m(z, 0.0, a0, spec).M, 0.0, 1.0,
@@ -176,6 +181,19 @@ class TestTransferCarry:
         tr = integrate_riccati(z, np.array([[np.tan(z)]]), 0.0, -1.0, zero1)
         want = np.tan(z * (1.0 - tr.xs))
         assert np.max(np.abs(tr.vs[:, 0, 0] - want) / np.abs(want)) < 1e-12
+
+    @pytest.mark.parametrize("n_out", [1, 0, -3])
+    def test_n_out_below_two_rejected(self, n_out, zero1, monkeypatch):
+        def no_transfer(*args, **kwargs):
+            raise AssertionError("transfer taken")
+
+        monkeypatch.setattr(Propagator, "transfer", no_transfer)
+        with pytest.raises(DegenerateArguments, match="n_out"):
+            integrate_riccati(1j, np.array([[1j]]), 0.0, 1.0, zero1,
+                              n_out=n_out)
+        with pytest.raises(DegenerateArguments, match="n_out"):
+            integrate_cayley(1j, np.zeros((1, 1)), 0.0, 1.0, zero1, 1,
+                             n_out=n_out)
 
     def test_flows_load_no_scipy(self):
         import diracweyl

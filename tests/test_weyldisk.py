@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracweyl import (
     PotentialSpec,
@@ -305,6 +307,34 @@ class TestHalfLineM:
         z, q = 1.4j, 1.0
         mv = halfline_m(z, 0.0, alpha_dirichlet(1), const_q1).M[0, 0]
         assert abs(z * mv * mv + 2 * q * mv + z) < 1e-8
+
+
+class TestCarryInvariants:
+    """Symmetries of the carried M at random points: x0 inside the support,
+    so both sides carry, z in both half planes and random boundary data."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+           at=st.floats(0.05, 0.95), re=st.floats(-3.0, 3.0),
+           im=st.floats(0.05, 2.0), lower=st.booleans())
+    def test_conjugation_lft_and_sign(self, seed, m, at, re, im, lower):
+        rng = np.random.default_rng(seed)
+        spec = random_normal_form_spec(rng, m)
+        x0 = at * spec.pieces[-1].x_hi
+        alpha, gamma = random_boundary(rng, m), random_boundary(rng, m)
+        z = complex(re, -im if lower else im)
+        for sign in (1, -1):
+            h = halfline_m([z, z.conjugate()], x0, alpha, spec, sign=sign)
+            mz, mc = h.M
+            size = 1.0 + matnorm(mz)
+            assert matnorm(mc - mz.conj().T) <= 1e-13 * size
+            mg = halfline_m(z, x0, gamma, spec, sign=sign).M
+            assert matnorm(lft_boundary_change(mg, alpha, gamma)
+                           - mz) <= 1e-13 * size
+            # Herglotz: Im M_+ > 0 and Im M_- < 0 for Im z > 0
+            im_m = (mz - mz.conj().T) / 2j
+            assert np.linalg.eigvalsh(sign * np.sign(z.imag) * im_m)[0] > 0
 
 
 class TestInvariantSubspace:
