@@ -5,8 +5,8 @@ T(xb <- xa) with an optional exponential rescale e^{i s z (xb - xa)} that
 keeps entries bounded when |Im z| * |xb - xa| is large (the rescale cancels
 in every M-function ratio).  Constant pieces propagate by one matrix
 exponential per span (exact up to roundoff for any span): in closed form
-for m = 1 (_expm2), by a stacked scaling-and-squaring Pade approximant for
-m >= 2 (_expm_pade); sampled pieces take fourth-order Magnus steps between
+for m = 1 (_expm2) and float64 m = 2 (_expm_ham), else by a stacked Pade
+approximant (_expm_pade); sampled pieces take fourth-order Magnus steps between
 sample nodes, as many per cell as its leading error term asks for, all
 steps of a cell sharing one commutator (magnus_steps, shared with the gauge
 reduction).  The coefficient enters the kernel in the affine form
@@ -81,6 +81,18 @@ _SINHC_TAYLOR = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9))
 _SINHC_SERIES = 0.5
 
 
+def _taylor_or(x, limit, coefs, direct):
+    """sum_k coefs[k] x^(2k) below |x| = limit, direct(mask) elsewhere."""
+    out = np.empty_like(x)
+    small = np.abs(x) < limit
+    acc, u = coefs[-1], x[small] * x[small]
+    for coef in coefs[-2::-1]:
+        acc = acc * u + coef
+    out[small] = acc
+    out[~small] = direct(~small)
+    return out
+
+
 def _expm2(omega):
     """e^omega for a 2x2 matrix or a stack of them, in closed form
     (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45, 2003).
@@ -105,13 +117,10 @@ def _expm2(omega):
                      .astype(complex, copy=False))
         ep, em = np.exp(t + mu), np.exp(t - mu)
         c = 0.5 * (ep + em)
+        s = _taylor_or(mu, _SINHC_SERIES, _SINHC_TAYLOR,
+                       lambda c: (ep[c] - em[c]) / (2 * mu[c]))
         small = np.abs(mu) < _SINHC_SERIES
-        mu2 = mu * mu
-        sinhc = _SINHC_TAYLOR[-1]
-        for coef in _SINHC_TAYLOR[-2::-1]:
-            sinhc = sinhc * mu2 + coef
-        s = np.where(small, np.exp(t) * sinhc,
-                     (ep - em) / (2 * np.where(small, 1, mu)))
+        s[small] = np.exp(t[small]) * s[small]
         if not np.iscomplexobj(omega):
             # c and s are even in mu, so real for a real omega
             c, s = c.real, s.real
@@ -195,13 +204,72 @@ def _expm_pade(a):
 
 def _expm(omega):
     """e^omega for a stack of d x d matrices: in closed form for d <= 2,
-    by _expm_pade for larger d."""
+    by _expm_pade for larger d (see _expm_ham for real Hamiltonian 4x4)."""
     d = omega.shape[-1]
     if d == 2:
         return _expm2(omega)
     if d == 1:
         return np.exp(omega)
     return _expm_pade(omega)
+
+
+# x^2 series of (sinhc x - 1) / x^2 and (cosh x - sinhc x) / x^2, |x| < 1
+_SINHC1_TAYLOR = tuple(1.0 / math.factorial(2 * k + 3) for k in range(10))
+_COSHC_TAYLOR = tuple((2 * k + 2) * c for k, c in enumerate(_SINHC1_TAYLOR))
+
+
+def _expm_ham(x, y, lam):
+    """e^(X + lam Y) for stacks of real 4x4 Hamiltonian X and Y with Y^2 a
+    multiple of I, at each real lam of a 1-D array: (len(x), len(lam), 4, 4).
+
+    n^2 = tau I + N0 with N0 = P + lam Q (P, Q the traceless parts of X^2 and
+    XY + YX) and N0^2 = D I, so e^n = c_e I + c_o N0 + s_e n + s_o N0 n
+    (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45, 2003): c_e, c_o are
+    the mean and divided difference of cosh(sqrt(w)) at w = r1^2, r2^2,
+    r1,2 = sqrt(tau +- sqrt(D)), and s_e, s_o those of sinhc(sqrt(w)).  All
+    four are functions of sigma, delta = (r1 +- r2) / 2 (r2 negated to make
+    |delta| <= |sigma|) that do not cancel; s_o divides by 1 - (delta /
+    sigma)^2 or, near r2 = 0, by r1^2 - r2^2.  Per lam only scalars and an
+    elementwise sum are formed, so a row rounds exactly as a stack of one."""
+    sq = np.stack([x @ x, x @ y + y @ x, y @ y])
+    t = np.trace(sq, axis1=-2, axis2=-1)[..., None] / 4
+    p, q = sq[:2] - t[:2, ..., None] * np.eye(4)
+    d = np.trace(np.stack([p @ p, 2 * (p @ q), q @ q]),
+                 axis1=-2, axis2=-1)[..., None] / 4
+    # the matrices go by entry, with lambda last: (pieces, 16, lambda)
+    p, q, x, y, px, pyqx, qy = (a.reshape(-1, 16, 1) for a in (
+        p, q, x, y, p @ x, p @ y + q @ x, q @ y))
+    # overflow to inf is an expected probe outcome that callers detect
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tau = t[0] + lam * (t[1] + lam * t[2])
+        root = np.sqrt((d[0] + lam * (d[1] + lam * d[2])).astype(complex))
+        r1, r2 = np.sqrt(tau + root), np.sqrt(tau - root)
+        r2 = np.where(r1.real * r2.real + r1.imag * r2.imag < 0, -r2, r2)
+        sig, dlt = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
+        r = np.stack([sig, dlt, sig + dlt, sig - dlt])       # and r1, r2
+        e = np.exp(r[:2])
+        ex = np.concatenate([e, [e[0] * e[1], e[0] / e[1]]])
+        ch = 0.5 * (ex + (inv := 1 / ex))
+        sh = _taylor_or(r, _SINHC_SERIES, _SINHC_TAYLOR,
+                        lambda c: (ex[c] - inv[c]) / (2 * r[c]))
+        ratio = dlt / np.where(sig == 0, 1, sig)
+        near = np.abs(ratio) <= 0.5
+        so = np.empty_like(sig)
+        u, v, q2 = r[:2, near], ch[:2, near] - sh[:2, near], ratio[near] ** 2
+        f = _taylor_or(u, 1, _COSHC_TAYLOR, lambda c: v[c] / u[c] ** 2)
+        so[near] = (f[0] * sh[1, near] - q2 * f[1] * sh[0, near]) / (
+            2 - 2 * q2)
+        u, v = r[2:, ~near], sh[2:, ~near] - 1
+        g = u * u * _taylor_or(u, 1, _SINHC1_TAYLOR,
+                               lambda c: v[c] / u[c] ** 2)
+        so[~near] = (g[0] - g[1]) / (4 * sig[~near] * dlt[~near])
+        ce, co, se, so = (c.real[:, None] for c in (
+            ch[0] * ch[1], 0.5 * sh[0] * sh[1], 0.5 * (sh[2] + sh[3]), so))
+        even = co * (p + lam * q)
+        even[:, ::5] += ce
+        odd = se * (x + lam * y) + so * (px + lam * (pyqx + lam * qy))
+        out = (even + odd).transpose(0, 2, 1)
+    return np.ascontiguousarray(out).reshape(len(x), -1, 4, 4)
 
 
 def _diag(x, shape, dtype):
@@ -288,8 +356,8 @@ def magnus_steps(ts, lcoef, z=None, kcoef=None):
     step counts, Omega = h_s (L(mid_j) + z K) + (h_s^2 / 12) comm / k, the
     exponentials and the products.  Each step's exponential is taken by
     _expm: in closed form for d <= 2 (every m = 1 transfer and the m = 2
-    gauge factors), by the stacked Pade approximant for larger d; the
-    products by _mul, elementwise for d = 2.
+    gauge factors), by the stacked Pade approximant for larger d, also on
+    the float64 path; the products by _mul, elementwise for d = 2.
     """
     d = lcoef.shape[-1]
     eye = np.eye(d)
@@ -402,26 +470,34 @@ class Propagator:
     def _walk(self, xa, xb, scale):
         """Product of piece transfers over [xa, xb] (no period powering);
         the exponentials of its constant pieces (zero B for piece None) are
-        taken in one stacked call."""
+        taken in one stacked call per kind, _expm_ham or _expm."""
         segs = self.spec.segments(min(xa, xb), max(xa, xb))
         if xb < xa:
             segs = [(b, a, p, off) for a, b, p, off in reversed(segs)]
         segs = [s for s in segs if abs(s[1] - s[0]) >= 1e-13]
-        const = [p is None or p.kind == "constant" for _, _, p, _ in segs]
         zero = np.zeros((2 * self.m,) * 2)
         # the z axis, if any, leads the matrix axes
         z = np.reshape(self.z, np.shape(self.z) + (1, 1))
-        omegas = []
-        for (a, b, p, off), c in zip(segs, const):
-            if c:
-                lcoef, kcoef = self._coefficient(
-                    zero if p is None else p.value, scale)
-                omegas.append((lcoef + z * kcoef) * ((b - off) - (a - off)))
-        factors = iter(_expm(np.stack(omegas)) if omegas else ())
+        ham = self.m == 2 and not np.iscomplexobj(self.z) and not scale
+        kinds, groups = [], ([], [])      # Pade exponents; (X, Y) pairs
+        for a, b, p, off in segs:
+            kinds.append(None)
+            if p is None or p.kind == "constant":
+                v = zero if p is None else p.value
+                lcoef, kcoef = self._coefficient(v, scale)
+                h = (b - off) - (a - off)
+                kinds[-1] = int(ham and np.array_equal(v, v.T))
+                groups[kinds[-1]].append((lcoef * h, kcoef * h) if kinds[-1]
+                                         else (lcoef + z * kcoef) * h)
+        pade, hams = groups
+        # a scalar z runs through _expm_ham as a stack of one
+        factors = (iter(_expm(np.stack(pade)) if pade else ()), iter(
+            _expm_ham(*map(np.stack, zip(*hams)), np.reshape(self.z, -1))
+            .reshape((len(hams),) + self._eye.shape) if hams else ()))
         t = self._eye.copy()
-        for (a, b, piece, off), c in zip(segs, const):
-            f = (next(factors) if c
-                 else self._grid_transfer(piece, off, a, b, scale))
+        for (a, b, piece, off), kind in zip(segs, kinds):
+            f = (self._grid_transfer(piece, off, a, b, scale) if kind is None
+                 else next(factors[kind]))
             t = _mul(f, t)
         return t
 

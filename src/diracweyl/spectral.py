@@ -172,30 +172,35 @@ class BandStructure:
     gaps: tuple               # interior out-of-band runs
 
 
-# lambda per stacked monodromy in band_spectrum, and points per stacked
-# call of the CLI's z and lambda sweeps; it only bounds the stacks' memory
-# (4001 lambda in one stack add ~7 MB), and far smaller blocks bring the
-# per-call overhead back
+# lambda per stacked monodromy in band_spectrum, and points per stacked call
+# of the CLI's sweeps: it bounds memory (on kp2 4001 lambda in one stack peak
+# at 9.5 MB traced, a block at 0.9 MB); far smaller blocks cost overhead
 _LAMBDA_BLOCK = 256
 
 
-def _runs(lams, flags):
-    """(lo, hi) lambda of each maximal run of True in flags."""
+def _runs(lams, flags, interior=False):
+    """(min, max) lambda of each maximal run of True in flags, in increasing
+    order; with interior, only runs that touch neither end of the grid."""
     edge = np.diff(np.concatenate(([False], flags, [False])).astype(np.int8))
     lo, hi = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) - 1
-    return tuple(zip(lams[lo].tolist(), lams[hi].tolist()))
+    keep = ((lo > 0) & (hi < len(flags) - 1)) | (not interior)
+    a, b = np.sort([lams[lo[keep]], lams[hi[keep]]], axis=0).tolist()
+    return tuple(sorted(zip(a, b)))
 
 
 def band_spectrum(spec, lams, tol=1e-6):
     """Flag each real lambda in-band iff every Floquet multiplier is
     unimodular within tol * max(1, omega).  The multipliers come from one
-    stacked monodromy per block of _LAMBDA_BLOCK lambda.  A lambda with a
-    nonzero imaginary part or a non-finite one raises DegenerateArguments."""
+    stacked monodromy per block of _LAMBDA_BLOCK lambda.  A non-real or
+    non-finite lambda or a tol outside [0, inf) raises DegenerateArguments."""
     if not spec.is_periodic:
         raise NotPeriodic("band structure needs a periodic potential")
     lams = np.asarray(lams)
     if np.any(np.imag(lams) != 0) or not np.isfinite(lams).all():
         raise DegenerateArguments("band structure needs real, finite lambda")
+    if not 0 <= tol < math.inf:
+        raise DegenerateArguments(
+            f"band structure needs 0 <= tol < inf, got {tol:g}")
     lams = np.asarray(np.real(lams), float)
     eff = tol * max(1.0, spec.period)
     mults = np.empty((len(lams), 2 * spec.m), dtype=complex)
@@ -203,10 +208,9 @@ def band_spectrum(spec, lams, tol=1e-6):
         block = slice(i, i + _LAMBDA_BLOCK)
         mults[block] = monodromy(lams[block], spec).multipliers
     flags = np.all(np.abs(np.abs(mults) - 1.0) <= eff, axis=1)
-    gaps = tuple((lo, hi) for lo, hi in _runs(lams, ~flags)
-                 if lo > lams[0] and hi < lams[-1])
     return BandStructure(lams=lams, in_band=flags, multipliers=mults,
-                         bands=_runs(lams, flags), gaps=gaps)
+                         bands=_runs(lams, flags),
+                         gaps=_runs(lams, ~flags, interior=True))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,45 @@ class TestBands:
         assert json.loads(capsys.readouterr().err)["error"] == \
             "DegenerateArguments"
 
+    @pytest.mark.parametrize("command", ["bands", "borg"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_band_tol_must_be_finite_nonnegative(self, q1_file, tmp_path,
+                                                 capsys, command, tol):
+        # rejected before any output: -1 would flag every lambda out of
+        # band, nan would also write a bare NaN, which strict JSON rejects
+        out = str(tmp_path / "out")
+        argv = [command, "--potential", q1_file, f"--band-tol={tol}",
+                "--out", out]
+        if command == "bands":
+            argv.append("--lambda=-3:3:61")
+        else:
+            argv += ["--lam-max", "3", "--grid-step", "0.1"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "DegenerateArguments"
+        assert os.listdir(out) == []
+
+    def test_descending_grid_keeps_gaps(self, q1_file, tmp_path):
+        # the same runs, written (min, max) in increasing order, and the
+        # same flags per lambda, for either grid order (np.linspace places
+        # the points of 3:-3:61 within an ulp of those of -3:3:61)
+        runs, tables = [], []
+        for grid in ("-3:3:61", "3:-3:61"):
+            out = str(tmp_path / grid.replace(":", "_"))
+            assert main(["bands", "--potential", q1_file,
+                         f"--lambda={grid}", "--out", out]) == 0
+            info = json.load(open(os.path.join(out, "summary.json")))["info"]
+            runs.append((info["bands"], info["gaps"]))
+            tables.append(np.array(_read_csv(
+                os.path.join(out, "bands.csv"))[2], dtype=float))
+        for got in runs:
+            assert np.allclose(got[0], [[-3.0, -1.0], [1.0, 3.0]],
+                               rtol=0, atol=1e-15)
+            assert np.allclose(got[1], [[-0.9, 0.9]], rtol=0, atol=1e-15)
+        up, down = tables[0], tables[1][::-1]
+        assert np.allclose(up[:, 0], down[:, 0], rtol=0, atol=1e-15)
+        assert np.array_equal(up[:, 1], down[:, 1])
+
     def test_determinism_across_runs(self, q1_file, tmp_path):
         zlist = "2i,1+1i,3i,0.5+2i"
         outs = []

@@ -32,10 +32,14 @@ from diracweyl.errors import (
 )
 from diracweyl.propagator import (
     _CELL_BLOCK,
+    _SINHC_SERIES,
+    _SINHC_TAYLOR,
     _expm,
     _expm2,
+    _expm_ham,
     _expm_pade,
     _matpow,
+    _minus_j,
     _mul,
     magnus_steps,
 )
@@ -213,6 +217,51 @@ class TestExpm2:
             got = _expm2(omega)
         assert not np.all(np.isfinite(got))
 
+    @staticmethod
+    def _unmasked(omega):
+        """The closed form as it read with both branches formed over the
+        whole stack and one picked by np.where."""
+        t = 0.5 * (omega[..., 0, 0] + omega[..., 1, 1])
+        n00 = omega[..., 0, 0] - t
+        mu = np.sqrt((n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0])
+                     .astype(complex, copy=False))
+        ep, em = np.exp(t + mu), np.exp(t - mu)
+        c = 0.5 * (ep + em)
+        small = np.abs(mu) < _SINHC_SERIES
+        mu2 = mu * mu
+        sinhc = _SINHC_TAYLOR[-1]
+        for coef in _SINHC_TAYLOR[-2::-1]:
+            sinhc = sinhc * mu2 + coef
+        s = np.where(small, np.exp(t) * sinhc,
+                     (ep - em) / (2 * np.where(small, 1, mu)))
+        if not np.iscomplexobj(omega):
+            c, s = c.real, s.real
+        out = np.empty(omega.shape, dtype=np.result_type(omega, float))
+        out[..., 0, 0] = c + s * n00
+        out[..., 1, 1] = c - s * n00
+        out[..., 0, 1] = s * omega[..., 0, 1]
+        out[..., 1, 0] = s * omega[..., 1, 0]
+        return out
+
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_masked_branches_bit_for_bit(self, rng, kind):
+        # |mu| spread over both sides of the series switch at 0.5, with
+        # scalar parts, in one stack, and the (z, cell) shape of the Magnus
+        # kernel; every entry forms only the branch it takes
+        a = rng.normal(size=(3, 200, 2, 2))
+        if kind is complex:
+            a = a + 1j * rng.normal(size=(3, 200, 2, 2))
+        a *= np.logspace(-3, 0.8, 200)[:, None, None]
+        small = np.abs(np.sqrt(
+            (a[..., 0, 0] - a[..., 1, 1]) ** 2 / 4
+            + a[..., 0, 1] * a[..., 1, 0] + 0j)) < _SINHC_SERIES
+        assert 0.2 < small.mean() < 0.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expm2(a)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, self._unmasked(a))
+
 
 class TestMul:
     @staticmethod
@@ -324,6 +373,130 @@ class TestExpmPade:
             assert np.array_equal(g, _expm_pade(x))
 
 
+class TestExpmHam:
+    """The closed-form exponential of real 4x4 Hamiltonian X + lam Y (the
+    float64 m = 2 path for constant pieces) against a 40-digit reference,
+    and the structure it must preserve."""
+
+    J = jmat(2).real
+    Y = _minus_j(np.eye(4))       # -J, squares to -I
+
+    @staticmethod
+    def _reference(x, y, lam):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            n = (mpmath.matrix(x.tolist())
+                 + float(lam) * mpmath.matrix(y.tolist()))
+            return np.array(mpmath.expm(n).tolist(), dtype=float)
+
+    @classmethod
+    def _cases(cls, rng, count, max_norm):
+        """(X, Y, lam) with X = -J S for an exactly symmetric S, Y = h (-J)
+        and ||X + lam Y||_1 uniform up to max_norm."""
+        for _ in range(count):
+            s = rng.normal(size=(4, 4))
+            lam, h = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0)
+            n = _minus_j(s + s.T) + lam * cls.Y
+            c = rng.uniform(0.0, max_norm) / np.linalg.norm(n, 1)
+            yield _minus_j(c * (s + s.T)), h * cls.Y, c * lam / h
+
+    # dyadic entries, so n^2 and its invariants tau = tr(n^2) / 4 and
+    # D = tr(N0^2) / 4 are exact; the kind of the eigenvalues +-r1, +-r2 of
+    # n at lam = 0: n^2 = 0, D = 0 (two equal decoupled channels), tau = 0,
+    # r1, r2 real, imaginary, one of each, or a complex quadruple (D < 0)
+    SPECIAL = {
+        "nilpotent": np.kron([[1.0, 1.0], [1.0, 1.0]], np.eye(2)),
+        "equal hyperbolic": np.kron([[0.25, 1.0], [1.0, -0.5]], np.eye(2)),
+        "equal oscillatory": np.kron([[1.5, 0.5], [0.5, 2.5]], np.eye(2)),
+        "tau = 0": np.diag([0.0, 2.0, 0.0, 2.0])
+        + np.kron([[0.0, 2.0], [2.0, 0.0]], np.diag([1.0, 0.0])),
+        "hyperbolic": np.kron([[0.0, 1.0], [1.0, 0.0]],
+                              [[1.25, 0.5], [0.5, 0.75]]),
+        "oscillatory": np.array([[2.0, 0.25, 0.5, 0.125],
+                                 [0.25, 1.0, 0.25, 0.5],
+                                 [0.5, 0.25, 1.5, 0.0],
+                                 [0.125, 0.5, 0.0, 3.0]]),
+        "mixed": np.diag([0.0, 1.0, 0.0, 1.0]) + np.array(
+            [[0.0, 0.25, 1.0, 0.125], [0.25, 0.0, 0.125, 0.0],
+             [1.0, 0.125, 0.0, 0.25], [0.125, 0.0, 0.25, 0.0]]),
+        "quadruple": np.array([[0.25, 1.0, 0.5, 0.25],
+                               [1.0, -0.5, 0.25, 0.75],
+                               [0.5, 0.25, 1.0, -0.25],
+                               [0.25, 0.75, -0.25, 0.125]]),
+    }
+
+    @staticmethod
+    def _kind(n):
+        n2 = n @ n
+        tau = np.trace(n2) / 4
+        n0 = n2 - tau * np.eye(4)
+        d = np.trace(n0 @ n0) / 4
+        if not n2.any():
+            return "nilpotent"
+        if d < 0:
+            return "quadruple"
+        if d == 0:
+            return "equal " + ("hyperbolic" if tau > 0 else "oscillatory")
+        if tau == 0:
+            return "tau = 0"
+        w = sorted((tau - math.sqrt(d), tau + math.sqrt(d)))
+        return ("hyperbolic" if w[0] > 0 else "oscillatory" if w[1] < 0
+                else "mixed")
+
+    @pytest.mark.parametrize("max_norm,tol", [(3.0, 1e-14), (80.0, 1e-13)])
+    def test_matches_mpmath(self, rng, max_norm, tol):
+        for x, y, lam in self._cases(rng, 40, max_norm):
+            got = _expm_ham(x[None], y[None], np.array([lam]))[0, 0]
+            want = self._reference(x, y, lam)
+            assert matnorm(got - want) <= tol * matnorm(want)
+            assert (matnorm(got.T @ self.J @ got - self.J)
+                    <= 1e-13 * matnorm(got) ** 2)
+
+    @pytest.mark.parametrize("name", list(SPECIAL))
+    @pytest.mark.parametrize("scale", [1 / 16, 1.0, 4.0])
+    def test_special_exponents(self, name, scale):
+        # at lam = 0 and at lam = 0.75 with Y = -J, which shifts both
+        # channels alike
+        x = _minus_j(scale * self.SPECIAL[name])
+        assert self._kind(x) == name
+        for lam in (0.0, 0.75):
+            got = _expm_ham(x[None], self.Y[None], np.array([lam]))[0, 0]
+            want = self._reference(x, self.Y, lam)
+            assert matnorm(got - want) <= 1e-14 * matnorm(want)
+            assert (matnorm(got.T @ self.J @ got - self.J)
+                    <= 1e-13 * matnorm(got) ** 2)
+
+    def test_overflow_is_nonfinite_without_warning(self):
+        # rates 800 and 1 on two hyperbolic channels: e^800 overflows,
+        # which the monodromy check reports
+        x = _minus_j(np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag([800.0, 1.0])))
+        with warnings.catch_warnings(), \
+                np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            got = _expm_ham(x[None], self.Y[None], np.array([0.0, 0.5]))
+        assert not np.isfinite(got).all()
+
+    def test_stack_rows_bit_for_bit(self, rng):
+        # lambda on both sides of every branch switch (|delta / sigma| at
+        # 1/2, the series below |x| = 0.5 and 1), three pieces including a
+        # D = 0 one; each row equals its stack of one and each piece its
+        # stack of one piece
+        x = np.stack([x for x, _, _ in self._cases(rng, 2, 6.0)]
+                     + [_minus_j(self.SPECIAL["equal hyperbolic"])])
+        y = np.stack([0.5 * self.Y, self.Y, 1.5 * self.Y])
+        lams = np.concatenate([np.linspace(-8.0, 8.0, 161),
+                               rng.uniform(-200.0, 200.0, 40), [0.0]])
+        stacked = _expm_ham(x, y, lams)
+        assert stacked.shape == (3, len(lams), 4, 4)
+        assert np.isfinite(stacked).all()
+        for k in range(3):
+            assert np.array_equal(
+                stacked[k], _expm_ham(x[k:k + 1], y[k:k + 1], lams)[0])
+        for i, lam in enumerate(lams):
+            assert np.array_equal(stacked[:, i],
+                                  _expm_ham(x, y, lams[i:i + 1])[:, 0])
+
+
 class TestWorkCounts:
     """Deterministic LAPACK call counts: loading a 1601-node m = 1 grid
     checks all samples in one stacked SVD, the half-line M takes its 2x2
@@ -362,11 +535,25 @@ class TestWorkCounts:
         assert np.isfinite(h.M).all()
 
     def test_kp2_bands(self, monkeypatch):
+        # real lambda on kp2's exactly symmetric pieces: the closed form
+        # _expm_ham, no linear solve
         eig = self._counting(monkeypatch, "eig")
         cond = self._counting(monkeypatch, "cond")
+        solve = self._counting(monkeypatch, "solve")
         bands = band_spectrum(kp2_spec(), np.linspace(-8.0, 8.0, 4001))
-        assert eig == [] and cond == []
+        assert eig == [] and cond == [] and solve == []
         assert bands.bands and bands.gaps
+
+    @pytest.mark.parametrize("z,scale", [(np.array([0.3 + 0j, -1.0]), 0),
+                                         (np.array([0.3, -1.0]), 1),
+                                         (-1.0 + 0j, 0)])
+    def test_kp2_complex_coefficient_takes_pade(self, monkeypatch, z, scale):
+        # a complex-typed z, or a rescale, makes the coefficient complex:
+        # one stacked Pade call with its one solve per period walk
+        solve = self._counting(monkeypatch, "solve")
+        t = Propagator(z, kp2_spec()).transfer(0.0, 1.0, scale)
+        assert solve == ["solve"]
+        assert np.iscomplexobj(t) and np.isfinite(t).all()
 
     def test_kp2_period_power(self, monkeypatch):
         eig = self._counting(monkeypatch, "eig")

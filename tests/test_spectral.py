@@ -135,6 +135,22 @@ class TestFloquet:
         bs = band_spectrum(spec, np.linspace(-2, 2, 81))
         assert bool(np.all(bs.in_band))
 
+    def test_descending_grid(self):
+        # runs go by index, so a descending grid keeps its interior gaps;
+        # 601 lambda in three blocks, each row bit for bit
+        spec = kp2_spec()
+        lams = np.linspace(-8.0, 8.0, 601)
+        up, down = band_spectrum(spec, lams), band_spectrum(spec, lams[::-1])
+        assert len(up.gaps) == 3
+        assert (down.bands, down.gaps) == (up.bands, up.gaps)
+        assert np.array_equal(down.in_band, up.in_band[::-1])
+        assert np.array_equal(down.multipliers, up.multipliers[::-1])
+
+    @pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf])
+    def test_tol_must_be_finite_nonnegative(self, const_q1_periodic, tol):
+        with pytest.raises(DegenerateArguments, match="tol"):
+            band_spectrum(const_q1_periodic, np.linspace(-3.0, 3.0, 7), tol)
+
     def test_blocked_stack_matches_per_point(self):
         # 601 lambda span three blocks, and both block boundaries fall
         # inside a band
