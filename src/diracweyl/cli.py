@@ -14,7 +14,9 @@ parses, so a process that runs many commands pays for the tree once.
 
 Determinism: rows are written in input order with 17-significant-digit
 formatting, so identical configurations produce byte-identical outputs
-(only wall_time_s in the summary differs).
+(only wall_time_s in the summary differs).  A large float table (bands.csv)
+takes an array writer that forms the bytes of fmt % row for whole blocks
+of rows; it writes exactly what the per-row loop would.
 """
 
 import argparse
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .foundation import (
 from .fullline import GreensEvaluator, fullline_m, upsilon
 from .gauge import gauge_with_omega, normal_form
 from .spectral import (
-    _LAMBDA_BLOCK,
     band_spectrum,
     borg_diagnostic,
     reflectionless_check,
@@ -91,6 +93,225 @@ def _flat(mat):
     return np.asarray(mat, complex).ravel().view(float)
 
 
+# points per stacked library call of a sweep (mfunc, fullline, upsilon): a
+# failing block is retried point by point, so it also bounds that retry;
+# band_spectrum's lambda blocks are spectral._LAMBDA_BLOCK
+_SWEEP_BLOCK = 256
+
+
+# ---------------------------------------------------------------------------
+# array CSV writer: the bytes of fmt % tuple(row), row by row, for a float
+# table whose columns are %.17g or %d, formed over whole blocks of rows
+# ---------------------------------------------------------------------------
+
+# tables of fewer rows keep the per-row loop: it costs about 0.6 us per
+# value and the array writer about 0.1 ms per block, so they break even
+# near 40 rows of bands' 10 columns and 100-150 rows of 2-3 columns
+_ARRAY_ROWS = 64
+# rows per block: a block of 512 rows of 10 values peaks at 0.64 MB
+# traced, against 1.26 MB for 1024, for about the same time per row
+_ARRAY_BLOCK = 512
+
+# one value is laid out in _SLOTS bytes, 8 uint32 words: its sign and the
+# "0.000" prefix of a fixed-point value below 1 (bytes 0-5), the 17
+# digits at bytes 7-23 up to the point and at bytes 8-24 after it, the
+# point between them, four exponent bytes and the separator (bytes 25-29).
+# The bytes of a value's text are its nonzero bytes, in order.
+_SLOTS = 32
+# layout classes: %.17g by (k, sign, last nonzero digit) for k in
+# [-11, 17], then %.17g zero by sign, %d by (digit count, sign) and the
+# fallback
+_ZERO_G = 29 * 2 * 17
+_INT_D = _ZERO_G + 2
+_FALLBACK = _INT_D + 17 * 2
+# a fallback value leaves this byte, which no formatted value contains
+_MARK = b"\x01"
+
+_POW5 = np.array([5 ** j for j in range(28)], dtype=np.uint64)
+_POW10 = np.array([10 ** j for j in range(1, 17)], dtype=np.uint64)
+_E16, _E17 = np.uint64(10 ** 16), np.uint64(10 ** 17)
+
+
+@lru_cache(maxsize=None)
+def _layout():
+    """(template, before, after, quads) as uint32 words: per layout class
+    its constant bytes, and masks of 0xff on the digit bytes it shows up
+    to the point and after it; the four ASCII digits of each of 0..9999,
+    and a zero word at index 10000."""
+    tables = np.zeros((3, _FALLBACK + 1, _SLOTS), np.uint8)
+    template, before, after = tables
+    template[:, 29] = ord(",")
+
+    def put(c, neg, last, point=16, prefix=b"", suffix=b""):
+        """Class c: digits up to last, the point after digit point."""
+        template[c, 0] = ord("-") if neg else 0
+        template[c, 1:1 + len(prefix)] = list(prefix)
+        before[c, 7:8 + min(point, last)] = 0xff
+        if last > point:
+            template[c, 8 + point] = ord(".")
+            after[c, 9 + point:9 + last] = 0xff
+        template[c, 25:25 + len(suffix)] = list(suffix)
+
+    for c in range(_ZERO_G):
+        k, neg, last = c // 34 - 11, c // 17 % 2, c % 17
+        if -4 <= k < 0:
+            put(c, neg, last, prefix=b"0." + b"0" * (-k - 1))
+        elif 0 <= k < 17:
+            put(c, neg, max(last, k), k)
+        else:
+            put(c, neg, last, 0, suffix=b"e%+03d" % k)
+    for neg in (0, 1):
+        put(_ZERO_G + neg, neg, 16)
+        before[_ZERO_G + neg, :23] = 0
+        for count in range(1, 18):
+            c = _INT_D + 2 * (count - 1) + neg
+            put(c, neg, 16)
+            before[c, :24 - count] = 0
+    put(_FALLBACK, 0, -1, prefix=_MARK)
+    tables.flags.writeable = False      # shared by every call
+    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10000))
+                          + bytes(4), dtype=np.uint32)
+    return (*tables.view(np.uint32), quads)
+
+
+def _round17(f, e, k):
+    """round-half-even(f 2^e 10^(16 - k)) and its truncation, as uint64,
+    for 53-bit f and 0 <= 16 - k <= 27: the product f 5^(16 - k) takes
+    two 64-bit limbs (at most 116 bits), shifted by e + 16 - k."""
+    j = 16 - k
+    p = _POW5.take(j)
+    s = -(e + j)
+    lo, hi = f & 0xFFFFFFFF, f >> 32
+    ph = p >> 32
+    p &= 0xFFFFFFFF
+    mid = lo * ph
+    mid += hi * p
+    lo *= p
+    hi *= ph
+    hi += mid >> 32
+    mid <<= 32
+    lo += mid
+    hi += lo < mid
+    # (hi, lo) >> s, and the bits shifted out moved to the top, to compare
+    # with one half; s is in [1, 63] below 2^51, and from there the
+    # quotient is an integer that fits one limb
+    sr = s.astype(np.uint64)
+    up = 64 - sr
+    trunc = hi << up
+    trunc |= lo >> sr
+    rest = lo << up
+    half = np.uint64(1 << 63)
+    n = trunc + ((rest > half) | ((rest == half) & (trunc & 1 == 1)))
+    left = s <= 0       # exact: the product fits one limb
+    if left.any():
+        n[left] = trunc[left] = lo[left] << (-s[left]).astype(np.uint64)
+    return n, trunc
+
+
+def _decimal17(a):
+    """The 17 significant digits n (uint64) and decimal exponent k (int32)
+    of each float a in (1e-11, 1e17), as %.17g rounds them: a = n 10^(k -
+    16) rounded half to even.  k starts at floor(log10 a), which is off by
+    one near powers of ten, and is corrected where the unrounded quotient
+    is below 10^16 or at least 10^17.  No n rounds up to 10^17, which
+    would take a double within 5e-18 (relative) under a power of ten: for
+    each of 10^-11..10^17 the largest double below it lies at least
+    2e-17 under it (checked exactly; the tests' edge values hold them).
+    """
+    k = np.clip(np.floor(np.log10(a)).astype(np.int32), -11, 16)
+    bits = a.view(np.uint64)
+    f = bits & ((1 << 52) - 1)
+    f |= 1 << 52
+    e = (bits >> 52).astype(np.int32) - 1075
+    n, trunc = _round17(f, e, k)
+    low = trunc < _E16
+    off = low | (trunc >= _E17)
+    if off.any():
+        k[off] += np.where(low[off], -1, 1).astype(np.int32)
+        n[off] = _round17(f[off], e[off], k[off])[0]
+    return n, k
+
+
+def _format_block(x, ints):
+    """Bytes of the rows of the float block x with %.17g columns, %d where
+    ints is True, ',' between values and a newline after each row.
+    Values out of the digit-exact range (nonzero below 1e-11 or from 1e17
+    in magnitude, subnormal or not finite) are formatted one by one."""
+    template, before, after, quads = _layout()
+    rows, cols = x.shape
+    flat = x.ravel()
+    mag = np.abs(flat)
+    fast = (mag > 1e-11) & (mag < 1e17)
+    n, k = _decimal17(np.where(fast, mag, 1.0))
+    neg = np.signbit(flat)
+    zero = mag == 0
+    n[zero] = 0
+    if ints.any():
+        y = x[:, ints]
+        ok = np.abs(y) < 1e17
+        n.reshape(rows, cols)[:, ints] = np.where(ok, np.abs(y), 0)
+        count = np.searchsorted(_POW10, n.reshape(rows, cols)[:, ints],
+                                side="right")
+    # words 1-5 of the digits: the 4-digit groups of n, the first holding
+    # its leading digit only (numpy's // by a constant is far faster than
+    # its %); words 0, 6 and 7 stay zero.  Temporaries are dropped once
+    # used, to keep the block's traced peak low
+    words = np.zeros((len(n), 8), np.uint32)
+    head = n // _E16
+    words[:, 1] = quads.take(head)
+    n -= head * _E16
+    high = n // 10 ** 8
+    for col, part in ((2, high), (4, n - high * np.uint64(10 ** 8))):
+        high = part // 10000
+        words[:, col] = quads.take(high)
+        part -= high * 10000
+        words[:, col + 1] = quads.take(part)
+    del n, head, high
+    # the layout class: (k, sign, last nonzero digit) for a %.17g value
+    cls = k
+    cls += 11
+    cls *= 34
+    cls += neg * np.int32(17) + np.int32(16)
+    # n ends in a zero where its last group (part) does; only those values
+    # look for their last nonzero digit
+    tens = np.flatnonzero(part == part // 10 * 10)
+    cls[tens] -= np.argmax(words.view(np.uint8)[tens, 23:6:-1] != ord("0"),
+                           axis=1).astype(np.int32)
+    del part
+    cls[zero] = _ZERO_G + neg[zero]
+    cls[~fast & ~zero] = _FALLBACK
+    if ints.any():
+        cls.reshape(rows, cols)[:, ints] = np.where(
+            ok, _INT_D + 2 * count + (y <= -1), _FALLBACK)
+    # the digits after the point go one byte on: the whole block shifts
+    # as one run of bytes, the zero word 7 keeping values apart
+    late = words.ravel() << 8
+    late[1:] |= words.ravel()[:-1] >> 24
+    words &= before.take(cls, axis=0)
+    late &= after.take(cls, axis=0).ravel()
+    words |= template.take(cls, axis=0)
+    words |= late.reshape(words.shape)
+    del late
+    words.view(np.uint8).reshape(rows, cols, _SLOTS)[:, -1, 29] = ord("\n")
+    text = words.tobytes()
+    del words
+    text = text.translate(None, b"\0")
+    slow = np.flatnonzero(cls == _FALLBACK)
+    if not len(slow):
+        return text
+    fmts = np.where(np.tile(ints, rows)[slow], "%d", "%.17g")
+    parts = text.split(_MARK)
+    return b"".join(p + (f % v).encode() for p, f, v in zip(
+        parts, fmts.tolist(), flat[slow].tolist())) + parts[-1]
+
+
+def _write_array(fh, rows, ints):
+    """Write the float table rows to the binary file fh as _format_block
+    formats it, one block of _ARRAY_BLOCK rows at a time."""
+    for i in range(0, len(rows), _ARRAY_BLOCK):
+        fh.write(_format_block(rows[i:i + _ARRAY_BLOCK], ints))
+
+
 class _Run:
     """One invocation: its tolerances, outputs, failed points and summary."""
 
@@ -106,12 +327,12 @@ class _Run:
 
     def sweep(self, points, label, f):
         """Rows in input order, f(block) giving the rows of one stacked
-        block of at most _LAMBDA_BLOCK points.  A block that raises
+        block of at most _SWEEP_BLOCK points.  A block that raises
         DiracWeylError is retried point by point: a failing point gives no
         row and one failure record keyed by label(p)."""
         rows = []
-        for i in range(0, len(points), _LAMBDA_BLOCK):
-            block = points[i:i + _LAMBDA_BLOCK]
+        for i in range(0, len(points), _SWEEP_BLOCK):
+            block = points[i:i + _SWEEP_BLOCK]
             try:
                 rows += f(block)
             except DiracWeylError:
@@ -126,13 +347,28 @@ class _Run:
 
     def table(self, name, header, rows, fmt=None):
         """Write one CSV: the tolerance line, the header, then fmt % row per
-        row (default %.17g in every column)."""
-        line = (fmt or ",".join(["%.17g"] * len(header))) + "\n"
-        with open(os.path.join(self.outdir, name), "w") as fh:
-            fh.write("# " + json.dumps({"tolerances": self.tols}) + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(line % tuple(row))
+        row (default %.17g in every column).  rows is a sequence of rows or
+        a 2-D array; a float array of at least _ARRAY_ROWS rows whose
+        columns are all %.17g or %d goes through the array writer
+        (_write_array), which writes the same bytes without formatting
+        row by row, smaller tables and other formats through the per-row
+        loop."""
+        fmt = fmt or ",".join(["%.17g"] * len(header))
+        cols = fmt.split(",")
+        array = (isinstance(rows, np.ndarray) and rows.dtype == float
+                 and rows.ndim == 2 and len(rows) >= _ARRAY_ROWS
+                 and rows.shape[1] == len(cols)
+                 and set(cols) <= {"%.17g", "%d"})
+        with open(os.path.join(self.outdir, name), "wb") as fh:
+            fh.write(("# " + json.dumps({"tolerances": self.tols}) + "\n"
+                      + ",".join(header) + "\n").encode())
+            if array:
+                _write_array(fh, rows, np.array(cols) == "%d")
+            else:
+                line = fmt + "\n"
+                for row in (rows.tolist() if isinstance(rows, np.ndarray)
+                            else rows):
+                    fh.write((line % tuple(row)).encode())
         self.files.append(name)
 
     def finish(self):
@@ -244,7 +480,7 @@ def cmd_bands(args, spec, run):
     rows = np.column_stack([bs.lams, bs.in_band, bs.multipliers.view(float)])
     run.table("bands.csv", ["lambda", "in_band"] + [
         f"mu{k}_{part}" for k in range(1, n + 1) for part in ("re", "im")],
-        rows.tolist(), "%.17g,%d" + ",%.17g" * (2 * n))
+        rows, "%.17g,%d" + ",%.17g" * (2 * n))
     run.info["bands"] = [list(b) for b in bs.bands]
     run.info["gaps"] = [list(g) for g in bs.gaps]
 

@@ -218,6 +218,11 @@ _SINHC1_TAYLOR = tuple(1.0 / math.factorial(2 * k + 3) for k in range(10))
 _COSHC_TAYLOR = tuple((2 * k + 2) * c for k, c in enumerate(_SINHC1_TAYLOR))
 
 
+# lambda per evaluation chunk of _expm_ham: bounds the (pieces, 16, lambda)
+# temporaries when one call takes a long lambda array
+_HAM_CHUNK = 512
+
+
 def _expm_ham(x, y, lam):
     """e^(X + lam Y) for stacks of real 4x4 Hamiltonian X and Y with Y^2 a
     multiple of I, at each real lam of a 1-D array: (len(x), len(lam), 4, 4).
@@ -229,16 +234,33 @@ def _expm_ham(x, y, lam):
     r1,2 = sqrt(tau +- sqrt(D)), and s_e, s_o those of sinhc(sqrt(w)).  All
     four are functions of sigma, delta = (r1 +- r2) / 2 (r2 negated to make
     |delta| <= |sigma|) that do not cancel; s_o divides by 1 - (delta /
-    sigma)^2 or, near r2 = 0, by r1^2 - r2^2.  Per lam only scalars and an
-    elementwise sum are formed, so a row rounds exactly as a stack of one."""
+    sigma)^2 or, near r2 = 0, by r1^2 - r2^2.
+
+    The lam-free work (the products X^2, XY + YX, P, Q, PX, PY + QX and QY,
+    and the traces giving tau and D as quadratics in lam) is done once per
+    call; lam is then taken in chunks of _HAM_CHUNK, written into one
+    output.  Per lam only scalars and an elementwise sum are formed, so a
+    row rounds exactly as a stack of one, whatever the chunking."""
     sq = np.stack([x @ x, x @ y + y @ x, y @ y])
     t = np.trace(sq, axis1=-2, axis2=-1)[..., None] / 4
     p, q = sq[:2] - t[:2, ..., None] * np.eye(4)
     d = np.trace(np.stack([p @ p, 2 * (p @ q), q @ q]),
                  axis1=-2, axis2=-1)[..., None] / 4
     # the matrices go by entry, with lambda last: (pieces, 16, lambda)
-    p, q, x, y, px, pyqx, qy = (a.reshape(-1, 16, 1) for a in (
-        p, q, x, y, p @ x, p @ y + q @ x, q @ y))
+    mats = [a.reshape(-1, 16, 1) for a in (
+        p, q, x, y, p @ x, p @ y + q @ x, q @ y)]
+    out = np.empty((len(x), len(lam), 16))
+    for i in range(0, len(lam), _HAM_CHUNK):
+        out[:, i:i + _HAM_CHUNK] = _expm_ham_chunk(
+            t, d, mats, lam[i:i + _HAM_CHUNK]).transpose(0, 2, 1)
+    return out.reshape(len(x), len(lam), 4, 4)
+
+
+def _expm_ham_chunk(t, d, mats, lam):
+    """The lam-dependent part of _expm_ham: its (pieces, 16, len(lam))
+    entries from the coefficients t, d of tau and D and the lam-free
+    matrices by entry."""
+    p, q, x, y, px, pyqx, qy = mats
     # overflow to inf is an expected probe outcome that callers detect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tau = t[0] + lam * (t[1] + lam * t[2])
@@ -268,8 +290,7 @@ def _expm_ham(x, y, lam):
         even = co * (p + lam * q)
         even[:, ::5] += ce
         odd = se * (x + lam * y) + so * (px + lam * (pyqx + lam * qy))
-        out = (even + odd).transpose(0, 2, 1)
-    return np.ascontiguousarray(out).reshape(len(x), -1, 4, 4)
+        return even + odd
 
 
 def _diag(x, shape, dtype):
@@ -468,9 +489,11 @@ class Propagator:
         return f
 
     def _walk(self, xa, xb, scale):
-        """Product of piece transfers over [xa, xb] (no period powering);
-        the exponentials of its constant pieces (zero B for piece None) are
-        taken in one stacked call per kind, _expm_ham or _expm."""
+        """Product of piece transfers over [xa, xb] (no period powering),
+        started from the first piece's factor itself (the identity if no
+        piece is left); the exponentials of its constant pieces (zero B for
+        piece None) are taken in one stacked call per kind, _expm_ham or
+        _expm."""
         segs = self.spec.segments(min(xa, xb), max(xa, xb))
         if xb < xa:
             segs = [(b, a, p, off) for a, b, p, off in reversed(segs)]
@@ -494,12 +517,12 @@ class Propagator:
         factors = (iter(_expm(np.stack(pade)) if pade else ()), iter(
             _expm_ham(*map(np.stack, zip(*hams)), np.reshape(self.z, -1))
             .reshape((len(hams),) + self._eye.shape) if hams else ()))
-        t = self._eye.copy()
+        t = None
         for (a, b, piece, off), kind in zip(segs, kinds):
             f = (self._grid_transfer(piece, off, a, b, scale) if kind is None
                  else next(factors[kind]))
-            t = _mul(f, t)
-        return t
+            t = f if t is None else _mul(f, t)
+        return self._eye.copy() if t is None else t
 
     def transfer(self, xa, xb, scale=0):
         """T(xb <- xa) with the rescale factor e^{i*scale*z*(xb - xa)} folded in."""

@@ -172,10 +172,14 @@ class BandStructure:
     gaps: tuple               # interior out-of-band runs
 
 
-# lambda per stacked monodromy in band_spectrum, and points per stacked call
-# of the CLI's sweeps: it bounds memory (on kp2 4001 lambda in one stack peak
-# at 9.5 MB traced, a block at 0.9 MB); far smaller blocks cost overhead
-_LAMBDA_BLOCK = 256
+# lambda per stacked monodromy in band_spectrum; it bounds memory, traced on
+# kp2 over 4001 lambda: one stack peaks at 2.85 MB, blocks of 1024 at
+# 1.76 MB and of 256 at 0.95 MB (_expm_ham takes its lambda in chunks of
+# _HAM_CHUNK; without them 9.07, 2.57 and 0.89 MB).  Each block pays a
+# fixed cost (the Propagator and _expm_ham's lambda-free products), which
+# blocks of 1024 pay 4 times on the 4001-lambda grid.  The CLI's sweeps
+# keep their own block, cli._SWEEP_BLOCK
+_LAMBDA_BLOCK = 1024
 
 
 def _runs(lams, flags, interior=False):

@@ -1,12 +1,17 @@
 import argparse
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracweyl import (
     GreensEvaluator,
@@ -379,6 +384,86 @@ class TestTableShape:
         assert err["error"] == "ValueError"
         expect = "1x2" if "--alpha" in argv else "1x1"
         assert err["message"].endswith(f"must be {expect}")
+
+
+def _edge_floats():
+    """10^k and its neighbours one ulp either side for k = -15..19, the
+    ends of the digit-exact range, zeros, the smallest subnormal, infinities,
+    NaN, and short mantissas j 2^-i whose exact decimal has 18 significant
+    digits ending in 5: the ties of %.17g's round-half-even."""
+    vals = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+            1e-11, 1e17]
+    for k in range(-15, 20):
+        p = 10.0 ** k
+        vals += [p, math.nextafter(p, 0), math.nextafter(p, math.inf)]
+    ties = [j * 2.0 ** -i for i in range(1, 80) for j in range(1, 400, 2)
+            if len(str(j * 5 ** i).rstrip("0")) == 18]
+    assert len(ties) > 100
+    vals = np.array(vals + ties)
+    return np.concatenate([vals, -vals])
+
+
+def _percent_bytes(fmt, rows):
+    line = fmt + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist()).encode()
+
+
+def _array_bytes(fmt, rows):
+    fh = io.BytesIO()
+    cli._write_array(fh, rows, np.array(fmt.split(",")) == "%d")
+    return fh.getvalue()
+
+
+class TestArrayWriter:
+    """The array writer writes the bytes of fmt % tuple(row), row by row."""
+
+    FMT = "%.17g,%d,%.17g"
+
+    def test_edge_values(self):
+        vals = _edge_floats()
+        ints = [-0.5, -0.0, 0.0, 0.5, -1.0, 1.0, -1.5, 1e20, -1e20, 1e17,
+                math.nextafter(1e17, 0), 9007199254740993.0, 123456.75]
+        rows = np.column_stack([vals, np.resize(ints, len(vals)), vals[::-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _array_bytes(self.FMT, rows)
+        assert got == _percent_bytes(self.FMT, rows)
+        # %d of -0.5, -0.0 and 1e20
+        assert [line.split(b",")[1] for line in got.split(b"\n")[:8]] == [
+            b"0", b"0", b"0", b"0", b"-1", b"1", b"-1", b"1" + b"0" * 20]
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=3,
+                         max_size=600),
+           ints=st.lists(st.floats(-1e18, 1e18), min_size=1, max_size=200))
+    def test_random_bit_patterns(self, bits, ints):
+        vals = np.array(bits, dtype=np.uint64).view(float)
+        vals = vals[:len(vals) // 2 * 2].reshape(-1, 2)
+        rows = np.column_stack([vals[:, 0], np.resize(ints, len(vals)),
+                                vals[:, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _array_bytes(self.FMT, rows)
+        assert got == _percent_bytes(self.FMT, rows)
+
+    def test_table_takes_array_writer_by_row_count(self, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        write = cli._write_array
+        monkeypatch.setattr(cli, "_write_array",
+                            lambda *a: calls.append(1) or write(*a))
+        run = cli._Run(argparse.Namespace(out=str(tmp_path)))
+        rows = np.linspace(-3.0, 3.0, 3 * cli._ARRAY_ROWS).reshape(-1, 3)
+        rows[:, 1] = np.arange(len(rows)) % 2
+        header = ["a", "flag", "b"]
+        for n in (cli._ARRAY_ROWS - 1, cli._ARRAY_ROWS):
+            for name, table in (("array.csv", rows[:n]),
+                                ("list.csv", rows[:n].tolist())):
+                run.table(name, header, table, self.FMT)
+            assert (tmp_path / "array.csv").read_bytes() == \
+                (tmp_path / "list.csv").read_bytes()
+        assert len(calls) == 1
 
 
 class TestValuesMatchLibrary:

@@ -14,16 +14,17 @@ from diracweyl import (
     monodromy,
     normal_form_matrix,
     reflectionless_check,
+    save_potential,
     trace_check,
     uniqueness_decay,
 )
+from diracweyl import cli, spectral
 from diracweyl.errors import (
     DegenerateArguments,
     DifferenceBelowNoise,
     IntegrationFailure,
     NotPeriodic,
 )
-from diracweyl.spectral import _LAMBDA_BLOCK
 from conftest import count_calls, kp2_spec
 
 
@@ -151,9 +152,10 @@ class TestFloquet:
         with pytest.raises(DegenerateArguments, match="tol"):
             band_spectrum(const_q1_periodic, np.linspace(-3.0, 3.0, 7), tol)
 
-    def test_blocked_stack_matches_per_point(self):
-        # 601 lambda span three blocks, and both block boundaries fall
-        # inside a band
+    def test_blocked_stack_matches_per_point(self, monkeypatch):
+        # 601 lambda span three blocks of 256, and both block boundaries
+        # fall inside a band
+        monkeypatch.setattr(spectral, "_LAMBDA_BLOCK", 256)
         spec = kp2_spec()
         lams = np.linspace(-8.0, 8.0, 601)
         bs = band_spectrum(spec, lams)
@@ -163,7 +165,7 @@ class TestFloquet:
         assert np.array_equal(bs.multipliers, mults)
         assert list(bs.in_band) == flags
         assert all(flags[i - 1] and flags[i]
-                   for i in range(_LAMBDA_BLOCK, len(lams), _LAMBDA_BLOCK))
+                   for i in range(256, len(lams), 256))
         runs = {True: [], False: []}
         for i, f in enumerate(flags):
             if i == 0 or f != flags[i - 1]:
@@ -185,14 +187,34 @@ class TestFloquet:
             assert np.array_equal(mono.multipliers[i], one.multipliers)
 
     def test_block_bounds_memory(self):
-        # one stack over all 4001 lambda traced ~9 MB here, one block of
-        # _LAMBDA_BLOCK under 1 MB, the per-point loop it replaced ~1.1 MB
+        # blocks of 1024 lambda trace 1.76 MB here, one stack over all 4001
+        # lambda 2.85 MB (9.07 MB before _expm_ham took lambda in chunks)
         spec = kp2_spec()
         lams = np.linspace(-8.0, 8.0, 4001)
         band_spectrum(spec, lams[:8])
         tracemalloc.start()
         try:
             band_spectrum(spec, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_bands_csv_bounds_memory(self, tmp_path, monkeypatch):
+        # the bands command on 4001 lambda less the band structure traced
+        # 1.8 MB here with a per-row loop over rows.tolist() as its CSV
+        # writer, 1.0 MB with the array writer
+        spec = kp2_spec()
+        path = tmp_path / "kp2.json"
+        save_potential(spec, path)
+        bs = band_spectrum(spec, np.linspace(-8.0, 8.0, 4001))
+        monkeypatch.setattr(cli, "band_spectrum", lambda *args, **kw: bs)
+        argv = ["bands", "--potential", str(path), "--lambda=-8:8:4001",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0      # builds the writer's layout tables
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

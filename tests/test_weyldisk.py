@@ -27,6 +27,7 @@ from diracweyl.errors import (
     NoConvergence,
     SingularDenominator,
 )
+from diracweyl import propagator
 from diracweyl.weyldisk import _invariant_subspace
 from conftest import (
     KP2_PIECES,
@@ -478,6 +479,36 @@ class TestConstantOverflow:
             want = np.diag([mplus_const_q(z, qj) for qj in q])
             assert matnorm(h.M - want) <= 1e-12 * matnorm(want)
 
+
+    def test_probe_fires_on_inf_only_transfer(self, monkeypatch):
+        # a walk over one piece returns the piece's factor itself, so an
+        # overflowing factor keeps the inf entries that its product with
+        # the identity turned into NaN; the carry's non-finite probe must
+        # bisect past either.  Here the exponentials give inf wherever they
+        # overflowed to NaN, so the window's transfer is inf without NaN
+        expm = propagator._expm
+
+        def inf_expm(omega):
+            out = expm(omega)
+            return np.where(np.isnan(out), np.inf, out)
+
+        seen = []
+        transfer = Propagator.transfer
+
+        def recorded_transfer(prop, xa, xb, scale=0):
+            t = transfer(prop, xa, xb, scale)
+            seen.append((bool(np.isinf(t).any()), bool(np.isnan(t).any())))
+            return t
+
+        monkeypatch.setattr(propagator, "_expm", inf_expm)
+        monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
+        z = 0.5 + 1e-3j
+        spec = PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
+                                      x_lo=0.0, x_hi=2e4)
+        h = halfline_m(z, 0.0, alpha_dirichlet(1), spec)
+        assert (True, False) in seen
+        want = mplus_const_q(z, 1.0)
+        assert abs(h.M[0, 0] - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("z", [3j, -3j])
     def test_walk_products_silent(self, z):
