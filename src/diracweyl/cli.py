@@ -14,9 +14,9 @@ parses, so a process that runs many commands pays for the tree once.
 
 Determinism: rows are written in input order with 17-significant-digit
 formatting, so identical configurations produce byte-identical outputs
-(only wall_time_s in the summary differs).  A large float table (bands.csv)
-takes an array writer that forms the bytes of fmt % row for whole blocks
-of rows; it writes exactly what the per-row loop would.
+(only wall_time_s in the summary differs).  A float table passed as an
+array (bands.csv) takes an array writer that forms the bytes of fmt % row
+for whole blocks of rows; it writes exactly what the per-row loop would.
 """
 
 import argparse
@@ -104,10 +104,6 @@ _SWEEP_BLOCK = 256
 # table whose columns are %.17g or %d, formed over whole blocks of rows
 # ---------------------------------------------------------------------------
 
-# tables of fewer rows keep the per-row loop: it costs about 0.6 us per
-# value and the array writer about 0.1 ms per block, so they break even
-# near 40 rows of bands' 10 columns and 100-150 rows of 2-3 columns
-_ARRAY_ROWS = 64
 # rows per block: a block of 512 rows of 10 values peaks at 0.64 MB
 # traced, against 1.26 MB for 1024, for about the same time per row
 _ARRAY_BLOCK = 512
@@ -116,7 +112,9 @@ _ARRAY_BLOCK = 512
 # "0.000" prefix of a fixed-point value below 1 (bytes 0-5), the 17
 # digits at bytes 7-23 up to the point and at bytes 8-24 after it, the
 # point between them, four exponent bytes and the separator (bytes 25-29).
-# The bytes of a value's text are its nonzero bytes, in order.
+# The bytes of a value's text are its nonzero bytes, in order.  The words
+# are native uint32 and the layout assumes little-endian byte order, so
+# _Run.table takes the array writer on little-endian hosts only.
 _SLOTS = 32
 # layout classes: %.17g by (k, sign, last nonzero digit) for k in
 # [-11, 17], then %.17g zero by sign, %d by (digit count, sign) and the
@@ -307,7 +305,8 @@ def _format_block(x, ints):
 
 def _write_array(fh, rows, ints):
     """Write the float table rows to the binary file fh as _format_block
-    formats it, one block of _ARRAY_BLOCK rows at a time."""
+    formats it, one block of _ARRAY_BLOCK rows at a time.  Little-endian
+    hosts only: the slots are built and shifted as native uint32 words."""
     for i in range(0, len(rows), _ARRAY_BLOCK):
         fh.write(_format_block(rows[i:i + _ARRAY_BLOCK], ints))
 
@@ -348,16 +347,15 @@ class _Run:
     def table(self, name, header, rows, fmt=None):
         """Write one CSV: the tolerance line, the header, then fmt % row per
         row (default %.17g in every column).  rows is a sequence of rows or
-        a 2-D array; a float array of at least _ARRAY_ROWS rows whose
-        columns are all %.17g or %d goes through the array writer
-        (_write_array), which writes the same bytes without formatting
-        row by row, smaller tables and other formats through the per-row
-        loop."""
+        a 2-D array; on a little-endian host a float array whose columns
+        are all %.17g or %d goes through the array writer (_write_array),
+        which writes the same bytes without formatting row by row, and
+        everything else through the per-row loop."""
         fmt = fmt or ",".join(["%.17g"] * len(header))
         cols = fmt.split(",")
         array = (isinstance(rows, np.ndarray) and rows.dtype == float
-                 and rows.ndim == 2 and len(rows) >= _ARRAY_ROWS
-                 and rows.shape[1] == len(cols)
+                 and rows.ndim == 2 and rows.shape[1] == len(cols)
+                 and sys.byteorder == "little"
                  and set(cols) <= {"%.17g", "%d"})
         with open(os.path.join(self.outdir, name), "wb") as fh:
             fh.write(("# " + json.dumps({"tolerances": self.tols}) + "\n"

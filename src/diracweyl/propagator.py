@@ -218,11 +218,6 @@ _SINHC1_TAYLOR = tuple(1.0 / math.factorial(2 * k + 3) for k in range(10))
 _COSHC_TAYLOR = tuple((2 * k + 2) * c for k, c in enumerate(_SINHC1_TAYLOR))
 
 
-# lambda per evaluation chunk of _expm_ham: bounds the (pieces, 16, lambda)
-# temporaries when one call takes a long lambda array
-_HAM_CHUNK = 512
-
-
 def _expm_ham(x, y, lam):
     """e^(X + lam Y) for stacks of real 4x4 Hamiltonian X and Y with Y^2 a
     multiple of I, at each real lam of a 1-D array: (len(x), len(lam), 4, 4).
@@ -238,29 +233,17 @@ def _expm_ham(x, y, lam):
 
     The lam-free work (the products X^2, XY + YX, P, Q, PX, PY + QX and QY,
     and the traces giving tau and D as quadratics in lam) is done once per
-    call; lam is then taken in chunks of _HAM_CHUNK, written into one
-    output.  Per lam only scalars and an elementwise sum are formed, so a
-    row rounds exactly as a stack of one, whatever the chunking."""
+    call, so a caller with many lam pays it once per stack it passes.  Per
+    lam only scalars and an elementwise sum are formed, so a row rounds
+    exactly as a stack of one."""
     sq = np.stack([x @ x, x @ y + y @ x, y @ y])
     t = np.trace(sq, axis1=-2, axis2=-1)[..., None] / 4
     p, q = sq[:2] - t[:2, ..., None] * np.eye(4)
     d = np.trace(np.stack([p @ p, 2 * (p @ q), q @ q]),
                  axis1=-2, axis2=-1)[..., None] / 4
     # the matrices go by entry, with lambda last: (pieces, 16, lambda)
-    mats = [a.reshape(-1, 16, 1) for a in (
-        p, q, x, y, p @ x, p @ y + q @ x, q @ y)]
-    out = np.empty((len(x), len(lam), 16))
-    for i in range(0, len(lam), _HAM_CHUNK):
-        out[:, i:i + _HAM_CHUNK] = _expm_ham_chunk(
-            t, d, mats, lam[i:i + _HAM_CHUNK]).transpose(0, 2, 1)
-    return out.reshape(len(x), len(lam), 4, 4)
-
-
-def _expm_ham_chunk(t, d, mats, lam):
-    """The lam-dependent part of _expm_ham: its (pieces, 16, len(lam))
-    entries from the coefficients t, d of tau and D and the lam-free
-    matrices by entry."""
-    p, q, x, y, px, pyqx, qy = mats
+    p, q, x, y, px, pyqx, qy = (a.reshape(-1, 16, 1) for a in (
+        p, q, x, y, p @ x, p @ y + q @ x, q @ y))
     # overflow to inf is an expected probe outcome that callers detect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tau = t[0] + lam * (t[1] + lam * t[2])
@@ -290,7 +273,8 @@ def _expm_ham_chunk(t, d, mats, lam):
         even = co * (p + lam * q)
         even[:, ::5] += ce
         odd = se * (x + lam * y) + so * (px + lam * (pyqx + lam * qy))
-        return even + odd
+        out = (even + odd).transpose(0, 2, 1)
+    return np.ascontiguousarray(out).reshape(len(x), -1, 4, 4)
 
 
 def _diag(x, shape, dtype):

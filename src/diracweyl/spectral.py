@@ -173,13 +173,15 @@ class BandStructure:
 
 
 # lambda per stacked monodromy in band_spectrum; it bounds memory, traced on
-# kp2 over 4001 lambda: one stack peaks at 2.85 MB, blocks of 1024 at
-# 1.76 MB and of 256 at 0.95 MB (_expm_ham takes its lambda in chunks of
-# _HAM_CHUNK; without them 9.07, 2.57 and 0.89 MB).  Each block pays a
+# kp2 over 4001 lambda: one stack peaks at 9.07 MB, blocks of 1024 at
+# 2.57 MB, of 512 at 1.45 MB and of 256 at 0.89 MB.  Each block pays a
 # fixed cost (the Propagator and _expm_ham's lambda-free products), which
-# blocks of 1024 pay 4 times on the 4001-lambda grid.  The CLI's sweeps
-# keep their own block, cli._SWEEP_BLOCK
-_LAMBDA_BLOCK = 1024
+# blocks of 512 pay 8 times on the 4001-lambda grid; bands-kp2's sweep_s
+# read 0.0160 s with them against 0.0157 s for blocks of 1024 that
+# _expm_ham split into 512-lambda chunks (medians of 10 pairs), too close
+# to pay for a second constant.  The CLI's sweeps keep their own block,
+# cli._SWEEP_BLOCK
+_LAMBDA_BLOCK = 512
 
 
 def _runs(lams, flags, interior=False):

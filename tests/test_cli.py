@@ -447,23 +447,22 @@ class TestArrayWriter:
             got = _array_bytes(self.FMT, rows)
         assert got == _percent_bytes(self.FMT, rows)
 
-    def test_table_takes_array_writer_by_row_count(self, tmp_path,
-                                                   monkeypatch):
+    def test_table_array_matches_row_list(self, tmp_path, monkeypatch):
         calls = []
         write = cli._write_array
         monkeypatch.setattr(cli, "_write_array",
                             lambda *a: calls.append(1) or write(*a))
         run = cli._Run(argparse.Namespace(out=str(tmp_path)))
-        rows = np.linspace(-3.0, 3.0, 3 * cli._ARRAY_ROWS).reshape(-1, 3)
+        rows = np.linspace(-3.0, 3.0, 3 * 600).reshape(-1, 3)
         rows[:, 1] = np.arange(len(rows)) % 2
         header = ["a", "flag", "b"]
-        for n in (cli._ARRAY_ROWS - 1, cli._ARRAY_ROWS):
+        for n in (1, 600):
             for name, table in (("array.csv", rows[:n]),
                                 ("list.csv", rows[:n].tolist())):
                 run.table(name, header, table, self.FMT)
             assert (tmp_path / "array.csv").read_bytes() == \
                 (tmp_path / "list.csv").read_bytes()
-        assert len(calls) == 1
+        assert len(calls) == (2 if sys.byteorder == "little" else 0)
 
 
 class TestValuesMatchLibrary:

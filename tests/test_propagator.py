@@ -32,7 +32,6 @@ from diracweyl.errors import (
 )
 from diracweyl.propagator import (
     _CELL_BLOCK,
-    _HAM_CHUNK,
     _SINHC_SERIES,
     _SINHC_TAYLOR,
     _expm,
@@ -480,15 +479,14 @@ class TestExpmHam:
     def test_stack_rows_bit_for_bit(self, rng):
         # lambda on both sides of every branch switch (|delta / sigma| at
         # 1/2, the series below |x| = 0.5 and 1), three pieces including a
-        # D = 0 one, and more lambda than two evaluation chunks hold; each
+        # D = 0 one, and more lambda than a band_spectrum block (1226); each
         # row equals its stack of one and each piece its stack of one piece
         x = np.stack([x for x, _, _ in self._cases(rng, 2, 6.0)]
                      + [_minus_j(self.SPECIAL["equal hyperbolic"])])
         y = np.stack([0.5 * self.Y, self.Y, 1.5 * self.Y])
         lams = np.concatenate([np.linspace(-8.0, 8.0, 161),
                                rng.uniform(-200.0, 200.0, 40), [0.0],
-                               rng.uniform(-20.0, 20.0, 2 * _HAM_CHUNK)])
-        assert len(lams) > 2 * _HAM_CHUNK
+                               rng.uniform(-20.0, 20.0, 1024)])
         stacked = _expm_ham(x, y, lams)
         assert stacked.shape == (3, len(lams), 4, 4)
         assert np.isfinite(stacked).all()

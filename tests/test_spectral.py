@@ -187,8 +187,8 @@ class TestFloquet:
             assert np.array_equal(mono.multipliers[i], one.multipliers)
 
     def test_block_bounds_memory(self):
-        # blocks of 1024 lambda trace 1.76 MB here, one stack over all 4001
-        # lambda 2.85 MB (9.07 MB before _expm_ham took lambda in chunks)
+        # blocks of 512 lambda trace 1.45 MB here, of 1024 2.57 MB and one
+        # stack over all 4001 lambda 9.07 MB
         spec = kp2_spec()
         lams = np.linspace(-8.0, 8.0, 4001)
         band_spectrum(spec, lams[:8])
