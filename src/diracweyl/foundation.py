@@ -509,10 +509,11 @@ def check_normal_form(spec, interval, tol=ALG_TOL):
 # serialized as [re, im] pairs.
 # ---------------------------------------------------------------------------
 
-def _complex_out(mat):
-    # a bit-exact reinterpretation keeps the sign of a zero part
+def _pairs(mat):
+    """The float array of a complex array's [re, im] pairs; a bit-exact
+    reinterpretation keeps the sign of a zero part."""
     mat = np.ascontiguousarray(mat, dtype=complex)
-    return mat.view(float).reshape(mat.shape + (2,)).tolist()
+    return mat.view(float).reshape(mat.shape + (2,))
 
 
 def _complex_in(data, ndim=3):
@@ -544,16 +545,18 @@ def _edge_out(v):
     return str(float(v)) if math.isinf(v) else float(v)
 
 
-def potential_to_dict(spec):
+def _potential_doc(spec, out):
+    """potential_to_dict's document with out(a) in place of each of its
+    number arrays a: a grid's x, and the [re, im] pairs of a grid's
+    values or of a constant's value."""
     pieces = []
     for p in spec.pieces:
         entry = {"x_lo": _edge_out(p.x_lo), "x_hi": _edge_out(p.x_hi),
                  "kind": p.kind}
         if p.kind == "constant":
-            entry["data"] = _complex_out(p.value)
+            entry["data"] = out(_pairs(p.value))
         else:
-            entry["data"] = {"x": p.xs.tolist(),
-                             "values": _complex_out(p.values)}
+            entry["data"] = {"x": out(p.xs), "values": out(_pairs(p.values))}
         pieces.append(entry)
     doc = {"m": spec.m, "pieces": pieces}
     if spec.period is not None:
@@ -561,6 +564,10 @@ def potential_to_dict(spec):
     if spec.name:
         doc["name"] = spec.name
     return doc
+
+
+def potential_to_dict(spec):
+    return _potential_doc(spec, np.ndarray.tolist)
 
 
 def potential_from_dict(doc):
@@ -593,7 +600,28 @@ def load_potential(path):
         raise ValueError(f"malformed potential file {path}: {exc}") from exc
 
 
+# the stand-in for a number array in save_potential's dumped document
+_SLOT = "@"
+
+
 def save_potential(spec, path):
-    # compact on purpose: any indent forces json's pure-Python encoder
+    """Write spec as one line of JSON: potential_to_dict's document as
+    json.dumps lays it out, with its number arrays spelled by
+    arraytext.json_array (%.17g digits, -0.0 as -0.0), so every number
+    reads back bit for bit.  Each array stands in the dumped document as
+    the string _SLOT.  The arrays all come before "name", the one other
+    value that can read _SLOT, so the text's first len(arrays) _SLOTs are
+    theirs."""
+    # imported here: only the commands that write a file compile it
+    from .arraytext import json_array
+    arrays = []
+
+    def out(a):
+        arrays.append(json_array(a))
+        return _SLOT
+
+    text = json.dumps(_potential_doc(spec, out))
+    parts = text.split(json.dumps(_SLOT), len(arrays))
     with open(path, "w") as fh:
-        fh.write(json.dumps(potential_to_dict(spec)) + "\n")
+        fh.write(parts[0] + "".join(a + p for a, p in zip(arrays, parts[1:]))
+                 + "\n")

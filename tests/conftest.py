@@ -6,6 +6,8 @@ transfers come from a hand-rolled eigendecomposition, and the constant
 off-diagonal M-functions come from the exponential ansatz.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -193,6 +195,23 @@ def smooth_bump_spec(amp=0.8, n=1601, tail_q=None, name="bump"):
         pieces.append(ConstantPiece(1.0, 2.0,
                                     normal_form_matrix([[0.0]], [[tail_q]])))
     return PotentialSpec(m=1, pieces=tuple(pieces), name=name)
+
+
+def edge_floats():
+    """10^k and its neighbours one ulp either side for k = -15..19, the
+    ends of the digit-exact range, zeros, the smallest subnormal, infinities,
+    NaN, and short mantissas j 2^-i whose exact decimal has 18 significant
+    digits ending in 5: the ties of %.17g's round-half-even."""
+    vals = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+            1e-11, 1e17]
+    for k in range(-15, 20):
+        p = 10.0 ** k
+        vals += [p, math.nextafter(p, 0), math.nextafter(p, math.inf)]
+    ties = [j * 2.0 ** -i for i in range(1, 80) for j in range(1, 400, 2)
+            if len(str(j * 5 ** i).rstrip("0")) == 18]
+    assert len(ties) > 100
+    vals = np.array(vals + ties)
+    return np.concatenate([vals, -vals])
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from diracweyl import (
     save_potential,
     uniqueness_decay,
 )
-from diracweyl import cli
+from diracweyl import arraytext, cli
 from diracweyl.cli import build_parser, main
-from conftest import count_eig, kp2_spec, smooth_bump_spec
+from conftest import count_eig, edge_floats, kp2_spec, smooth_bump_spec
 
 
 @pytest.fixture
@@ -110,6 +110,29 @@ def test_cli_import_skips_signal_and_integrate(tmp_path):
                          check=True, capture_output=True, cwd=tmp_path,
                          text=True).stdout
     assert out.split() == ["[]", "[]"]
+
+
+def test_array_writer_imported_by_its_users_only(tmp_path):
+    # diracweyl.arraytext is compiled by the commands that write an array
+    # table (bands) or a potential file (gauge) only
+    import diracweyl
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracweyl.__file__)))
+    save_potential(PotentialSpec.constant(
+        normal_form_matrix([[0.0]], [[1.0]]), period=1.0), tmp_path / "q1.json")
+    head = ("import sys\nfrom diracweyl.cli import main\n"
+            "def run(*argv):\n"
+            "    assert main([*argv, '--potential', 'q1.json', '--out', 'o'])"
+            " == 0\n"
+            "    print('diracweyl.arraytext' in sys.modules)\n"
+            "print('diracweyl.arraytext' in sys.modules)\n")
+    for calls, want in (
+            ("run('mfunc', '--z', '1i,2+0.5i')\n"
+             "run('bands', '--lambda=-3:3:9')", ["False", "False", "True"]),
+            ("run('gauge', '--x0', '0', '--x1', '1')", ["False", "True"])):
+        out = subprocess.run([sys.executable, "-c", head + calls],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, cwd=tmp_path, text=True)
+        assert out.stdout.split() == want
 
 
 class TestMfunc:
@@ -386,23 +409,6 @@ class TestTableShape:
         assert err["message"].endswith(f"must be {expect}")
 
 
-def _edge_floats():
-    """10^k and its neighbours one ulp either side for k = -15..19, the
-    ends of the digit-exact range, zeros, the smallest subnormal, infinities,
-    NaN, and short mantissas j 2^-i whose exact decimal has 18 significant
-    digits ending in 5: the ties of %.17g's round-half-even."""
-    vals = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
-            1e-11, 1e17]
-    for k in range(-15, 20):
-        p = 10.0 ** k
-        vals += [p, math.nextafter(p, 0), math.nextafter(p, math.inf)]
-    ties = [j * 2.0 ** -i for i in range(1, 80) for j in range(1, 400, 2)
-            if len(str(j * 5 ** i).rstrip("0")) == 18]
-    assert len(ties) > 100
-    vals = np.array(vals + ties)
-    return np.concatenate([vals, -vals])
-
-
 def _percent_bytes(fmt, rows):
     line = fmt + "\n"
     return "".join(line % tuple(row) for row in rows.tolist()).encode()
@@ -410,7 +416,7 @@ def _percent_bytes(fmt, rows):
 
 def _array_bytes(fmt, rows):
     fh = io.BytesIO()
-    cli._write_array(fh, rows, np.array(fmt.split(",")) == "%d")
+    arraytext.write_table(fh, rows, np.array(fmt.split(",")) == "%d")
     return fh.getvalue()
 
 
@@ -420,7 +426,7 @@ class TestArrayWriter:
     FMT = "%.17g,%d,%.17g"
 
     def test_edge_values(self):
-        vals = _edge_floats()
+        vals = edge_floats()
         ints = [-0.5, -0.0, 0.0, 0.5, -1.0, 1.0, -1.5, 1e20, -1e20, 1e17,
                 math.nextafter(1e17, 0), 9007199254740993.0, 123456.75]
         rows = np.column_stack([vals, np.resize(ints, len(vals)), vals[::-1]])
@@ -447,10 +453,17 @@ class TestArrayWriter:
             got = _array_bytes(self.FMT, rows)
         assert got == _percent_bytes(self.FMT, rows)
 
+    def test_digit_table(self):
+        # the four ASCII digits of each of 0..9999, then a zero word
+        quads = arraytext._layout()[3]
+        assert quads.dtype == np.uint32
+        assert quads.tobytes() == b"".join(
+            b"%04d" % i for i in range(10000)) + bytes(4)
+
     def test_table_array_matches_row_list(self, tmp_path, monkeypatch):
         calls = []
-        write = cli._write_array
-        monkeypatch.setattr(cli, "_write_array",
+        write = arraytext.write_table
+        monkeypatch.setattr(arraytext, "write_table",
                             lambda *a: calls.append(1) or write(*a))
         run = cli._Run(argparse.Namespace(out=str(tmp_path)))
         rows = np.linspace(-3.0, 3.0, 3 * 600).reshape(-1, 3)

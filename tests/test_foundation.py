@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +32,41 @@ from diracweyl.errors import (
     NotNormalized,
     OutOfDomain,
 )
+from diracweyl import arraytext
 from diracweyl.foundation import inv_cond, potential_to_dict
-from conftest import kp2_spec, random_boundary, random_hermitian
+from conftest import (
+    count_calls,
+    edge_floats,
+    kp2_spec,
+    random_boundary,
+    random_hermitian,
+)
+
+
+def _edge_spec():
+    """An m = 1 grid whose nodes are the finite edge values of the array
+    writer's tests (the one at zero -0.0) and whose samples hold them too,
+    with -0.0 imaginary parts on the diagonal and signed zeros off it,
+    followed by a constant piece out to inf.  Its name is the text that
+    stands in for each number array while the file is written."""
+    vals = edge_floats()
+    vals = vals[np.isfinite(vals)]
+    xs = np.unique(vals)
+    xs[xs == 0] = -0.0
+    n = len(xs)
+    a = np.resize(vals, n)
+    pairs = np.zeros((n, 2, 2, 2))
+    pairs[:, 0, 0] = np.column_stack([a, np.full(n, -0.0)])
+    pairs[:, 1, 1, 0] = np.roll(a, 1)
+    pairs[:, 0, 1] = np.column_stack([np.roll(a, 2), np.roll(a, 3)])
+    pairs[:, 1, 0] = pairs[:, 0, 1] * [1.0, -1.0]
+    values = pairs.view(complex)[..., 0]
+    return PotentialSpec(m=1, name="@", pieces=(
+        GridPiece(xs, values), ConstantPiece(xs[-1], math.inf, values[7])))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestBoundaryData:
@@ -346,33 +381,57 @@ class TestFileRoundtrip:
         for x in np.linspace(0.0, 2.0, 17):
             assert matnorm(back.eval(x) - spec.eval(x)) < 1e-15
 
-    @pytest.mark.parametrize("kind", ["grid", "periodic"])
-    def test_roundtrip_bit_for_bit(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["grid", "periodic", "edges"])
+    def test_roundtrip_bit_for_bit(self, tmp_path, monkeypatch, kind):
         if kind == "grid":
             xs = np.linspace(0.0, 1.0, 1601)
             spec = PotentialSpec.from_samples(xs, np.array([normal_form_matrix(
                 [[0.2 * np.sin(3 * x)]], [[np.exp(-20 * (x - 0.5) ** 2)]])
                 for x in xs]), name="bump")
-        else:
+        elif kind == "periodic":
             spec = kp2_spec()
+        else:
+            spec = _edge_spec()
+        blocks = count_calls(monkeypatch, arraytext, "_format_block")
         path = tmp_path / "spec.json"
         save_potential(spec, path)
-        assert path.read_text().count("\n") == 1      # compact
+        text = path.read_text()
+        assert text.count("\n") == 1      # compact
+        # json.dumps's layout of potential_to_dict's document; only the
+        # spelling of the numbers differs, and none is NaN or Infinity
+        number = re.compile(r"-?[0-9][0-9.e+-]*")
+        assert number.sub("0", text) == number.sub(
+            "0", json.dumps(potential_to_dict(spec)) + "\n")
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in a potential file")
+        json.loads(text, parse_constant=no_constant)
+        if kind == "edges" and sys.byteorder == "little":
+            # the grid's nodes (one per row) and values and the constant
+            # piece's value (one matrix row of [re, im] pairs per row) all
+            # take the array formatter
+            rows = {}
+            for r, c in blocks:
+                rows[c] = rows.get(c, 0) + r
+            n = len(spec.pieces[0].xs)
+            assert rows == {1: n, 8: n, 4: 2}
+            assert "-0.0," in text and "0.10000000000000001" in text
         back = load_potential(path)
-        # every number comes back bit for bit, the sign of a zero imaginary
-        # part included, so the file written again is byte-identical
+        # every number comes back bit for bit, the sign of a zero included,
+        # so the file written again is byte-identical
         again = tmp_path / "again.json"
         save_potential(back, again)
         assert again.read_bytes() == path.read_bytes()
         assert potential_to_dict(back) == potential_to_dict(spec)
         for p, q in zip(back.pieces, spec.pieces):
             if p.kind == "grid":
-                assert np.array_equal(p.xs, q.xs)
-                assert np.array_equal(p.values, q.values)
+                assert np.array_equal(_bits(p.xs), _bits(q.xs))
+                assert np.array_equal(_bits(p.values), _bits(q.values))
             else:
-                assert np.array_equal(p.value, q.value)
+                assert (p.x_lo, p.x_hi) == (q.x_lo, q.x_hi)
+                assert np.array_equal(_bits(p.value), _bits(q.value))
 
-    def test_dict_pairs_keep_signed_zeros(self, rng):
+    def test_dict_pairs_keep_signed_zeros(self, rng, tmp_path):
         # the whole grid is written by one reinterpretation; it must give
         # the nested pairs of formatting entry by entry, signed zeros kept
         vals = np.array([random_hermitian(rng, 4) for _ in range(5)])
@@ -387,6 +446,15 @@ class TestFileRoundtrip:
         assert (json.dumps(doc["pieces"][0]["data"]["values"])
                 == json.dumps(want))
         assert json.dumps(doc["pieces"][1]["data"]) == json.dumps(want[1])
+        # the file holds the same pairs: -0.0 is spelled so that it reads
+        # back as a float, not as the integer 0
+        path = tmp_path / "z.json"
+        save_potential(spec, path)
+        pieces = json.loads(path.read_text())["pieces"]
+        for got, ref in ((pieces[0]["data"]["values"], want),
+                         (pieces[1]["data"], want[1])):
+            assert np.array_equal(_bits(np.array(got, float)),
+                                  _bits(np.array(ref)))
 
     def test_infinite_edges(self, tmp_path, const_q1):
         path = tmp_path / "c.json"
