@@ -5,21 +5,18 @@ T(xb <- xa) with an optional exponential rescale e^{i s z (xb - xa)} that
 keeps entries bounded when |Im z| * |xb - xa| is large (the rescale cancels
 in every M-function ratio).  Constant pieces propagate by one matrix
 exponential per span (exact up to roundoff for any span): in closed form
-for m = 1 (_expm2) and float64 m = 2 (_expm_ham), else by a stacked Pade
-approximant (_expm_pade); sampled pieces take fourth-order Magnus steps between
-sample nodes, as many per cell as its leading error term asks for, all
-steps of a cell sharing one commutator (magnus_steps, shared with the gauge
-reduction).  The coefficient enters the kernel in the affine form
-A(x) = L(x) + z K, with L = -J B(x) from the samples and K = -J + i s I
-constant, so the traceless parts, norms and commutators of a cell are
-formed once for all z, and only scalar step counts, the exponents, their
-exponentials and the products are formed per (z, cell).  Periodic
-potentials reduce long spans to binary powers of the one-period transfer.
-Every stacked product of the kernel goes through _mul, which forms 2x2
-products entry by entry over the whole stack (numpy's stacked @ hands each
-small matrix to BLAS on its own).  At a real-typed z on a potential with
-real entries the coefficient -J (z I + B) is real, and the whole kernel
-runs in float64; otherwise it runs in complex128.
+for m = 1 (_expm2, a Taylor series with one exp below |mu| = 0.5) and
+float64 m = 2 (_expm_ham), else by a stacked Pade approximant (_expm_pade);
+sampled pieces take fourth-order Magnus steps between sample nodes, as many
+per cell as its leading error term asks for (magnus_steps, shared with the
+gauge reduction) in the affine form A(x) = L(x) + z K, L = -J B(x) from the
+samples, K = -J + i s I: a cell's norms and commutators are formed once for
+all z, entry-major, and each step's exponent in one pass per matrix entry
+over contiguous per-(z, cell) scalars.  Periodic potentials reduce long
+spans to binary powers of the one-period transfer.  Stacked 2x2 products go
+entry by entry through _mul.  At a real-typed z on a potential with real
+entries the coefficient -J (z I + B) is real, and the whole kernel runs in
+float64; otherwise it runs in complex128.
 
 The Volterra route (successive approximation of the integral equation for
 the decaying Weyl solution of a compactly supported potential) lives here as
@@ -75,20 +72,26 @@ def auto_scale(z, xa, xb):
     return 1 if s > 0 else -1
 
 
-# 1 / (2k + 1)! for k = 0..8: the even Taylor series of sinh(mu) / mu up to
-# mu^16, whose truncation error below |mu| = _SINHC_SERIES is under 1e-22
+# 1 / (2k)! and 1 / (2k + 1)!, k = 0..8: cosh(mu) and sinh(mu) / mu to mu^16,
+# truncated below 1e-21 and 1e-22 for |mu| < _SINHC_SERIES
+_COSH_TAYLOR = tuple(1.0 / math.factorial(2 * k) for k in range(9))
 _SINHC_TAYLOR = tuple(1.0 / math.factorial(2 * k + 1) for k in range(9))
 _SINHC_SERIES = 0.5
+
+
+def _horner(u, coefs):
+    """sum_k coefs[k] u^k."""
+    acc = coefs[-1]
+    for coef in coefs[-2::-1]:
+        acc = acc * u + coef
+    return acc
 
 
 def _taylor_or(x, limit, coefs, direct):
     """sum_k coefs[k] x^(2k) below |x| = limit, direct(mask) elsewhere."""
     out = np.empty_like(x)
     small = np.abs(x) < limit
-    acc, u = coefs[-1], x[small] * x[small]
-    for coef in coefs[-2::-1]:
-        acc = acc * u + coef
-    out[small] = acc
+    out[small] = _horner(x[small] * x[small], coefs)
     out[~small] = direct(~small)
     return out
 
@@ -97,39 +100,52 @@ def _expm2(omega):
     """e^omega for a 2x2 matrix or a stack of them, in closed form
     (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45, 2003).
 
-    With t = tr(omega) / 2, n = omega - t I and mu^2 = n00^2 + n01 n10,
+    With t = tr(omega) / 2, n = omega - t I and u = mu^2 = n00^2 + n01 n10,
     e^omega = c I + s n for c = e^t cosh(mu) and s = e^t sinh(mu) / mu,
-    both even in mu.  They are formed from e^{t + mu} and e^{t - mu}, never
-    as e^t times cosh(mu): under the rescale e^t can underflow while
-    cosh(mu) overflows.  Below |mu| = 0.5, s takes the Taylor series of
-    sinh(mu) / mu, which stays exact through a Jordan block.  mu is taken
-    in complex arithmetic for any omega, since it is imaginary for an
-    oscillatory real one, and a real omega gives a real result.  A single
-    matrix runs as a stack of one, so it rounds exactly as a stack row."""
+    both even in mu.  Below |mu| = 0.5 they are e^t times their Taylor
+    series in u, with no square root and exact through a Jordan block;
+    elsewhere of e^{t +- mu}, mu complex (_exp_sum), never e^t cosh(mu):
+    under the rescale e^t can underflow while cosh(mu) overflows.  Each
+    entry forms only its branch; a real omega gives a real result, a view
+    of an entry-major array.  A single matrix runs as a stack of one."""
     if omega.ndim == 2:
         return _expm2(omega[None])[0]
-    t = 0.5 * (omega[..., 0, 0] + omega[..., 1, 1])
-    n00 = omega[..., 0, 0] - t
+    o00, o01, o10, o11 = (omega[..., i, j] for i, j in np.ndindex(2, 2))
+    t = 0.5 * (o00 + o11)
+    n00 = o00 - t
+    c, s = np.empty_like(t), np.empty_like(t)
     # overflow to inf is an expected probe outcome on long spans; callers
     # detect it and bisect
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.sqrt((n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0])
-                     .astype(complex, copy=False))
-        ep, em = np.exp(t + mu), np.exp(t - mu)
-        c = 0.5 * (ep + em)
-        s = _taylor_or(mu, _SINHC_SERIES, _SINHC_TAYLOR,
-                       lambda c: (ep[c] - em[c]) / (2 * mu[c]))
-        small = np.abs(mu) < _SINHC_SERIES
-        s[small] = np.exp(t[small]) * s[small]
-        if not np.iscomplexobj(omega):
-            # c and s are even in mu, so real for a real omega
-            c, s = c.real, s.real
-        out = np.empty(omega.shape, dtype=np.result_type(omega, float))
-        out[..., 0, 0] = c + s * n00
-        out[..., 1, 1] = c - s * n00
-        out[..., 0, 1] = s * omega[..., 0, 1]
-        out[..., 1, 0] = s * omega[..., 1, 0]
-    return out
+        u = n00 * n00 + o01 * o10
+        small = np.abs(u) < _SINHC_SERIES ** 2
+        # a branch runs only if an entry takes it, on views if all do
+        if small.any():
+            sel = ... if small.all() else small
+            et = np.exp(t[sel])
+            c[sel] = et * _horner(u[sel], _COSH_TAYLOR)
+            s[sel] = et * _horner(u[sel], _SINHC_TAYLOR)
+        if not small.all():
+            sel = ... if not small.any() else ~small
+            mu = np.sqrt(u[sel].astype(complex, copy=False))
+            ep, em = _exp_sum(t[sel], mu), _exp_sum(t[sel], -mu)
+            c[sel], s[sel] = (x if np.iscomplexobj(u) else x.real for x in (
+                0.5 * (ep + em), (ep - em) / (2 * mu)))
+        out = np.empty((2, 2) + t.shape, dtype=t.dtype)
+        sn = s * n00
+        np.add(c, sn, out=out[0, 0])
+        np.subtract(c, sn, out=out[1, 1])
+        np.multiply(s, o01, out=out[0, 1])
+        np.multiply(s, o10, out=out[1, 0])
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def _exp_sum(a, b):
+    """e^(a + b) as e^s (1 + r), s = fl(a + b) with rounding error r
+    (TwoSum; Knuth, TAOCP 2): e^s alone errs by |a| eps, 400 at |a| = 700."""
+    s = a + b
+    bb = s - a
+    return np.exp(s) * (1 + ((a - (s - bb)) + (b - bb)))
 
 
 # Higham's [13/13] Pade coefficients b_0..b_13 and the 1-norm up to which
@@ -351,18 +367,17 @@ def magnus_steps(ts, lcoef, z=None, kcoef=None):
     Hamiltonian A symplectic ones.  The k steps of a cell share one
     commutator, [A(t1), A(t0)] / k for the cell's ends.
 
-    The affine form leaves little work per z.  Once per cell, for all z:
+    The affine form leaves little work per z.  Once per call, for all z:
     the traceless parts (subscript f); b, since K is constant and
-    A(t1) - A(t0) = dL = L(t1) - L(t0); ||L_f(mid)||^2 and
-    <K_f, L_f(mid)>, which give
-    a^2 = h^2 (||L_f||^2 + 2 Re(conj(z) <K_f, L_f>) + |z|^2 ||K_f||^2),
-    clamped at 0 against rounding; and [L(t1), L(t0)] and [K, dL], since
-    [A(t1), A(t0)] = [L(t1), L(t0)] - z [K, dL].  Per (z, cell) remain the
-    step counts, Omega = h_s (L(mid_j) + z K) + (h_s^2 / 12) comm / k, the
-    exponentials and the products.  Each step's exponential is taken by
-    _expm: in closed form for d <= 2 (every m = 1 transfer and the m = 2
-    gauge factors), by the stacked Pade approximant for larger d, also on
-    the float64 path; the products by _mul, elementwise for d = 2.
+    A(t1) - A(t0) = dL = L(t1) - L(t0); ||L_f(mid)||^2 and <K_f, L_f(mid)>,
+    so a^2 = h^2 (||L_f||^2 + 2 Re(conj(z) <K_f, L_f>) + |z|^2 ||K_f||^2),
+    clamped at 0 against rounding; and, entry-major (d, d, ..., cells), the
+    terms L0 = L(t0), L1 = L(t1), C = [L1, L0], K and D = [K, dL], with
+    [A(t1), A(t0)] = C - z D.  Step j of k, of length hs = h / k, forms
+    Omega = hs ((1 - wm) L0 + wm L1 + z K) + (hs^2 / 12) (C - z D) / k,
+    wm = (j + 1/2) / k, in one pass per matrix entry over contiguous hs,
+    wm, k and z; _expm takes its exponential, _mul the product.  A step
+    count not finite or beyond int64 raises IntegrationFailure first.
     """
     d = lcoef.shape[-1]
     eye = np.eye(d)
@@ -374,44 +389,59 @@ def magnus_steps(ts, lcoef, z=None, kcoef=None):
     a2 = _frob2(mid)
     dfree = np.diff(free, axis=-3)
     b = np.abs(h) * np.sqrt(_frob2(dfree))
-    l0, l1 = lcoef[..., :-1, :, :], lcoef[..., 1:, :, :]
-    comm = _mul(l1, l0) - _mul(l0, l1)
-    zk = None
-    if z is not None:
-        kfree = kcoef - (np.trace(kcoef) / d) * eye
-        cross = np.add.reduce(kfree.conj() * mid, axis=(-2, -1))
-        z = np.reshape(z, np.shape(z) + (1,))      # the z axis, then cells
-        a2 = np.maximum(a2 + 2 * (z.real * cross.real + z.imag * cross.imag)
-                        + (z.real * z.real + z.imag * z.imag) * _frob2(kfree),
-                        0)
-        z = z[..., None, None]
-        comm = comm - z * (_mul(kcoef, dfree) - _mul(dfree, kcoef))
-        zk = z * kcoef
-    a = np.abs(h) * np.sqrt(a2)
-    k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if z is not None:
+            kfree = kcoef - (np.trace(kcoef) / d) * eye
+            kfree = kfree if kfree.imag.any() else kfree.real  # no i s I
+            cross = np.add.reduce(kfree.conj() * mid, axis=(-2, -1))
+            z = np.reshape(z, np.shape(z) + (1,))      # the z axis, then cells
+            a2 = np.maximum(
+                a2 + 2 * (z.real * cross.real + z.imag * cross.imag)
+                + (z.real * z.real + z.imag * z.imag) * _frob2(kfree), 0)
+        a = np.abs(h) * np.sqrt(a2)
+        k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
+    if not np.all(k < 2.0 ** 63):      # NaN (from an overflow) fails it too
+        raise IntegrationFailure("Magnus step count not finite or beyond "
+                                 "int64: |z| h is too large for the grid")
     k = np.maximum(k, 1).astype(int)
-    comm = comm / k[..., None, None]
-    h = np.broadcast_to(h, k.shape)
-    l0, l1 = (np.broadcast_to(x, comm.shape) for x in (l0, l1))
-    if zk is not None:
-        zk = np.broadcast_to(zk, comm.shape)
+    lcoef = np.ascontiguousarray(np.moveaxis(lcoef, (-2, -1), (0, 1)))
+    l0, l1 = lcoef[..., :-1], lcoef[..., 1:]
+    terms = [l0, l1, _commutator(l1, l0)]
+    if z is not None:       # then lcoef has no batch axes
+        terms += [np.broadcast_to(kcoef[..., None], l0.shape), _commutator(
+            kfree[..., None],
+            np.ascontiguousarray(np.moveaxis(dfree, (-2, -1), (0, 1))))]
+        z = np.broadcast_to(z, k.shape)
 
-    def step(j, c):
-        """Factor of step j of the cells c (a mask, or ... for all)."""
-        kc = k[c][..., None, None]
-        hs = h[c][..., None, None] / kc
+    def exponent(j, c):
+        """Omega of step j, entry-major, at the cells c (() for all)."""
+        kc, tc = k[c], c if z is None else c[-1:]    # terms lack the z axis
+        hs = h[c[-1:]] / kc
         wm = (j + 0.5) / kc      # the step midpoint, interpolated exactly
-        mid = (1 - wm) * l0[c] + wm * l1[c]
-        if zk is not None:
-            mid = mid + zk[c]
-        return _expm(hs * mid + (hs * hs / 12.0) * comm[c])
+        coefs = [hs * (1 - wm), hs * wm, hs * hs / (12.0 * kc)]
+        if z is not None:
+            coefs += [hs * z[c], -coefs[2] * z[c]]
+        omega = np.empty((d, d) + kc.shape,
+                         dtype=np.result_type(*coefs, *terms))
+        for p, q in np.ndindex(d, d):
+            acc = coefs[0] * terms[0][p, q][tc]
+            for coef, x in zip(coefs[1:], terms[1:]):
+                acc = acc + coef * x[p, q][tc]
+            omega[p, q] = acc
+        return np.moveaxis(omega, (0, 1), (-2, -1))
 
     # every cell takes its first step, so that one runs on the whole stack
-    out = step(0, ...)
+    out = _expm(exponent(0, ()))
     for j in range(1, k.max(initial=0)):
-        c = k > j          # cells still stepping
-        out[c] = _mul(step(j, c), out[c])
+        c = np.nonzero(k > j)          # cells still stepping
+        out[c] = _mul(_expm(exponent(j, c)), out[c])
     return out
+
+
+def _commutator(a, b):
+    """ab - ba for entry-major (d, d, ...) stacks that broadcast."""
+    return (np.add.reduce(a[:, :, None] * b[None], axis=1)
+            - np.add.reduce(b[:, :, None] * a[None], axis=1))
 
 
 class Propagator:

@@ -24,14 +24,17 @@ from diracweyl import (
     truncate_potential,
     weyl_solution_volterra,
 )
+from diracweyl import propagator
 from diracweyl.errors import (
     DegenerateArguments,
+    IntegrationFailure,
     IterationDivergence,
     MismatchedEvaluation,
     NoCompactSupport,
 )
 from diracweyl.propagator import (
     _CELL_BLOCK,
+    _COSH_TAYLOR,
     _SINHC_SERIES,
     _SINHC_TAYLOR,
     _expm,
@@ -45,6 +48,7 @@ from diracweyl.propagator import (
 )
 from conftest import (
     const_transfer_eig,
+    count_calls,
     count_eig,
     free_psi,
     kp2_spec,
@@ -54,6 +58,28 @@ from conftest import (
 )
 
 CONST_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def shoulder_bump_spec():
+    """A 21-node bump on the middle half of [0, 1] between flat zero
+    shoulders, and a constant tail on [1, 2].  A flat cell takes one Magnus
+    step, whose |mu| = h |z| = |z| / 20 passes 0.5 from |z| = 10 on; the
+    bump's cells take many steps of |mu| < 0.2."""
+    xs = np.linspace(0.0, 1.0, 21)
+    f = np.where(np.abs(xs - 0.5) < 0.25,
+                 0.8 * np.sin(2 * np.pi * (xs - 0.25)) ** 2, 0.0)
+    return PotentialSpec(m=1, pieces=(
+        GridPiece(xs, np.array([normal_form_matrix([[0.0]], [[fj]])
+                                for fj in f])),
+        ConstantPiece(1.0, 2.0, normal_form_matrix([[0.0]], [[1.0]]))))
+
+
+def shoulder_bump_zs():
+    """|z| = 1, 2, ..., 512 alternating between the rays arg pi/2 and pi/4."""
+    r = math.sqrt(0.5)
+    return np.array([complex(0.0, 2.0 ** k) if k % 2 == 0
+                     else complex(r * 2.0 ** k, r * 2.0 ** k)
+                     for k in range(10)])
 
 
 class TestFundamentalSystem:
@@ -219,29 +245,77 @@ class TestExpm2:
 
     @staticmethod
     def _unmasked(omega):
-        """The closed form as it read with both branches formed over the
-        whole stack and one picked by np.where."""
+        """The closed form with both branches formed over the whole stack
+        and one picked by np.where: below |mu| = 0.5 the Taylor series of
+        cosh(mu) and sinh(mu) / mu in u = mu^2 times e^t, elsewhere
+        e^{t + mu} and e^{t - mu}."""
         t = 0.5 * (omega[..., 0, 0] + omega[..., 1, 1])
         n00 = omega[..., 0, 0] - t
-        mu = np.sqrt((n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0])
-                     .astype(complex, copy=False))
-        ep, em = np.exp(t + mu), np.exp(t - mu)
-        c = 0.5 * (ep + em)
-        small = np.abs(mu) < _SINHC_SERIES
-        mu2 = mu * mu
-        sinhc = _SINHC_TAYLOR[-1]
-        for coef in _SINHC_TAYLOR[-2::-1]:
-            sinhc = sinhc * mu2 + coef
-        s = np.where(small, np.exp(t) * sinhc,
-                     (ep - em) / (2 * np.where(small, 1, mu)))
+        u = n00 * n00 + omega[..., 0, 1] * omega[..., 1, 0]
+        mu = np.sqrt(u.astype(complex))
+        # e^(t +- mu) with the rounding error r of t +- mu as 1 + r
+        sp, sm = t + mu, t - mu
+        ep = np.exp(sp) * (1 + ((t - (sp - (sp - t))) + (mu - (sp - t))))
+        em = np.exp(sm) * (1 + ((t - (sm - (sm - t))) + (-mu - (sm - t))))
+        small = np.abs(u) < _SINHC_SERIES ** 2
+        cosh, sinhc = _COSH_TAYLOR[-1], _SINHC_TAYLOR[-1]
+        for ccoef, scoef in zip(_COSH_TAYLOR[-2::-1], _SINHC_TAYLOR[-2::-1]):
+            cosh, sinhc = cosh * u + ccoef, sinhc * u + scoef
+        c, s = 0.5 * (ep + em), (ep - em) / (2 * np.where(small, 1, mu))
         if not np.iscomplexobj(omega):
             c, s = c.real, s.real
+        c = np.where(small, np.exp(t) * cosh, c)
+        s = np.where(small, np.exp(t) * sinhc, s)
         out = np.empty(omega.shape, dtype=np.result_type(omega, float))
         out[..., 0, 0] = c + s * n00
         out[..., 1, 1] = c - s * n00
         out[..., 0, 1] = s * omega[..., 0, 1]
         out[..., 1, 0] = s * omega[..., 1, 0]
         return out
+
+    @staticmethod
+    def _exact_scalar_part(rng, kind, mu_abs, t_abs):
+        """t I + n with |mu| = mu_abs and |t| = t_abs, where t and n00 lie
+        on the grid of ulp(|t| + 1), so that tr / 2 and omega00 - t are
+        exact; the rounding of a general diagonal moves t by up to |t| eps,
+        the exponential's own condition number, which no formula avoids."""
+        n = rng.normal(size=3) + (1j * rng.normal(size=3) if kind is complex
+                                  else 0)
+        n *= mu_abs / abs(np.sqrt(n[0] ** 2 + n[1] * n[2] + 0j))
+        t = t_abs * (np.exp(2j * np.pi * rng.uniform()) if kind is complex
+                     else rng.choice([-1.0, 1.0]))
+        q = 2.0 ** (math.frexp(t_abs + 1.0)[1] - 52)
+        t, n00 = (np.round(x.real / q) * q + (
+            1j * np.round(x.imag / q) * q if kind is complex else 0)
+                  for x in (np.complex128(t), np.complex128(n[0])))
+        omega = np.array([[t + n00, n[1]], [n[2], t - n00]])
+        assert 0.5 * (omega[0, 0] + omega[1, 1]) == t
+        assert omega[0, 0] - t == n00
+        return omega
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_matches_mpmath(self, rng, kind):
+        # |mu| from 1e-9 to 0.7, on both sides of the series switch, with
+        # scalar parts up to |t| = 700: within 4 eps of a 40-digit
+        # exponential on each side
+        mpmath = pytest.importorskip("mpmath")
+        worst = {True: [], False: []}       # by |mu| < 0.5
+        mus = np.concatenate([np.logspace(-9, math.log10(0.49), 12),
+                              np.linspace(0.5, 0.7, 6)])
+        for t_abs in (0.0, 1.0, 30.0, 700.0):
+            for mu_abs in mus:
+                omega = self._exact_scalar_part(rng, kind, mu_abs, t_abs)
+                with mpmath.workdps(40):
+                    want = np.array(mpmath.expm(mpmath.matrix(
+                        omega.tolist())).tolist(), dtype=complex)
+                got = _expm2(omega)
+                assert got.dtype == omega.dtype
+                n00 = omega[0, 0] - 0.5 * (omega[0, 0] + omega[1, 1])
+                small = abs(n00 * n00 + omega[0, 1] * omega[1, 0]) < 0.25
+                worst[small].append(matnorm(got - want) / matnorm(want))
+        assert len(worst[True]) >= 40 and len(worst[False]) >= 20
+        eps = np.finfo(float).eps
+        assert max(worst[True]) <= 4 * eps and max(worst[False]) <= 4 * eps
 
     @pytest.mark.parametrize("kind", [complex, float])
     def test_masked_branches_bit_for_bit(self, rng, kind):
@@ -646,6 +720,31 @@ class TestStackedZ:
                                      scale=1)
         assert np.array_equal(stacked, single)
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.93, 0.11)])
+    @pytest.mark.parametrize("scale", [0, 1])
+    def test_mixed_branch_rows_bit_for_bit(self, scale, a, b, monkeypatch):
+        # one Magnus stack holds cells on both sides of |mu| = 0.5 with
+        # different step counts, and each row still rounds as it does alone
+        spec, zs = shoulder_bump_spec(), shoulder_bump_zs()
+        stacks = []
+        expm2 = propagator._expm2
+
+        def recorded(omega):
+            n00 = 0.5 * (omega[..., 0, 0] - omega[..., 1, 1])
+            stacks.append(np.abs(n00 * n00 + omega[..., 0, 1]
+                                 * omega[..., 1, 0]) < 0.25)
+            return expm2(omega)
+
+        monkeypatch.setattr(propagator, "_expm2", recorded)
+        Propagator(zs, spec).transfer(a, b, scale)
+        monkeypatch.undo()
+        # the first step of every (z, cell), then the later steps of some
+        assert stacks[0].shape[0] == len(zs) and len(stacks) > 10
+        assert (stacks[0].any(axis=1) & ~stacks[0].all(axis=1)).sum() >= 5
+        stacked, single = self._rows(spec, zs, a, b, scale)
+        assert np.isfinite(stacked).all()
+        assert np.array_equal(stacked, single)
+
     def test_scalar_z_keeps_matrix_shape(self):
         t = Propagator(0.3 + 0.2j, kp2_spec()).transfer(0.0, 3.5)
         assert t.shape == (4, 4)
@@ -693,6 +792,17 @@ class TestRealPath:
         one = Propagator(float(self.ZS[3]), spec)
         assert isinstance(one.z, float)
         assert one.transfer(a, b).dtype == np.float64
+
+    def test_mixed_branch_grid(self):
+        # the grid of TestStackedZ's mixed-branch stack at real z
+        zs = np.array([-512.0, -60.0, -7.5, -1.0, 0.0, 2.0, 30.0, 256.0])
+        spec = shoulder_bump_spec()
+        assert spec.is_real
+        for a, b in [(0.0, 1.0), (0.93, 0.11), (0.2, 1.6)]:
+            got = Propagator(zs, spec).transfer(a, b)
+            want = Propagator(zs.astype(complex), spec).transfer(a, b)
+            assert got.dtype == np.float64
+            assert np.all(matnorm(got - want) <= 1e-13 * matnorm(want))
 
     def test_complex_cases_stay_complex(self):
         spec = kp2_spec()
@@ -930,6 +1040,26 @@ class TestMagnusKernel:
                 err = np.linalg.norm(got - want, axis=(-2, -1))
                 assert np.all(err <= 1e-14 * np.linalg.norm(want,
                                                             axis=(-2, -1)))
+
+    @pytest.mark.parametrize("z", [1e60 + 1e60j, 1e110 + 1e110j,
+                                   1e160 + 1e160j])
+    def test_step_count_overflow_is_typed_and_silent(self, z, monkeypatch):
+        # on the 1601-node bump the step count leaves int64 from about
+        # |z| = 1e33, a^3 overflows from about 1e106 and |z|^2 from 1e154:
+        # IntegrationFailure from the first transfer, with no warning and
+        # no bisection of the carry; |z| as a real z takes the float64 path
+        spec = smooth_bump_spec(tail_q=1.0)
+        grid = spec.pieces[0]
+        transfers = count_calls(monkeypatch, Propagator, "transfer")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationFailure, match="step count"):
+                halfline_m(z, 0.0, alpha_dirichlet(1), spec)
+            assert len(transfers) == 1
+            prop = Propagator(np.array([2.0, abs(z)]), spec)
+            lcoef, kcoef = prop._coefficient(grid.values, 0)
+            with pytest.raises(IntegrationFailure, match="step count"):
+                magnus_steps(grid.xs, lcoef, prop.z, kcoef)
 
     def test_bump_large_z_matches_volterra(self):
         # |z| h = 2.5 per sample cell: the kernel must refine the cells.  The
