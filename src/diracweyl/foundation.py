@@ -7,6 +7,7 @@ condition).  All value types are immutable after construction, so they can be
 shared freely across concurrent evaluations.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -590,14 +591,22 @@ def potential_from_dict(doc):
 
 
 def load_potential(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    # cyclic GC passes over the decoded document, an acyclic tree of lists
+    # that dies on return, free nothing: pause GC, re-enable it if it was on
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return potential_from_dict(doc)
-    except NonHermitianPiece:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed potential file {path}: {exc}") from exc
+        with open(path) as fh:
+            doc = json.load(fh)
+        try:
+            return potential_from_dict(doc)
+        except NonHermitianPiece:
+            raise
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed potential file {path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # the stand-in for a number array in save_potential's dumped document

@@ -2,8 +2,9 @@
 
 The diagonal gauge factors solve a linear ODE with skew-Hermitian generator,
 propagated by the same fourth-order Magnus steps as the transfer matrices
-(so they stay unitary), both as one stack with one batched SVD for their
-drift at all output nodes.  The transformed off-diagonal datum
+(so they stay unitary), both as one stack; their drift takes an SVD only
+where cheap norm bounds leave it open, and B at the output nodes comes
+from the cut samples.  The transformed off-diagonal datum
 U11^{-1} [(B12 + B21) - i(B11 - B22)] U22, taken at all nodes at once,
 splits into the Hermitian blocks of the reduced potential.  A constant
 Hermitian twist omega acts on that datum from both sides and parametrizes
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianOmega
+from .errors import DegenerateArguments, NotHermitianOmega
 from .foundation import (
     GridPiece,
     PotentialSpec,
@@ -51,21 +52,27 @@ class GaugeFactors:
     u11: np.ndarray           # (n, m, m), unitary at every node
     u22: np.ndarray
     drift: float              # worst unitarity defect seen before projection
+    b: np.ndarray             # (n, 2m, 2m), B at every node
 
 
 def gauge_factors(spec, x0, x1):
     """Propagate the gauge ODE for U11, U22 with U(x0) = I to the output
     nodes: max(201, 50 (x1 - x0) + 1) equispaced points plus the piece
-    edges.
+    edges; x0 and x1 must be finite with x1 > x0 (DegenerateArguments).
 
     Both factors take Magnus steps as one stack (one magnus_steps call per
     segment) across the cells between consecutive cut points: output nodes
     and sample nodes.  At the first output node where a factor's drift
     exceeds 1e-10 it is re-projected onto the unitary group, and the
     product resumes from there; the worst pre-projection drift is reported.
+    The drift ||U*U - I||_2 lies between the largest column norm and the
+    Frobenius norm; an SVD is taken only where these bounds leave a
+    decision open.  B at the output nodes comes along: cut samples inside a
+    segment, one spec.eval call elsewhere.
     """
-    if not x1 > x0:
-        raise ValueError("gauge reduction needs x1 > x0")
+    if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
+        raise DegenerateArguments(
+            f"gauge reduction needs finite x0 < x1, got [{x0}, {x1}]")
     m = spec.m
     segs = spec.segments(x0, x1)
     xs = np.array(sorted({
@@ -80,22 +87,41 @@ def gauge_factors(spec, x0, x1):
     ends = np.concatenate([ts[1:] for ts, _ in cuts])
     k = np.searchsorted(xs, ends)
     node = np.where(xs[np.minimum(k, len(xs) - 1)] == ends, k, -1)
+    # at a node more than twice locate's snap inside its segment (once more
+    # for rounding in the edges), locate finds the segment's piece and
+    # offset, so the cut sample there is spec.eval's B bit for bit
+    lo, hi = np.repeat([(ts[0], ts[-1]) for ts, _ in cuts],
+                       [len(ts) - 1 for ts, _ in cuts], axis=0).T
+    snap = 2e-12 * (1.0 + np.abs(ends))
+    own = (node >= 0) & (ends - lo > snap) & (hi - ends > snap)
+    b = np.empty((len(xs), 2 * m, 2 * m), dtype=complex)
+    b[node[own]] = np.concatenate([v[1:] for _, v in cuts])[own]
+    rest = np.bincount(node[own], minlength=len(xs)) == 0
+    b[rest] = spec.eval(xs[rest])
     us = np.empty((len(xs), 2, m, m), dtype=complex)
     us[0] = np.eye(m)
+    fs, nodes = list(steps), node.tolist()
     drift, first, cell = 0.0, 0, 0
     while True:
         u = us[first]
-        for f, i in zip(steps[cell:], node[cell:].tolist()):
-            u = f @ u
-            if i >= 0:
-                us[i] = u
-        d = matnorm(us[first + 1:].conj().mT @ us[first + 1:] - np.eye(m))
+        for f, i in zip(fs[cell:], nodes[cell:]):
+            u = f @ u if i < 0 else np.matmul(f, u, out=us[i])
+        h = us[first + 1:].conj().mT @ us[first + 1:] - np.eye(m)
+        # one SVD where the bounds, widened against rounding, leave open
+        # whether a node passes the tol or holds the largest drift (a
+        # re-projection at row r puts the largest over [:r + 1] above tol)
+        c2 = (h.conj() * h).real.sum(axis=-2)       # squared column norms
+        up = np.sqrt(c2.sum(axis=-1)) * (1 + 1e-9)
+        low = np.sqrt(c2.max(axis=-1)) * (1 - 1e-9)
+        undecided = ~(up <= _REUNIT_TOL) | (up >= low.max(initial=0.0))
+        d = np.zeros(up.shape)
+        d[undecided] = matnorm(h[undecided])
         over = d > _REUNIT_TOL
         r = int(np.argmax(over.any(axis=1))) if over.any() else len(d)
         drift = max(drift, float(d[:r + 1].max(initial=0.0)))
         if r == len(d):
             return GaugeFactors(xs=xs, u11=us[:, 0], u22=us[:, 1],
-                                drift=drift)
+                                drift=drift, b=b)
         first += r + 1
         us[first, over[r]] = _polar_unitary(us[first, over[r]])
         cell = int(np.flatnonzero(node == first)[0]) + 1
@@ -103,11 +129,11 @@ def gauge_factors(spec, x0, x1):
 
 def _reduce(spec, x0, x1, twist, name):
     """The normal form on [x0, x1]: the datum U11^{-1} D U22 at every
-    output node from one stacked evaluation of B and one stacked solve,
-    twisted from both sides when twist is given."""
+    output node from the factors' B and one stacked solve, twisted from
+    both sides when twist is given."""
     m = spec.m
     factors = gauge_factors(spec, x0, x1)
-    b = spec.eval(factors.xs)
+    b = factors.b
     datum = (b[:, :m, m:] + b[:, m:, :m]) - 1j * (b[:, :m, :m] - b[:, m:, m:])
     y = np.linalg.solve(factors.u11, datum) @ factors.u22
     if twist is not None:

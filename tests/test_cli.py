@@ -294,6 +294,25 @@ class TestOtherCommands:
         assert max(matnorm(back.eval(x))
                    for x in np.linspace(0, 1, 9)) < 1e-12
 
+    @pytest.mark.parametrize("bounds", [
+        ["--x0", "0", "--x1", "inf"], ["--x0=-inf", "--x1", "1"],
+        ["--x0", "0", "--x1", "nan"], ["--x0", "1", "--x1", "1"]])
+    def test_gauge_bad_interval_is_typed(self, q1_file, tmp_path, bounds):
+        # a non-finite or empty interval exits 1 with one JSON line on
+        # stderr, not a traceback
+        import diracweyl
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            diracweyl.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "diracweyl.cli", "gauge", "--potential",
+             q1_file, *bounds, "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        [line] = out.stderr.splitlines()
+        assert json.loads(line)["error"] == "DegenerateArguments"
+
     def test_disk(self, free_file, tmp_path):
         out = str(tmp_path / "out")
         rc = main(["disk", "--potential", free_file, "--z", "1i",

@@ -468,6 +468,42 @@ class TestFileRoundtrip:
         with pytest.raises(ValueError):
             load_potential(path)
 
+    @pytest.mark.parametrize("gc_on", [True, False])
+    @pytest.mark.parametrize("text, error", [
+        (json.dumps({"m": 1, "pieces": []}), None),
+        ('{"m": 1, "pieces": [', ValueError),                 # not JSON
+        (json.dumps({"pieces": []}), ValueError),             # KeyError path
+        (json.dumps({"m": 1, "pieces": [{
+            "x_lo": 0.0, "x_hi": 1.0, "kind": "constant",
+            "data": [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]}]}),
+         NonHermitianPiece),
+    ], ids=["ok", "json", "key", "hermitian"])
+    def test_load_restores_gc_state(self, tmp_path, monkeypatch, gc_on, text,
+                                    error):
+        # the cyclic collector is paused while the file is decoded and left
+        # as it was found, also when the decode raises
+        import gc
+        from diracweyl import foundation
+        seen = []
+        decode = foundation.potential_from_dict
+        monkeypatch.setattr(foundation, "potential_from_dict", lambda doc: (
+            seen.append(gc.isenabled()), decode(doc))[1])
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        was = gc.isenabled()
+        (gc.enable if gc_on else gc.disable)()
+        try:
+            if error is None:
+                assert load_potential(path).m == 1
+            else:
+                with pytest.raises(error):
+                    load_potential(path)
+            assert gc.isenabled() == gc_on
+        finally:
+            (gc.enable if was else gc.disable)()
+        # the truncated text never reaches the decoder
+        assert seen == ([] if text.endswith("[") else [False])
+
     @staticmethod
     def _grid_doc(values):
         return {"m": 1, "pieces": [{

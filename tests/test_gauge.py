@@ -17,7 +17,7 @@ from diracweyl import (
 )
 from diracweyl import gauge
 from diracweyl.cli import main
-from diracweyl.errors import NotHermitianOmega
+from diracweyl.errors import DegenerateArguments, NotHermitianOmega
 from diracweyl.foundation import save_potential
 from diracweyl.propagator import magnus_steps, segment_cuts
 from conftest import count_calls, random_hermitian
@@ -66,6 +66,38 @@ def reference_factors(spec, x0, x1):
     return xs, out[1], out[2], drift, projections
 
 
+def unprojected_defects(spec, x0, x1):
+    """Spectral and Frobenius norms of U*U - I for both factors at every
+    output node, with the re-projection off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauge, "_REUNIT_TOL", math.inf)
+        _, u11, u22, _, _ = reference_factors(spec, x0, x1)
+    us = np.stack([u11, u22], axis=1)
+    h = us.conj().mT @ us - np.eye(spec.m)
+    return matnorm(h), np.linalg.norm(h, axis=(-2, -1))
+
+
+def eval_points(monkeypatch):
+    """Record the number of points of every PotentialSpec.eval call."""
+    points, ev = [], PotentialSpec.eval
+    monkeypatch.setattr(PotentialSpec, "eval", lambda self, x, side=0: (
+        points.append(np.size(x)), ev(self, x, side))[1])
+    return points
+
+
+def split_tol(s, f):
+    """A tolerance strictly between the spectral defect s and the Frobenius
+    defect f of a factor at the earliest node where they differ by 5%,
+    above the spectral defects of all nodes before it, so that the product
+    reaches that node unprojected and only an SVD can decide it."""
+    before = np.maximum.accumulate(s.max(axis=1))
+    for j, k in zip(*np.nonzero(f > 1.05 * s)):
+        lower = max(before[j - 1], s[j, k])
+        if f[j, k] > 1.05 * lower:
+            return math.sqrt(lower * f[j, k])
+    raise AssertionError("no node with a spectral-Frobenius gap")
+
+
 class TestGaugeFactors:
     def test_normal_form_input_identity(self, const_q1):
         # vanishing generator: the factors stay exactly at the identity
@@ -112,26 +144,79 @@ class TestGaugeFactors:
             assert np.max(np.abs(us[:, 0, 0] - want)) <= 1e-12
 
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("tol", [None, 2e-16])
+    @pytest.mark.parametrize("tol, m", [
+        *((tol, m) for tol in (None, 2e-16) for m in (1, 2, 3)),
+        *((case, m) for case in ("split", "argmax") for m in (2, 3))])
     def test_stacked_matches_per_node_loop(self, rng, monkeypatch, m, tol):
         # a grid piece, a constant piece and a gap, so that several
         # segments carry the product; at tol 2e-16 the re-projection fires
-        # at many nodes, in one factor or both
-        if tol is not None:
-            monkeypatch.setattr(gauge, "_REUNIT_TOL", tol)
+        # at many nodes, in one factor or both.  The drift takes an SVD only
+        # where its norm bounds leave a decision open: at "split" the
+        # tol lies between a node's spectral and Frobenius defect, and at
+        # "argmax" no node is projected and the largest Frobenius defect is
+        # not at the node of the largest spectral one
         grid = random_hermitian_spec(rng, m, x1=2.0, n=81).pieces[0]
         spec = PotentialSpec(m=m, pieces=(
             grid, ConstantPiece(2.0, 2.6, random_hermitian(rng, 2 * m, 0.4)),
             ConstantPiece(3.1, 4.0, random_hermitian(rng, 2 * m, 0.4))))
-        xs, u11, u22, drift, projections = reference_factors(spec, 0.0, 4.0)
-        gf = gauge_factors(spec, 0.0, 4.0)
+        x1 = 4.0
+        if tol == "split":
+            tol = split_tol(*unprojected_defects(spec, 0.0, x1))
+        elif tol == "argmax":
+            tol = None
+            # the interval where the two maxima part, found rather than
+            # hard-wired, since both are rounding errors
+            x1 = next((x for x in np.arange(2.5, 4.01, 0.25)
+                       if len(set(map(np.argmax, unprojected_defects(
+                           spec, 0.0, x)))) == 2), None)
+            assert x1 is not None
+        if tol is not None:
+            monkeypatch.setattr(gauge, "_REUNIT_TOL", tol)
+        xs, u11, u22, drift, projections = reference_factors(spec, 0.0, x1)
+        gf = gauge_factors(spec, 0.0, x1)
         assert np.array_equal(gf.xs, xs)
         assert np.array_equal(gf.u11, u11)
         assert np.array_equal(gf.u22, u22)
         assert gf.drift == drift
         if tol is not None:
             assert projections > 20
+        else:
+            assert projections == 0
+
+    @pytest.mark.parametrize("x0, x1", [
+        (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0),
+        (1.0, 1.0), (1.0, 0.0)])
+    def test_rejects_bad_interval(self, const_q1, monkeypatch, x0, x1):
+        # refused as DegenerateArguments before any work
+        segments = count_calls(monkeypatch, PotentialSpec, "segments")
+        with pytest.raises(DegenerateArguments, match="finite x0 < x1"):
+            gauge_factors(const_q1, x0, x1)
+        assert segments == []
+
+    @pytest.mark.parametrize("case", ["jump", "gap", "edge", "periodic"])
+    def test_node_values_are_eval(self, rng, monkeypatch, case):
+        # B at the output nodes comes from the cut samples inside a segment
+        # and from one spec.eval call at the others, equal to spec.eval at
+        # every node bit for bit: across a jump at an output node, in a
+        # gap, with x1 on an interior piece edge and over several periods
+        grid = random_hermitian_spec(rng, 2, x1=2.0, n=41).pieces[0]
+        const = random_hermitian(rng, 4, 0.4)
+        period, x0, x1 = None, 0.0, 3.0
+        pieces = (grid, ConstantPiece(2.0, 3.0, const))
+        if case == "gap":
+            pieces, x0, x1 = (grid, ConstantPiece(2.5, 3.5, const)), -0.5, 4.0
+        elif case == "edge":
+            x0, x1 = 0.3, 2.0
+        elif case == "periodic":
+            grid = GridPiece(0.3 * grid.xs, grid.values)
+            pieces = (grid, ConstantPiece(0.6, 1.0, const))
+            period, x0, x1 = 1.0, -1.3, 3.7
+        spec = PotentialSpec(m=2, pieces=pieces, period=period)
+        ends = len(spec.segments(x0, x1)) + 1
+        points = eval_points(monkeypatch)
+        gf = gauge_factors(spec, x0, x1)
+        assert len(points) == 1 and 2 <= points[0] <= 2 * ends
+        assert np.array_equal(gf.b, spec.eval(gf.xs))
 
     def test_polar_reprojection(self, rng):
         # the guard gauge_factors applies once drift exceeds 1e-10: the
@@ -215,14 +300,18 @@ class TestWorkCounts:
     def test_gauge_command_svd_and_magnus_calls(self, rng, tmp_path,
                                                  monkeypatch):
         # one SVD for the Hermiticity check on load, one for the drift of
-        # both factors at every node, one for the check of the output piece;
-        # one Magnus stack for both factors
+        # both factors where its norm bounds leave it open, one for the
+        # check of the output piece; one Magnus stack for both factors; B
+        # evaluated at the two segment ends x0 and x1, the cut samples
+        # giving it at every other node
         spec = random_hermitian_spec(rng, 2, x1=10.0, n=401)
         save_potential(spec, tmp_path / "g.json")
         svd = count_calls(monkeypatch, np.linalg, "svd")
         magnus = count_calls(monkeypatch, gauge, "magnus_steps")
+        points = eval_points(monkeypatch)
         assert main(["gauge", "--potential", str(tmp_path / "g.json"),
                      "--x0", "0", "--x1", "5",
                      "--out", str(tmp_path / "out")]) == 0
         assert len(svd) <= 3
         assert len(magnus) == 1
+        assert points == [2]
