@@ -288,7 +288,8 @@ class PotentialSpec:
     Outside its pieces the potential is zero (the locally integrable
     extension), unless a hard ``domain`` is declared, in which case
     evaluation beyond it raises OutOfDomain.  If ``period`` is set the
-    pieces must tile exactly one period and evaluation wraps.
+    pieces must tile exactly one period, each meeting the next within 1e-9
+    (ValueError otherwise), and evaluation wraps.
     """
 
     m: int
@@ -313,8 +314,11 @@ class PotentialSpec:
                 raise ValueError("periodic spec needs at least one piece")
             if self.period <= 0:
                 raise ValueError("period must be positive")
+            # a gap would be evaluated as a neighbouring piece, not as zero
             span = pieces[-1].x_hi - pieces[0].x_lo
-            if not math.isclose(span, self.period, rel_tol=0, abs_tol=1e-9):
+            if (not math.isclose(span, self.period, rel_tol=0, abs_tol=1e-9)
+                    or any(b.x_lo - a.x_hi > 1e-9
+                           for a, b in zip(pieces, pieces[1:]))):
                 raise ValueError("pieces must tile exactly one period")
             if not all(map(math.isfinite, (pieces[0].x_lo, pieces[-1].x_hi))):
                 raise ValueError("periodic pieces must be finite")

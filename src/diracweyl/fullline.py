@@ -123,8 +123,8 @@ def upsilon(lam, x0, alpha, spec, eps, tol=1e-8):
     lam may be a scalar or a 1-D array; lam + i*eps and lam + 2i*eps are
     evaluated as one stack of whole-line M and logs.  eps must be positive:
     at eps < 0 the same formula gives -Upsilon, and DegenerateArguments is
-    raised before any work (eps = 0 raises it through halfline_m), as it is
-    for a non-finite lambda.
+    raised before any work (eps = 0 or NaN raises it through halfline_m), as
+    it is for a non-finite lambda.
     """
     if eps < 0:
         raise DegenerateArguments(f"upsilon needs eps > 0, got {eps:g}")

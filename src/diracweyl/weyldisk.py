@@ -279,9 +279,16 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
     z may be a scalar or a 1-D array, evaluated as one stack (entries with
     Im z < 0 in a stack of their own); a scalar runs as a stack of one, and
     each row of a stacked result equals the result for that z alone, bit
-    for bit.  Any failing entry fails the whole call.
+    for bit.  Any failing entry fails the whole call.  A non-finite x0 or
+    z raises DegenerateArguments before any work.
     """
+    if not math.isfinite(x0):
+        raise DegenerateArguments(f"half-line M needs a finite x0, got {x0}")
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    # a NaN Im z is in neither half-plane stack, and its row would be left
+    # unwritten
+    if not np.isfinite(zs).all():
+        raise DegenerateArguments("half-line M needs finite z")
     if np.any(zs.imag == 0):
         raise DegenerateArguments("half-line M needs Im z != 0")
     m = alpha.m

@@ -1,8 +1,11 @@
 import argparse
+import ctypes
+import functools
 import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -57,6 +60,11 @@ def _g(*vals):
 def _matrix_cols(prefix, n):
     return [f"{prefix}{i}{j}_{part}" for i in range(1, n + 1)
             for j in range(1, n + 1) for part in ("re", "im")]
+
+
+def _summary(out):
+    with open(os.path.join(out, "summary.json")) as fh:
+        return json.load(fh)
 
 
 def _read_csv(path):
@@ -146,7 +154,7 @@ class TestMfunc:
         vals = dict(zip(header, rows[0]))
         assert abs(float(vals["M11_re"])) < 1e-8
         assert abs(float(vals["M11_im"]) - 1.0) < 1e-8
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = _summary(out)
         assert summary["command"] == "mfunc" and not summary["partial"]
 
     def test_broken_potential_category(self, tmp_path, capsys):
@@ -184,7 +192,7 @@ class TestMfunc:
         rc = main(["mfunc", "--potential", free_file, "--z", "1i,2.0,3+1i",
                    "--out", out])
         assert rc == 1
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = _summary(out)
         assert summary["partial"]
         assert summary["failures"][0]["category"] == "DegenerateArguments"
         clean = str(tmp_path / "clean")
@@ -195,13 +203,116 @@ class TestMfunc:
             assert fh.read() == fc.read()
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, spec, points", [
+    ("mfunc", smooth_bump_spec(n=41, tail_q=1.0), ["--z", "1i,2+1i"]),
+    ("fullline", smooth_bump_spec(n=41, tail_q=1.0), ["--z", "1i,2+1i"]),
+    ("upsilon", kp2_spec(), ["--lambda=0:1:2", "--eps", "1e-3"])])
+def test_non_finite_x0_fails_every_point(tmp_path, capsys, x0, command, spec,
+                                         points):
+    # a NaN x0 used to give mfunc and fullline rows (the free M = i on the
+    # bump) and upsilon an untyped ValueError; now every point is recorded
+    # as DegenerateArguments, with no row and nothing on stderr
+    path = tmp_path / "spec.json"
+    save_potential(spec, path)
+    out = str(tmp_path / "o")
+    assert main([command, "--potential", str(path), f"--x0={x0}", *points,
+                 "--out", out]) == 1
+    assert capsys.readouterr().err == ""
+    failures = _summary(out)["failures"]
+    assert [f["category"] for f in failures] == ["DegenerateArguments"] * 2
+    assert _read_csv(os.path.join(out, f"{command}.csv"))[2] == []
+
+
+def test_periodic_gap_is_refused(tmp_path, capsys):
+    data = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"m": 1, "period": 1.0, "pieces": [
+        {"x_lo": 0.0, "x_hi": 0.3, "kind": "constant", "data": data},
+        {"x_lo": 0.6, "x_hi": 1.0, "kind": "constant", "data": data}]}))
+    assert main(["bands", "--potential", str(path), "--lambda=-2:2:5",
+                 "--out", str(tmp_path / "o")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message":
+                                "pieces must tile exactly one period"}
+
+
+class TestAllocatorPolicy:
+    # musl has a mallopt that sets nothing
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="needs glibc's mallopt")
+    def test_sweep_reuses_its_heap(self, tmp_path):
+        # the 1601-node bump's mfunc sweep at |z| = 1..128 (halfline-bump's):
+        # without the policy every pass faults its kernels' freed arrays
+        # back in (90-600 minor faults a pass, by heap layout); with it a
+        # steady-state pass faults next to nothing.  The heap reaches its
+        # high-water mark within the first 8 passes (one step of about 130
+        # pages at the 7th or 8th), so 10 passes warm up
+        import diracweyl
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            diracweyl.__file__)))
+        save_potential(smooth_bump_spec(tail_q=1.0), tmp_path / "bump.json")
+        r = math.sqrt(0.5)
+        zs = ",".join(f"{z.real!r}+{z.imag!r}i" for z in (
+            complex(0.0, 2.0 ** k) if k % 2 == 0
+            else complex(r * 2.0 ** k, r * 2.0 ** k) for k in range(8)))
+        code = ("import resource\n"
+                "from diracweyl.cli import main\n"
+                "def faults():\n"
+                "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                f"    assert main(['mfunc', '--potential', 'bump.json', "
+                f"'--z', {zs!r}, '--out', 'o']) == 0\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - f0\n"
+                "for _ in range(10):\n"
+                "    faults()\n"
+                "print(*[faults() for _ in range(5)])\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, cwd=tmp_path, text=True)
+        assert sum(map(int, out.stdout.split())) <= 5 * 32, out.stdout
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, AttributeError])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, error):
+        # where the C library cannot be opened (OSError, or TypeError where
+        # CDLL takes no None, as on Windows) or has no mallopt
+        # (AttributeError), the policy is skipped and the outputs are the
+        # same bytes; the lookup is made once per process
+        spec = tmp_path / "bump.json"
+        save_potential(smooth_bump_spec(n=41, tail_q=1.0), spec)
+
+        def outputs(out):
+            assert main(["mfunc", "--potential", str(spec), "--z",
+                         "1i,2+1i", "--out", out]) == 0
+            with open(os.path.join(out, "mfunc.csv"), "rb") as fh:
+                csv = fh.read()
+            summary = _summary(out)
+            del summary["wall_time_s"], summary["inputs"]["out"]
+            return csv, summary
+
+        want = outputs(str(tmp_path / "with"))
+        calls = []
+
+        def cdll(name):
+            calls.append(name)
+            if error is AttributeError:
+                return object()
+            raise error("no C library")
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli, "_keep_heap",
+                            functools.cache(cli._keep_heap.__wrapped__))
+        for k in range(2):
+            assert outputs(str(tmp_path / f"without{k}")) == want
+        assert calls == [None]
+
+
 class TestBands:
     def test_edges(self, q1_file, tmp_path):
         out = str(tmp_path / "out")
         rc = main(["bands", "--potential", q1_file, "--lambda=-3:3:601",
                    "--out", out])
         assert rc == 0
-        info = json.load(open(os.path.join(out, "summary.json")))["info"]
+        info = _summary(out)["info"]
         assert info["bands"] == [[-3.0, -1.0], [1.0, 3.0]]
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:3"])
@@ -239,7 +350,7 @@ class TestBands:
             out = str(tmp_path / grid.replace(":", "_"))
             assert main(["bands", "--potential", q1_file,
                          f"--lambda={grid}", "--out", out]) == 0
-            info = json.load(open(os.path.join(out, "summary.json")))["info"]
+            info = _summary(out)["info"]
             runs.append((info["bands"], info["gaps"]))
             tables.append(np.array(_read_csv(
                 os.path.join(out, "bands.csv"))[2], dtype=float))
@@ -270,7 +381,7 @@ class TestOtherCommands:
         rc = main(["trace", "--potential", q1_file, "--x", "0.5",
                    "--zmags", "100,300", "--out", out])
         assert rc == 0
-        info = json.load(open(os.path.join(out, "summary.json")))["info"]
+        info = _summary(out)["info"]
         assert info["residuals"][0] < 1e-2
 
     def test_expand(self, q1_file, tmp_path):
@@ -318,7 +429,7 @@ class TestOtherCommands:
         rc = main(["disk", "--potential", free_file, "--z", "1i",
                    "--c", "1.0", "--m-value", "1i", "--out", out])
         assert rc == 0
-        info = json.load(open(os.path.join(out, "summary.json")))["info"]
+        info = _summary(out)["info"]
         assert info["classification"] == "interior"
 
     def test_disk_overflow_is_typed(self, tmp_path, capsys):
@@ -351,7 +462,7 @@ class TestUpsilonSweep:
         common = ["--potential", q1_file, "--eps", "1e-6", "--tol", "1e-14"]
         assert main(["upsilon", "--lambda=-2:1:4", "--out", out]
                     + common) == 1
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = _summary(out)
         assert [(f["lambda"], f["category"]) for f in summary["failures"]] \
             == [(-1.0, "NoConvergence"), (1.0, "NoConvergence")]
         assert main(["upsilon", "--lambda=-2:0:2", "--out", clean]
@@ -382,9 +493,21 @@ class TestUpsilonSweep:
         out = str(tmp_path / "o")
         assert main(["upsilon", "--potential", q1_file, "--lambda=0:2:3",
                      "--eps=-1e-3", "--out", out]) == 1
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = _summary(out)
         assert [(f["lambda"], f["category"]) for f in summary["failures"]] \
             == [(lam, "DegenerateArguments") for lam in (0.0, 1.0, 2.0)]
+        assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
+
+    def test_nan_eps_fails_every_point(self, tmp_path):
+        # lambda + i NaN used to give finite rows read from unwritten memory
+        path = tmp_path / "kp2.json"
+        save_potential(kp2_spec(), path)
+        out = str(tmp_path / "o")
+        assert main(["upsilon", "--potential", str(path), "--lambda=0:1:2",
+                     "--eps", "nan", "--out", out]) == 1
+        assert [(f["lambda"], f["category"]) for f in _summary(out)[
+            "failures"]] == [(0.0, "DegenerateArguments"),
+                             (1.0, "DegenerateArguments")]
         assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:3"])
@@ -410,7 +533,7 @@ class TestTableShape:
         _, header, rows = _read_csv(os.path.join(out, "mfunc.csv"))
         assert header == ["z_re", "z_im", "tail_bound", "M11_re", "M11_im"]
         assert rows == []
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = _summary(out)
         assert summary["failures"][0]["z"] == "(2+0j)"
 
     @pytest.mark.parametrize("argv", [
@@ -524,7 +647,7 @@ class TestValuesMatchLibrary:
         rep = reflectionless_check(load_potential(free_file), [0.0, 0.3],
                                    [0.5, 1.0], eps=1e-6, tol=1e-3)
         assert rows == [_g(*sample) for sample in rep.samples]
-        info = json.load(open(os.path.join(out, "summary.json")))["info"]
+        info = _summary(out)["info"]
         assert info["reflectionless"] is True
 
     def test_borg(self, q1_file, tmp_path):

@@ -206,6 +206,25 @@ class TestPotential:
         with pytest.raises(ValueError):
             PotentialSpec(m=1, pieces=(piece,), period=1.0)
 
+    def test_periodic_gap_rejected(self, tmp_path):
+        # the span matches the period, but (0.3, 0.6) lies in no piece and
+        # would be evaluated as the last one; a file holding it is refused
+        # the same way
+        from diracweyl import ConstantPiece
+        a = normal_form_matrix([[0.0]], [[1.0]])
+        pieces = (ConstantPiece(0.0, 0.3, a), ConstantPiece(0.6, 1.0, 2 * a))
+        with pytest.raises(ValueError, match="tile exactly one period"):
+            PotentialSpec(m=1, pieces=pieces, period=1.0)
+        assert not PotentialSpec(m=1, pieces=pieces).eval(0.45).any()
+        data = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        doc = {"m": 1, "period": 1.0, "pieces": [
+            {"x_lo": 0.0, "x_hi": 0.3, "kind": "constant", "data": data},
+            {"x_lo": 0.6, "x_hi": 1.0, "kind": "constant", "data": data}]}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="tile exactly one period"):
+            load_potential(path)
+
     def test_periodic_wrap_exact(self):
         xs = np.linspace(0.0, 1.0, 11)
         vals = np.array([normal_form_matrix([[x]], [[0.0]]) for x in xs])

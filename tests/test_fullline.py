@@ -203,6 +203,17 @@ class TestUpsilon:
             upsilon(lam, 0.0, alpha_dirichlet(1), const_q1, 1e-3)
         assert calls == []
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_x0_must_be_finite(self, x0):
+        # through halfline_m, before any work; on kp2 a NaN x0 used to
+        # raise an untyped ValueError from the period reduction
+        spec, a0 = kp2_spec(), alpha_dirichlet(2)
+        for call in (lambda: upsilon(np.array([0.5, 2.0]), x0, a0, spec, 1e-3),
+                     lambda: fullline_m(1j, x0, a0, spec),
+                     lambda: GreensEvaluator(1j, x0, spec)):
+            with pytest.raises(DegenerateArguments, match="finite x0"):
+                call()
+
     def test_band_point(self, const_q1):
         u = upsilon(2.0, 0.0, alpha_dirichlet(1), const_q1, 1e-6, tol=1e-7)
         assert matnorm(u.value - 0.5 * np.eye(2)) < 1e-3

@@ -31,6 +31,7 @@ from diracweyl import propagator
 from diracweyl.weyldisk import _invariant_subspace
 from conftest import (
     KP2_PIECES,
+    count_calls,
     count_eig,
     floquet_mplus,
     kp2_spec,
@@ -247,6 +248,31 @@ class TestHalfLineM:
     def test_real_z_rejected(self, zero1):
         with pytest.raises(DegenerateArguments):
             halfline_m(2.0, 0.0, alpha_dirichlet(1), zero1)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_finite_x0_rejected(self, x0, sign, monkeypatch):
+        # refused before any work; a NaN x0 on the bump used to give the
+        # free value M = i
+        import diracweyl.weyldisk as wd
+        calls = count_calls(monkeypatch, wd, "_halfline_rows")
+        with pytest.raises(DegenerateArguments, match="finite x0"):
+            halfline_m(np.array([1j, 2 - 1j]), x0, alpha_dirichlet(1),
+                       smooth_bump_spec(n=41, tail_q=1.0), sign=sign)
+        assert calls == []
+
+    @pytest.mark.parametrize("z", [
+        complex(1.0, math.nan), complex(math.nan, 1.0), complex(0.0, math.inf),
+        np.array([1j, complex(1.0, math.nan)])])
+    def test_non_finite_z_rejected(self, z, monkeypatch):
+        # an entry with NaN Im z used to come back as an unwritten row of
+        # np.empty with tail_bound 0, and an infinite z as NoConvergence
+        import diracweyl.weyldisk as wd
+        calls = count_calls(monkeypatch, wd, "_halfline_rows")
+        with pytest.raises(DegenerateArguments, match="finite z"):
+            halfline_m(z, 0.0, alpha_dirichlet(1),
+                       smooth_bump_spec(n=41, tail_q=1.0))
+        assert calls == []
 
     def test_exact_tail_inside_nested_disks(self, const_q1_periodic):
         # the paper's nested Weyl disks as an independent check: the
