@@ -177,9 +177,10 @@ class _Run:
         if self.failures:
             summary["failures"] = self.failures
         summary["info"] = self.info
+        # strict JSON: a NaN or inf raises here instead of being written
+        text = json.dumps(summary, indent=1, default=str, allow_nan=False)
         with open(os.path.join(self.outdir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, default=str)
-            fh.write("\n")
+            fh.write(text + "\n")
         return 1 if self.failures else 0
 
 
@@ -481,7 +482,8 @@ _PARSER = build_parser()
 
 
 # glibc mallopt's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and their values:
-# above a sweep kernel's largest block and freed heap top (0.5-1 MB a call)
+# above a sweep kernel's largest block and freed heap top (up to about
+# 3.5 MB a call)
 _MALLOPT = ((-3, 16 << 20), (-1, 64 << 20))
 
 
@@ -500,12 +502,22 @@ def _keep_heap():
         mallopt(param, value)
 
 
+def _check_finite(args):
+    """DegenerateArguments for a non-finite float option, before the output
+    directory is made or the potential is loaded."""
+    for name, value in sorted(vars(args).items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DegenerateArguments(
+                f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None):
     """Run one command (argv as for the command line) and return its exit
     status; _keep_heap first keeps freed memory resident for the kernels."""
     _keep_heap()
     args = _PARSER.parse_args(argv)
     try:
+        _check_finite(args)
         run = _Run(args)
         args.func(args, load_potential(args.potential), run)
         return run.finish()

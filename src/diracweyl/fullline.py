@@ -193,8 +193,11 @@ class GreensEvaluator:
 
     def value(self, x, xp, side=None):
         """G(z, x, x') for a scalar or a 1-D array of x'; on the diagonal
-        x' = x pass side=+1 (x' = x + 0) or -1 (x' = x - 0)."""
+        x' = x pass side=+1 (x' = x + 0) or -1 (x' = x - 0).  A non-finite
+        x or x' raises DegenerateArguments."""
         xps = np.atleast_1d(np.asarray(xp, dtype=float))
+        if not (math.isfinite(x) and np.isfinite(xps).all()):
+            raise DegenerateArguments("Green's matrix needs finite x and x'")
         diag = xps == x
         if diag.any() and side not in (1, -1):
             raise ValueError("on the diagonal pass side=+1 (x'=x+0) or -1")

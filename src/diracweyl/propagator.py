@@ -45,8 +45,12 @@ from .foundation import alpha_dirichlet, jmat, matnorm
 _MAGNUS_ETA = 1e-10
 
 # (z, cell) pairs per magnus_steps batch of a grid piece: bounds the
-# stacks' memory when many z share one Propagator
-_CELL_BLOCK = 4096
+# stacks' memory when many z share one Propagator.  magnus_steps traces
+# about 210 B per pair at its peak (the first step's exponent and
+# exponential), so a batch stays near 3.5 MB; at 16384 the 8 z x 1600
+# cells of a densely sampled grid run as one batch and one product tree,
+# where the per-call overhead, not the arithmetic, dominates
+_CELL_BLOCK = 16384
 
 
 def _minus_j(x):
@@ -80,10 +84,12 @@ _SINHC_SERIES = 0.5
 
 
 def _horner(u, coefs):
-    """sum_k coefs[k] u^k."""
+    """sum_k coefs[k] u^k, each sum taken in place; each product is a new
+    array (see _expm2)."""
     acc = coefs[-1]
     for coef in coefs[-2::-1]:
-        acc = acc * u + coef
+        acc = acc * u
+        acc += coef
     return acc
 
 
@@ -96,7 +102,7 @@ def _taylor_or(x, limit, coefs, direct):
     return out
 
 
-def _expm2(omega):
+def _expm2(omega, overwrite=False):
     """e^omega for a 2x2 matrix or a stack of them, in closed form
     (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45, 2003).
 
@@ -107,9 +113,10 @@ def _expm2(omega):
     elsewhere of e^{t +- mu}, mu complex (_exp_sum), never e^t cosh(mu):
     under the rescale e^t can underflow while cosh(mu) overflows.  Each
     entry forms only its branch; a real omega gives a real result, a view
-    of an entry-major array.  A single matrix runs as a stack of one."""
+    of an entry-major array, or with overwrite omega itself, the result
+    written over it.  A single matrix runs as a stack of one."""
     if omega.ndim == 2:
-        return _expm2(omega[None])[0]
+        return _expm2(omega[None], overwrite)[0]
     o00, o01, o10, o11 = (omega[..., i, j] for i, j in np.ndindex(2, 2))
     t = 0.5 * (o00 + o11)
     n00 = o00 - t
@@ -121,23 +128,31 @@ def _expm2(omega):
         small = np.abs(u) < _SINHC_SERIES ** 2
         # a branch runs only if an entry takes it, on views if all do
         if small.any():
+            # if all do, e^t goes over t and e^t times each series into c, s
             sel = ... if small.all() else small
-            et = np.exp(t[sel])
-            c[sel] = et * _horner(u[sel], _COSH_TAYLOR)
-            s[sel] = et * _horner(u[sel], _SINHC_TAYLOR)
+            whole = sel is ...
+            et = np.exp(t[sel], out=t if whole else None)
+            for dst, coefs in ((c, _COSH_TAYLOR), (s, _SINHC_TAYLOR)):
+                dst[sel] = np.multiply(et, _horner(u[sel], coefs),
+                                       out=dst if whole else None)
+            del et
         if not small.all():
             sel = ... if not small.any() else ~small
             mu = np.sqrt(u[sel].astype(complex, copy=False))
             ep, em = _exp_sum(t[sel], mu), _exp_sum(t[sel], -mu)
             c[sel], s[sel] = (x if np.iscomplexobj(u) else x.real for x in (
                 0.5 * (ep + em), (ep - em) / (2 * mu)))
-        out = np.empty((2, 2) + t.shape, dtype=t.dtype)
-        sn = s * n00
-        np.add(c, sn, out=out[0, 0])
-        np.subtract(c, sn, out=out[1, 1])
-        np.multiply(s, o01, out=out[0, 1])
-        np.multiply(s, o10, out=out[1, 0])
-    return np.moveaxis(out, (0, 1), (-2, -1))
+        out = omega if overwrite else np.moveaxis(
+            np.empty((2, 2) + c.shape, dtype=c.dtype), (0, 1), (-2, -1))
+        # no complex product is written over one of its operands: at length
+        # 1 NumPy then takes a scalar loop, which rounds differently from
+        # the vector loop of a longer stack
+        sn = np.multiply(s, n00, out=t)
+        np.add(c, sn, out=out[..., 0, 0])
+        np.subtract(c, sn, out=out[..., 1, 1])
+        out[..., 0, 1] = np.multiply(s, o01, out=c)
+        out[..., 1, 0] = np.multiply(s, o10, out=n00)
+    return out
 
 
 def _exp_sum(a, b):
@@ -218,12 +233,13 @@ def _expm_pade(a):
     return r
 
 
-def _expm(omega):
+def _expm(omega, overwrite=False):
     """e^omega for a stack of d x d matrices: in closed form for d <= 2,
-    by _expm_pade for larger d (see _expm_ham for real Hamiltonian 4x4)."""
+    by _expm_pade for larger d (see _expm_ham for real Hamiltonian 4x4).
+    With overwrite a 2x2 stack takes its result over omega (_expm2)."""
     d = omega.shape[-1]
     if d == 2:
-        return _expm2(omega)
+        return _expm2(omega, overwrite)
     if d == 1:
         return np.exp(omega)
     return _expm_pade(omega)
@@ -400,6 +416,7 @@ def magnus_steps(ts, lcoef, z=None, kcoef=None):
                 + (z.real * z.real + z.imag * z.imag) * _frob2(kfree), 0)
         a = np.abs(h) * np.sqrt(a2)
         k = np.ceil(((a ** 3 * b + a * b * b) / _MAGNUS_ETA) ** 0.2)
+    del a, a2
     if not np.all(k < 2.0 ** 63):      # NaN (from an overflow) fails it too
         raise IntegrationFailure("Magnus step count not finite or beyond "
                                  "int64: |z| h is too large for the grid")
@@ -424,17 +441,18 @@ def magnus_steps(ts, lcoef, z=None, kcoef=None):
         omega = np.empty((d, d) + kc.shape,
                          dtype=np.result_type(*coefs, *terms))
         for p, q in np.ndindex(d, d):
-            acc = coefs[0] * terms[0][p, q][tc]
+            acc = omega[p, q]
+            np.multiply(coefs[0], terms[0][p, q][tc], out=acc)
             for coef, x in zip(coefs[1:], terms[1:]):
-                acc = acc + coef * x[p, q][tc]
-            omega[p, q] = acc
+                acc += coef * x[p, q][tc]
         return np.moveaxis(omega, (0, 1), (-2, -1))
 
-    # every cell takes its first step, so that one runs on the whole stack
-    out = _expm(exponent(0, ()))
+    # every cell takes its first step, so that one runs on the whole stack;
+    # each exponential is taken over its exponent's buffer
+    out = _expm(exponent(0, ()), overwrite=True)
     for j in range(1, k.max(initial=0)):
         c = np.nonzero(k > j)          # cells still stepping
-        out[c] = _mul(_expm(exponent(j, c)), out[c])
+        out[c] = _mul(_expm(exponent(j, c), overwrite=True), out[c])
     return out
 
 

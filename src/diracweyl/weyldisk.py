@@ -280,10 +280,13 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
     Im z < 0 in a stack of their own); a scalar runs as a stack of one, and
     each row of a stacked result equals the result for that z alone, bit
     for bit.  Any failing entry fails the whole call.  A non-finite x0 or
-    z raises DegenerateArguments before any work.
+    z, or a NaN or negative tol, raises DegenerateArguments before any work.
     """
     if not math.isfinite(x0):
         raise DegenerateArguments(f"half-line M needs a finite x0, got {x0}")
+    # a NaN tol would switch the gate off: tail > NaN is False
+    if not tol >= 0:
+        raise DegenerateArguments(f"half-line M needs tol >= 0, got {tol}")
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     # a NaN Im z is in neither half-plane stack, and its row would be left
     # unwritten

@@ -211,17 +211,53 @@ class TestMfunc:
 def test_non_finite_x0_fails_every_point(tmp_path, capsys, x0, command, spec,
                                          points):
     # a NaN x0 used to give mfunc and fullline rows (the free M = i on the
-    # bump) and upsilon an untyped ValueError; now every point is recorded
-    # as DegenerateArguments, with no row and nothing on stderr
+    # bump) and upsilon an untyped ValueError, and then a failure record per
+    # point with the x0 written into summary.json as NaN or Infinity; now
+    # no point is tried: one DegenerateArguments line and no output
     path = tmp_path / "spec.json"
     save_potential(spec, path)
     out = str(tmp_path / "o")
     assert main([command, "--potential", str(path), f"--x0={x0}", *points,
                  "--out", out]) == 1
-    assert capsys.readouterr().err == ""
-    failures = _summary(out)["failures"]
-    assert [f["category"] for f in failures] == ["DegenerateArguments"] * 2
-    assert _read_csv(os.path.join(out, f"{command}.csv"))[2] == []
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "DegenerateArguments"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option, argv", [
+    ("mfunc", "--tol", ["--z", "1i"]),
+    ("mfunc", "--x0", ["--z", "1i"]),
+    ("fullline", "--tol", ["--z", "1i"]),
+    ("upsilon", "--tol", ["--lambda=0:1:2"]),
+    ("upsilon", "--eps", ["--lambda=0:1:2"]),
+    ("greens", "--x", ["--z", "1i", "--xp", "0.5"]),
+    ("trace", "--x", []),
+    ("borg", "--lam-max", []),
+    ("disk", "--c", ["--z", "1i", "--m-value", "1i"])])
+def test_non_finite_float_option_is_refused(tmp_path, capsys, command,
+                                            option, argv, value):
+    # refused right after parsing: the potential file does not exist, and
+    # neither the output directory nor summary.json is made
+    out = tmp_path / "o"
+    assert main([command, "--potential", str(tmp_path / "missing.json"),
+                 *argv, f"{option}={value}", "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "DegenerateArguments"
+    assert err["message"].startswith(f"{option} must be finite")
+    assert not out.exists()
+
+
+def test_summary_is_strict_json(tmp_path):
+    # a non-finite value left in the summary raises instead of being
+    # written as NaN, which strict JSON readers reject
+    args = argparse.Namespace(command="mfunc", out=str(tmp_path / "o"))
+    run = cli._Run(args)
+    run.info["worst"] = math.nan
+    with pytest.raises(ValueError):
+        run.finish()
+    assert os.listdir(args.out) == []
 
 
 def test_periodic_gap_is_refused(tmp_path, capsys):
@@ -339,7 +375,9 @@ class TestBands:
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == \
             "DegenerateArguments"
-        assert os.listdir(out) == []
+        # a non-finite option is refused before the directory is made
+        assert os.listdir(out) == [] if tol == "-1" else \
+            not os.path.exists(out)
 
     def test_descending_grid_keeps_gaps(self, q1_file, tmp_path):
         # the same runs, written (min, max) in increasing order, and the
@@ -498,17 +536,18 @@ class TestUpsilonSweep:
             == [(lam, "DegenerateArguments") for lam in (0.0, 1.0, 2.0)]
         assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
 
-    def test_nan_eps_fails_every_point(self, tmp_path):
-        # lambda + i NaN used to give finite rows read from unwritten memory
+    def test_nan_eps_fails_every_point(self, tmp_path, capsys):
+        # lambda + i NaN used to give finite rows read from unwritten
+        # memory, and then a failure record per point with "eps": NaN in
+        # summary.json; now no point is tried and nothing is written
         path = tmp_path / "kp2.json"
         save_potential(kp2_spec(), path)
         out = str(tmp_path / "o")
         assert main(["upsilon", "--potential", str(path), "--lambda=0:1:2",
                      "--eps", "nan", "--out", out]) == 1
-        assert [(f["lambda"], f["category"]) for f in _summary(out)[
-            "failures"]] == [(0.0, "DegenerateArguments"),
-                             (1.0, "DegenerateArguments")]
-        assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "DegenerateArguments"
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:0:3"])
     def test_non_finite_grid_is_typed(self, q1_file, tmp_path, capsys, grid):
@@ -672,6 +711,9 @@ class TestValuesMatchLibrary:
                    str(tmp_path / "o")] + argv)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
+        if argv == ["--lam-max=inf"]:   # refused with the other non-finite
+            assert err["error"] == "DegenerateArguments"
+            return
         assert err["error"] == "ValueError"
         assert "grid_step > 0 and lam_max > 0" in err["message"]
 

@@ -137,6 +137,17 @@ class TestGreens:
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, const_q1, bad, monkeypatch):
+        # refused before any transfer; a NaN x' used to give a NaN row, an
+        # infinite one an overflowing walk
+        ev = GreensEvaluator(1.3j, 0.0, const_q1)
+        calls = count_calls(monkeypatch, Propagator, "transfer")
+        for x, xp in ((bad, 0.3), (0.3, bad), (0.3, np.array([0.1, bad]))):
+            with pytest.raises(DegenerateArguments, match="finite x and x'"):
+                ev.value(x, xp)
+        assert calls == []
+
     def test_resolvent_residual(self, const_q1_window):
         # psi = integral of G(z, x, x') phi(x') solves J psi' = (z+B) psi + phi
         z = 0.6 + 0.9j

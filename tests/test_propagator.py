@@ -33,7 +33,6 @@ from diracweyl.errors import (
     NoCompactSupport,
 )
 from diracweyl.propagator import (
-    _CELL_BLOCK,
     _COSH_TAYLOR,
     _SINHC_SERIES,
     _SINHC_TAYLOR,
@@ -335,6 +334,15 @@ class TestExpm2:
             got = _expm2(a)
         assert got.dtype == a.dtype
         assert np.array_equal(got, self._unmasked(a))
+        # written over the input, and for a stack of one, where NumPy rounds
+        # a complex product written over one of its operands differently
+        work = a.copy()
+        assert _expm2(work, overwrite=True) is work
+        assert np.array_equal(work, got)
+        for row, want in zip(a[0], got[0]):
+            one = row[None].copy()
+            for res in (_expm2(row[None]), _expm2(one, overwrite=True)):
+                assert np.array_equal(res[0], want)
 
 
 class TestMul:
@@ -662,7 +670,7 @@ class TestStackedZ:
         assert np.array_equal(stacked, single)
 
     @pytest.mark.parametrize("a,b", SPANS)
-    def test_grid_pieces(self, a, b):
+    def test_grid_pieces(self, a, b, monkeypatch):
         # m = 2 with a zero-mean scalar part, so the gauge factors return to
         # I after one period and the normal form stays periodic
         xs = np.linspace(0.0, 1.0, 41)
@@ -675,9 +683,11 @@ class TestStackedZ:
         spec = normal_form(PotentialSpec.from_samples(xs, vals, period=1.0),
                            0.0, 1.0)
         assert spec.is_periodic and spec.pieces[0].kind == "grid"
-        # 40 z split the 200 cells into Magnus batches of 64
+        # at 4096 (z, cell) pairs per batch, 40 z split the 200 cells into
+        # Magnus batches of 64
+        monkeypatch.setattr(propagator, "_CELL_BLOCK", 4096)
         zs = np.concatenate([self.ZS, np.linspace(-4.0, 4.0, 34) + 0.05j])
-        assert _CELL_BLOCK // len(zs) < len(spec.pieces[0].xs) - 1
+        assert propagator._CELL_BLOCK // len(zs) < len(spec.pieces[0].xs) - 1
         stacked, single = self._rows(spec, zs, a, b)
         err = np.max(np.abs(stacked - single), axis=(-2, -1))
         assert np.all(err <= 1e-13 * np.max(np.abs(single), axis=(-2, -1)))
@@ -720,6 +730,22 @@ class TestStackedZ:
                                      scale=1)
         assert np.array_equal(stacked, single)
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.9, 0.2)])
+    @pytest.mark.parametrize("scale", [0, 1, -1])
+    def test_grid_batch_size_bit_for_bit(self, scale, a, b, monkeypatch):
+        # the 1600 cells of an m = 1 grid for 8 z go as 200, 4 or 1 Magnus
+        # batches; aligned power-of-two chunks keep the pairwise product
+        # tree, and so every bit, the same
+        zs = np.array([0.5j, 1.0 + 1.0j, -2.0 + 0.25j, 4.0j, 8.0 + 8.0j,
+                       -16.0 + 1.0j, 32.0j, 90.5 + 90.5j])
+        spec = smooth_bump_spec(tail_q=1.0)
+        rows = []
+        for block in (64, 4096, 16384):
+            monkeypatch.setattr(propagator, "_CELL_BLOCK", block)
+            rows.append(Propagator(zs, spec).transfer(a, b, scale))
+        assert np.isfinite(rows[0]).all()
+        assert all(np.array_equal(r, rows[0]) for r in rows[1:])
+
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.93, 0.11)])
     @pytest.mark.parametrize("scale", [0, 1])
     def test_mixed_branch_rows_bit_for_bit(self, scale, a, b, monkeypatch):
@@ -729,11 +755,12 @@ class TestStackedZ:
         stacks = []
         expm2 = propagator._expm2
 
-        def recorded(omega):
+        def recorded(omega, *args):
+            # read before the call, which may write the result over omega
             n00 = 0.5 * (omega[..., 0, 0] - omega[..., 1, 1])
             stacks.append(np.abs(n00 * n00 + omega[..., 0, 1]
                                  * omega[..., 1, 0]) < 0.25)
-            return expm2(omega)
+            return expm2(omega, *args)
 
         monkeypatch.setattr(propagator, "_expm2", recorded)
         Propagator(zs, spec).transfer(a, b, scale)

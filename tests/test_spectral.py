@@ -222,7 +222,7 @@ class TestFloquet:
 
     def test_grid_stack_bounds_memory(self):
         # 64 lambda on a 400-cell period: one (z, cell) stack traced ~18 MB
-        # here, batches of _CELL_BLOCK (z, cell) pairs ~3 MB
+        # here; batches of _CELL_BLOCK (z, cell) pairs trace ~1.8 MB
         xs = np.linspace(0.0, 1.0, 401)
         vals = np.array([normal_form_matrix([[0.3 * math.cos(2 * math.pi * x)]],
                                             [[0.5]]) for x in xs])

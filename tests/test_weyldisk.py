@@ -261,6 +261,17 @@ class TestHalfLineM:
                        smooth_bump_spec(n=41, tail_q=1.0), sign=sign)
         assert calls == []
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
+    def test_bad_tol_rejected(self, tol, monkeypatch):
+        # a NaN tol used to switch the gate off (tail > NaN is False), so
+        # every entry passed
+        import diracweyl.weyldisk as wd
+        calls = count_calls(monkeypatch, wd, "_halfline_rows")
+        with pytest.raises(DegenerateArguments, match="tol >= 0"):
+            halfline_m(np.array([1j, 2 - 1j]), 0.0, alpha_dirichlet(1),
+                       smooth_bump_spec(n=41, tail_q=1.0), tol=tol)
+        assert calls == []
+
     @pytest.mark.parametrize("z", [
         complex(1.0, math.nan), complex(math.nan, 1.0), complex(0.0, math.inf),
         np.array([1j, complex(1.0, math.nan)])])
