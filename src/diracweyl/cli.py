@@ -55,7 +55,9 @@ from .weyldisk import disk_membership, halfline_m
 
 
 def _parse_complex(text):
-    return complex(text.strip().replace("i", "j"))
+    """A complex number with an i or j suffix: 2+1e3i, 1i, inf, nan."""
+    text = text.strip()
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _parse_list(text, conv):
@@ -64,10 +66,11 @@ def _parse_list(text, conv):
 
 def _parse_grid(text):
     lo, hi, n = text.split(":")
-    # an infinite end gives NaN grid points without a RuntimeWarning; the
+    # main refuses a non-finite end, but ends near the float limit overflow
+    # the step and give NaN grid points, here without a RuntimeWarning; the
     # command decides what they mean (bands and upsilon raise
     # DegenerateArguments)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.linspace(float(lo), float(hi), int(n))
 
 
@@ -502,11 +505,24 @@ def _keep_heap():
         mallopt(param, value)
 
 
+# options given as text: comma lists (matrices 'a,b;c,d') and lo:hi:n grids
+_LISTS = {"z", "zmags", "xp", "x_list", "lambda_list", "alpha", "m_value",
+          "omega"}
+_GRIDS = {"lambda", "grid"}
+
+
 def _check_finite(args):
-    """DegenerateArguments for a non-finite float option, before the output
-    directory is made or the potential is loaded."""
+    """DegenerateArguments for a non-finite float option, or a non-finite
+    number in a list or matrix option or at an end of a lo:hi:n grid,
+    before the output directory is made or the potential is loaded."""
     for name, value in sorted(vars(args).items()):
-        if isinstance(value, float) and not math.isfinite(value):
+        if name in _GRIDS:
+            nums = [float(v) for v in value.split(":")[:2]]
+        elif name in _LISTS and value is not None:
+            nums = _parse_list(value.replace(";", ","), _parse_complex)
+        else:
+            nums = [value] if isinstance(value, float) else []
+        if not np.isfinite(nums).all():
             raise DegenerateArguments(
                 f"--{name.replace('_', '-')} must be finite, got {value}")
 

@@ -54,10 +54,13 @@ def fullline_m(z, x0, alpha, spec, tol=1e-10):
     M11 = (M_- - M_+)^{-1}, M12 = M11 (M_- + M_+)/2,
     M21 = (M_- + M_+)/2 M11, M22 = M_+- M11 M_-+ (both orderings averaged,
     their distance reported as m22_defect).  z may be a scalar or a 1-D
-    array, as for halfline_m, with one half-line call per side.
+    array, as for halfline_m, with one half-line call per side; on a
+    periodic spec the two calls share one period transfer and one subspace
+    pass (halfline_m's _share), and each side runs its own gate.
     """
-    mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol)
-    mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol)
+    share = {}
+    mp = halfline_m(z, x0, alpha, spec, sign=+1, tol=tol, _share=share)
+    mm = halfline_m(z, x0, alpha, spec, sign=-1, tol=tol, _share=share)
     diff = mm.M - mp.M
     scale = 1.0 + np.maximum(matnorm(mp.M), matnorm(mm.M))
     bad = np.flatnonzero(np.atleast_1d(inv_cond(diff, scale)) > COND_LIMIT)

@@ -4,8 +4,9 @@ classification, and the limit-point half-line M-function.
 For Im z != 0 exactly m solutions decay toward each end (Hinton & Shaw,
 J. Differential Equations 40, 1981), and the half-line M is read off the
 subspace they span, with no truncation radius: for a periodic spec the
-dominant invariant subspace of the period transfer toward the other side,
-for a constant tail the stable subspace of its system matrix.  Its
+dominant invariant subspace of the forward period transfer T (toward -inf)
+or of its symplectic inverse J^{-1} T(zbar)^H J (toward +inf), for a
+constant tail the stable subspace of its system matrix.  Its
 orthonormal basis is the leading Schur vectors, built from LAPACK
 eigenvectors by unitary deflation (Golub & Van Loan, 7.6).  From the
 tail's inner edge the basis is carried to x0 by transfers, each followed
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DegenerateArguments,
+    DiracWeylError,
     EigenvalueHit,
     IntegrationFailure,
     NoConvergence,
@@ -36,7 +38,7 @@ from .foundation import (
     matnorm,
     sigma,
 )
-from .propagator import Propagator, auto_scale, system_matrix
+from .propagator import Propagator, _minus_j, auto_scale, system_matrix
 
 _STEP_COND = 3e6        # bisect carry steps above this R condition
 _MIN_SEG = 1e-9
@@ -244,34 +246,74 @@ class HalfLineM:
     sweeps: int
 
 
-def _halfline_rows(zs, x0, c, alpha, spec, sign):
+def _period_generators(zs, x0, spec, sides):
+    """For each side of sides, the stack of matrices whose dominant
+    invariant subspace holds the solutions decaying toward it, stacked
+    side after side: for -1 the period transfer T = T(x0 + w <- x0), for +1
+    its symplectic inverse T^{-1} = J^{-1} T(zbar)^H J (Psi(zbar)* J Psi(z)
+    = J), which is J^{-1} T^T J on a real spec.  Each transfer carries its
+    own auto_scale factor, a scalar that moves neither subspace."""
+    end = x0 + spec.period
+
+    def forward(z):
+        return Propagator(z, spec).transfer(x0, end,
+                                            scale=auto_scale(z[0], x0, end))
+
+    t = forward(zs) if spec.is_real or -1 in sides else None
+    # -J (-J X)^T = J^{-1} X^T J, a signed permutation of X = conj T(zbar),
+    # which is T on a real spec
+    return np.concatenate([t if s < 0 else _minus_j(_minus_j(
+        t if spec.is_real else forward(zs.conj()).conj()).mT)
+        for s in sides])
+
+
+def _halfline_rows(zs, x0, c, alpha, spec, sides):
     """M and the sensitivity sum ||T|| / gap + kappa for z in one half
-    plane, where the rescale sign is the same for every entry."""
+    plane, where the rescale sign is the same for every entry, one stack
+    per side of sides (more than one on a periodic spec only), read off in
+    one pass."""
     m = alpha.m
-    prop = Propagator(zs, spec)
     if spec.is_periodic:
-        back = x0 - sign * spec.period
         u, sens = _invariant_subspace(
-            prop.transfer(x0, back, scale=auto_scale(zs[0], x0, back)), m)
+            _period_generators(zs, x0, spec, sides), m)
     else:
+        [sign] = sides
+        prop = Propagator(zs, spec)
         piece, _ = spec.locate(c + sign)
         b = np.zeros((2 * m, 2 * m)) if piece is None else piece.eval(0.0)
         u, sens = _invariant_subspace(system_matrix(zs[:, None, None], b), m,
                                       "lhp" if sign > 0 else "rhp")
-    if c != x0:
-        qs, kappa = _carry(prop, u, [c, x0])
-        u, sens = qs[-1], sens + kappa
+        if c != x0:
+            qs, kappa = _carry(prop, u, [c, x0])
+            u, sens = qs[-1], sens + kappa
     au = alpha.alpha @ u         # u is orthonormal: the scale is 1
     if np.any(inv_cond(au) > COND_LIMIT):
         raise SingularDenominator("alpha-chart readoff singular")
-    return -_right_solve(alpha.alpha_j() @ u, au), sens
+    shape = (len(sides), len(zs))
+    return (-_right_solve(alpha.alpha_j() @ u, au).reshape(shape + (m, m)),
+            sens.reshape(shape))
 
 
-def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
+def _halfline_sides(zs, x0, c, alpha, spec, sides):
+    """_halfline_rows over both half planes of zs: M as (sides, n, m, m)
+    and the sensitivity as (sides, n)."""
+    m = alpha.m
+    mval = np.empty((len(sides), len(zs), m, m), dtype=complex)
+    sens = np.empty((len(sides), len(zs)))
+    for rows in (np.flatnonzero(zs.imag > 0), np.flatnonzero(zs.imag < 0)):
+        if len(rows):
+            mval[:, rows], sens[:, rows] = _halfline_rows(
+                zs[rows], x0, c, alpha, spec, sides)
+    return mval, sens
+
+
+def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, _share=None):
     """Half-line M-function M_plus (sign=+1) or M_minus (sign=-1), from the
     m solutions that decay toward ``sign``: the dominant invariant subspace
-    of the period transfer T(x0 - sign*w <- x0), or the stable subspace of
-    the constant tail beyond its inner edge c, carried from c to x0.
+    of the period transfer T = T(x0 + w <- x0) for M_minus or of its
+    symplectic inverse J^{-1} T(zbar)^H J for M_plus, or the stable
+    subspace of the constant tail beyond its inner edge c, carried from c
+    to x0.
     tail_bound, eps * (||T|| / gap + kappa) * (1 + ||M||) with kappa the
     worst R-factor condition of the carry, is gated by tol * (1 + ||M||):
     above it NoConvergence carries M as best.
@@ -281,6 +323,12 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
     each row of a stacked result equals the result for that z alone, bit
     for bit.  Any failing entry fails the whole call.  A non-finite x0 or
     z, or a NaN or negative tol, raises DegenerateArguments before any work.
+
+    _share is a dict private to one fullline_m call.  On a periodic spec
+    the first of its two calls reads off both sides in one pass and leaves
+    the other side's M and sensitivity in it; the second takes them and
+    runs only its own gate.  If the joint pass fails, the first call
+    evaluates its own side alone, so each side raises from its own call.
     """
     if not math.isfinite(x0):
         raise DegenerateArguments(f"half-line M needs a finite x0, got {x0}")
@@ -294,18 +342,25 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10):
         raise DegenerateArguments("half-line M needs finite z")
     if np.any(zs.imag == 0):
         raise DegenerateArguments("half-line M needs Im z != 0")
-    m = alpha.m
     c = x0
     if not spec.is_periodic:      # the tail's inner edge
         ends = [e for p in spec.pieces for e in (p.x_lo, p.x_hi)
                 if math.isfinite(e)]
         c = sign * max(sign * e for e in ends + [x0])
-    mval = np.empty((len(zs), m, m), dtype=complex)
-    sens = np.empty(len(zs))
-    for rows in (np.flatnonzero(zs.imag > 0), np.flatnonzero(zs.imag < 0)):
-        if len(rows):
-            mval[rows], sens[rows] = _halfline_rows(zs[rows], x0, c, alpha,
-                                                    spec, sign)
+    shared = None if _share is None else _share.pop(sign, None)
+    if shared is not None:
+        mval, sens = shared
+    elif _share is not None and spec.is_periodic:
+        try:
+            (mval, other), (sens, other_sens) = _halfline_sides(
+                zs, x0, c, alpha, spec, (sign, -sign))
+        except (DiracWeylError, np.linalg.LinAlgError):
+            # this side alone, so that each side raises from its own call
+            [mval], [sens] = _halfline_sides(zs, x0, c, alpha, spec, (sign,))
+        else:
+            _share[-sign] = other, other_sens
+    else:
+        [mval], [sens] = _halfline_sides(zs, x0, c, alpha, spec, (sign,))
     size = 1.0 + matnorm(mval)
     tail = _EPS * sens * size
     bad = np.flatnonzero(tail > tol * size)

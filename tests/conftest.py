@@ -158,6 +158,22 @@ def random_normal_form_spec(rng, m, max_pieces=3, amp=0.35):
     return PotentialSpec(m=m, pieces=tuple(pieces), name="random-nf")
 
 
+def random_hermitian_spec(rng, m, grid, periodic, real):
+    """Two pieces on [0, 1), the second a 9-node grid on [0.9, 1] if grid
+    (short cells: a cell's Magnus steps grow like (|z| h)^0.8), with random
+    Hermitian values, real symmetric if real (any Hermitian B, not only the
+    normal form); period 1 if periodic."""
+    def sample():
+        b = random_hermitian(rng, 2 * m, 0.6)
+        return b.real if real else b
+    xs = np.linspace(0.9, 1.0, 9)
+    second = (GridPiece(xs, np.array([sample() for _ in xs])) if grid
+              else ConstantPiece(0.9, 1.0, sample()))
+    return PotentialSpec(m=m, pieces=(ConstantPiece(0.0, 0.9, sample()),
+                                      second),
+                         period=1.0 if periodic else None)
+
+
 # Two-piece m = 2 Kronig-Penney-type potential of period 1: two channels
 # with gaps of different widths, shifted by 0.3 and coupled off the
 # diagonal, so lambda = -1 lies in a band of one channel and a gap of the

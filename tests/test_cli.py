@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import ctypes
 import functools
 import io
@@ -247,6 +248,61 @@ def test_non_finite_float_option_is_refused(tmp_path, capsys, command,
     assert err["error"] == "DegenerateArguments"
     assert err["message"].startswith(f"{option} must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option, text, argv", [
+    ("mfunc", "--z", "1i,{}", []),
+    ("fullline", "--z", "{}", []),
+    ("disk", "--z", "{}", ["--c", "1", "--m-value", "1i"]),
+    ("greens", "--z", "{}", ["--x", "0", "--xp", "0.5"]),
+    ("greens", "--xp", "0.5,{}", ["--z", "1i", "--x", "0"]),
+    ("trace", "--zmags", "{},100", ["--x", "0.5"]),
+    ("uniqueness", "--zmags", "3,{}", ["--potential2", "p2.json",
+                                       "--a", "0.5"]),
+    ("reflectionless", "--x-list", "0,{}", ["--lambda-list", "2"]),
+    ("reflectionless", "--lambda-list", "2,{}", []),
+    ("upsilon", "--lambda", "0:{}:5", []),
+    ("bands", "--lambda", "{}:1:5", []),
+    ("expand", "--grid", "0:{}:5", ["--x", "0.3"]),
+    ("disk", "--m-value", "{}", ["--z", "1i", "--c", "1"]),
+    ("mfunc", "--alpha", "{},0", ["--z", "1i"]),
+    ("gauge", "--omega", "0,{};0,0", ["--x0", "0", "--x1", "1"])])
+def test_non_finite_text_option_is_refused(tmp_path, capsys, command,
+                                           option, text, argv, value):
+    # a number in a list, a matrix or at a grid end: these used to give
+    # DifferentiationFailure (trace --zmags), ValueError (expand --grid,
+    # and inf in --z), a per-point failure record (mfunc --z), an empty
+    # output directory (greens --z, reflectionless --lambda-list) or
+    # LinAlgError (--alpha, --omega)
+    out = tmp_path / "o"
+    assert main([command, "--potential", str(tmp_path / "missing.json"),
+                 *argv, f"{option}={text.format(value)}",
+                 "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "DegenerateArguments"
+    assert err["message"].startswith(f"{option} must be finite")
+    assert not out.exists()
+
+
+def test_grid_count_must_be_an_integer(tmp_path, capsys):
+    # a grid count that is not an integer is malformed, not non-finite
+    path = tmp_path / "bump.json"
+    save_potential(smooth_bump_spec(n=41), path)
+    assert main(["expand", "--potential", str(path), "--x", "0.3",
+                 "--grid", "0:1:nan", "--out", str(tmp_path / "o")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+
+
+def test_complex_suffix_parsing():
+    assert [cli._parse_complex(t) for t in ("2+1e3i", " 1i ", "-i", "3j",
+                                            "4")] == [2 + 1e3j, 1j, -1j,
+                                                      3j, 4]
+    assert cli._parse_complex("-inf") == -math.inf
+    assert cmath.isinf(cli._parse_complex("1+infi"))
+    assert cmath.isnan(cli._parse_complex("nan"))
 
 
 def test_summary_is_strict_json(tmp_path):
@@ -511,8 +567,9 @@ class TestUpsilonSweep:
 
     def test_eig_calls_independent_of_lambda_count(self, tmp_path,
                                                    monkeypatch):
-        # one stacked block: the decaying subspaces of both sides and the
-        # log take the same eig calls at 9 and at 17 lambda
+        # one stacked block: the decaying subspaces of both sides, taken
+        # in one pass (two eig for m = 2), and the log take the same eig
+        # calls at 9 and at 17 lambda
         path = tmp_path / "kp2.json"
         save_potential(kp2_spec(), path)
         counts = []
@@ -523,7 +580,7 @@ class TestUpsilonSweep:
                              f"--lambda=-4:4:{n}", "--eps", "1e-3",
                              "--out", str(tmp_path / f"o{n}")]) == 0
             counts.append(len(under) + len(outside))
-        assert counts[0] == counts[1] == 5
+        assert counts[0] == counts[1] == 3
 
 
     def test_negative_eps_fails_every_point(self, q1_file, tmp_path):

@@ -20,16 +20,21 @@ from diracweyl import (
     principal_logm,
     upsilon,
 )
+from diracweyl import fullline, weyldisk
 from diracweyl.errors import (
     DegenerateArguments,
     LogBranchFailure,
+    NoConvergence,
     SingularDifference,
 )
+from diracweyl.propagator import _minus_j, auto_scale
 from conftest import (
     count_calls,
+    count_eig,
     kp2_spec,
     mminus_const_q,
     mplus_const_q,
+    random_hermitian_spec,
     random_normal_form_spec,
     smooth_bump_spec,
 )
@@ -424,6 +429,160 @@ class TestStackedM:
         assert type(u.lam) is float
         u = upsilon([0.5], 0.0, alpha, spec, 1e-3)
         assert u.value.shape == (1, 4, 4) and u.lam.shape == (1,)
+
+
+def _nonreal_periodic(m):
+    """Complex Hermitian constant and grid pieces, period 1."""
+    return random_hermitian_spec(np.random.default_rng(40 + m), m, grid=True,
+                                 periodic=True, real=False)
+
+
+class TestSharedPeriodicPass:
+    """On a periodic spec M_- comes from the forward period transfer T and
+    M_+ from its symplectic inverse J^{-1} T(zbar)^H J, and fullline_m's two
+    half-line calls share the transfer and one subspace pass."""
+
+    SPECS = {"q1": _q1_periodic, "kp2": kp2_spec,
+             "nonreal1": lambda: _nonreal_periodic(1),
+             "nonreal2": lambda: _nonreal_periodic(2)}
+    # both half planes, Im z from 1e-8 to 400, in and out of the bands
+    ZS = np.array([re + 1j * s * im for re in (-2.0, -0.5, 1.0, 3.0)
+                   for im in (1e-8, 1e-6, 1e-3, 0.1, 1.0, 30.0, 400.0)
+                   for s in (1, -1)])
+
+    @staticmethod
+    def _backward_mplus(zs, x0, alpha, spec):
+        """M_+ as the dominant subspace of the backward period transfer
+        T(x0 - w <- x0), the route before the symplectic inverse, for a
+        stack of z in one half plane."""
+        back = x0 - spec.period
+        t = Propagator(zs, spec).transfer(x0, back,
+                                          scale=auto_scale(zs[0], x0, back))
+        u, _ = weyldisk._invariant_subspace(t, alpha.m)
+        au = alpha.alpha @ u
+        return -np.linalg.solve(au.mT, (alpha.alpha_j() @ u).mT).mT
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_adjoint_matches_backward_transfer(self, name):
+        # both routes are accurate to about eps ||T|| / gap, which grows
+        # near the bands as Im z -> 0; measured worst relative distance
+        # 2.0e-15 at |Im z| >= 1 and 3.0e-12 below (q1 in band at 1e-8;
+        # 1.8e-14 on the non-real specs)
+        spec = self.SPECS[name]()
+        assert spec.is_real == (name in ("q1", "kp2"))
+        alpha = alpha_dirichlet(spec.m)
+        for zs in (self.ZS[self.ZS.imag > 0], self.ZS[self.ZS.imag < 0]):
+            got = halfline_m(zs, 0.3, alpha, spec, sign=1, tol=1.0).M
+            want = self._backward_mplus(zs, 0.3, alpha, spec)
+            gate = np.where(abs(zs.imag) >= 1, 2e-14, 1e-11)
+            assert np.all(matnorm(got - want) <= gate * matnorm(want))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_sides_equal_separate_calls(self, name):
+        # a mixed half-plane stack, and each row as a stack of one
+        spec = self.SPECS[name]()
+        alpha = alpha_dirichlet(spec.m)
+        zs = np.array([1 + 1e-6j, -0.5 - 1e-3j, 3 + 0.1j, -2 - 1j, 1 + 30j])
+        f = fullline_m(zs, 0.3, alpha, spec, tol=1.0)
+        for h, sign in ((f.plus, 1), (f.minus, -1)):
+            alone = halfline_m(zs, 0.3, alpha, spec, sign=sign, tol=1.0)
+            assert np.array_equal(h.M, alone.M)
+            assert np.array_equal(h.tail_bound, alone.tail_bound)
+        for i in range(len(zs)):
+            one = fullline_m(zs[i:i + 1], 0.3, alpha, spec, tol=1.0)
+            assert np.array_equal(one.plus.M[0], f.plus.M[i])
+            assert np.array_equal(one.minus.M[0], f.minus.M[i])
+            assert np.array_equal(one.matrix[0], f.matrix[i])
+
+    @pytest.mark.parametrize("name,transfers", [
+        ("q1", 2), ("kp2", 2), ("nonreal2", 4)])
+    def test_work_counts(self, name, transfers, monkeypatch):
+        # per half-plane group: one forward transfer (and one at zbar on a
+        # non-real spec), one stacked subspace pass over both sides and m
+        # eig in its deflation; the backward route took two transfers, two
+        # passes and 2m eig
+        spec = self.SPECS[name]()
+        m = spec.m
+        zs = np.array([1 + 1j, -0.5 + 1e-3j, 2j, 0.3 - 0.2j, -1 - 1j])
+        under, outside = count_eig(monkeypatch)
+        spans = []
+        transfer = Propagator.transfer
+
+        def recorded_transfer(prop, xa, xb, scale=0):
+            spans.append((np.size(prop.z), xb - xa))
+            return transfer(prop, xa, xb, scale)
+
+        monkeypatch.setattr(Propagator, "transfer", recorded_transfer)
+        passes = count_calls(monkeypatch, weyldisk, "_invariant_subspace")
+        fullline_m(zs, 0.0, alpha_dirichlet(m), spec)
+        assert len(spans) == transfers
+        assert all(w == 1.0 for _, w in spans)
+        assert passes == [(6, 2 * m, 2 * m), (4, 2 * m, 2 * m)]
+        assert under == [] and len(outside) == 2 * m
+        # a single side costs what it cost on the backward route
+        for sign in (1, -1):
+            spans.clear(), passes.clear(), outside.clear()
+            halfline_m(zs, 0.0, alpha_dirichlet(m), spec, sign=sign)
+            assert len(spans) == 2 and len(outside) == 2 * m
+            assert passes == [(3, 2 * m, 2 * m), (2, 2 * m, 2 * m)]
+
+    @staticmethod
+    def _poison(monkeypatch, spec, zs, side, how):
+        """Make side's subspace pass fail (how="raise") or its sensitivity
+        exceed every gate (how="gate"); side's rows are recognised bit for
+        bit as the forward period transfer (-1) or its inverse (+1).  Every
+        halfline_m call of fullline_m is logged as (sign, its HalfLineM or
+        None if it raised)."""
+        t = Propagator(zs, spec).transfer(
+            0.0, 1.0, scale=auto_scale(zs[0], 0.0, 1.0))
+        target = t if side < 0 else _minus_j(_minus_j(t).mT)
+        subspace, halfline = weyldisk._invariant_subspace, fullline.halfline_m
+        calls = []
+
+        def poisoned(mat, m, sort=None):
+            hit = np.array([any(np.array_equal(a, b) for b in target)
+                            for a in mat])
+            if how == "raise" and hit.any():
+                raise NoConvergence("poisoned side")
+            q, sens = subspace(mat, m, sort)
+            return q, np.where(hit, 1e30, sens)
+
+        def logged(*args, sign, **kwargs):
+            try:
+                out = halfline(*args, sign=sign, **kwargs)
+            except NoConvergence:
+                calls.append((sign, None))
+                raise
+            calls.append((sign, out))
+            return out
+
+        monkeypatch.setattr(weyldisk, "_invariant_subspace", poisoned)
+        monkeypatch.setattr(fullline, "halfline_m", logged)
+        return calls
+
+    @pytest.mark.parametrize("how", ["raise", "gate"])
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("name", ["q1", "kp2"])
+    def test_failing_side_raises_from_its_own_call(self, name, side, how,
+                                                   monkeypatch):
+        spec = self.SPECS[name]()
+        alpha = alpha_dirichlet(spec.m)
+        zs = np.array([1 + 1j, -0.5 + 1e-3j])
+        plus = halfline_m(zs, 0.0, alpha, spec, sign=1).M
+        calls = self._poison(monkeypatch, spec, zs, side, how)
+        with pytest.raises(NoConvergence) as err:
+            fullline_m(zs, 0.0, alpha, spec)
+        msg = "poisoned side" if how == "raise" else "ill conditioned"
+        assert msg in str(err.value)
+        if how == "gate":
+            assert err.value.best is not None
+        if side > 0:     # + before -: the - side is never asked
+            assert calls == [(1, None)]
+        else:
+            # the + side passes with its own bits (alone, after a joint
+            # pass that raised, when the subspace pass is poisoned)
+            assert [s for s, _ in calls] == [1, -1] and calls[1][1] is None
+            assert np.array_equal(calls[0][1].M, plus)
 
 
 class TestGreensSweep:
