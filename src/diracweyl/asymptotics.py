@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedFit, InsufficientDerivatives, SectorViolation
-from .foundation import matnorm
+from .foundation import matnorm, need
 
 _SECTOR_ANGLE, _MIN_RATIO = 0.1, 4.0    # fit_expansion's sector, |z| spread
 
@@ -40,8 +40,9 @@ def derivative_samples(spec, xs, order):
     """Sample B and its first ``order`` derivatives (order-2 central
     differences, one-sided at the ends) on a strictly increasing grid."""
     xs = np.asarray(xs, float)
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    need(np.isfinite(xs), "derivative samples", "a finite grid", xs)
+    need(np.diff(xs) > 0, "derivative samples", "an increasing grid", xs[1:])
+    need(order < 1 or len(xs) > 2, "derivatives", "3 grid nodes", len(xs))
     b = spec.eval(xs)
     derivs = []
     cur = b
@@ -69,14 +70,14 @@ def expansion_coefficients(derivs, x, order, sign=1):
     The derivative term is taken by differentiating the lower coefficient on
     the sample grid, so order N needs derivative data through order N - 1.
     """
+    need(order >= 0, "expansion", "order >= 0", order)
     if order >= 1 and derivs.order < order - 1:
         raise InsufficientDerivatives(
             f"order {order} needs B derivatives through order {order - 1}, "
             f"got {derivs.order}")
     xs = derivs.xs
     idx = np.where(np.isclose(xs, x, rtol=0, atol=1e-12))[0]
-    if len(idx) == 0:
-        raise ValueError(f"x = {x} is not a grid node")
+    need(len(idx) > 0, "expansion", "x at a grid node", x)
     idx = int(idx[0])
 
     m = derivs.m

@@ -37,8 +37,10 @@ from . import __version__, gauge
 from .asymptotics import derivative_samples, expansion_coefficients
 from .errors import DegenerateArguments, DiracWeylError
 from .foundation import (
+    MAX_POINTS,
     alpha_dirichlet,
     load_potential,
+    need,
     save_potential,
     validate_boundary_data,
 )
@@ -66,10 +68,8 @@ def _parse_list(text, conv):
 
 def _parse_grid(text):
     lo, hi, n = text.split(":")
-    # main refuses a non-finite end, but ends near the float limit overflow
-    # the step and give NaN grid points, here without a RuntimeWarning; the
-    # command decides what they mean (bands and upsilon raise
-    # DegenerateArguments)
+    need(0 <= int(n) <= MAX_POINTS, "lo:hi:n", f"0 <= n <= {MAX_POINTS}", n)
+    # ends near the float limit give NaN points, refused by _check_finite
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linspace(float(lo), float(hi), int(n))
 
@@ -323,7 +323,7 @@ def cmd_uniqueness(args, spec, run):
               zip(fit.zmags, fit.norms))
     run.info.update({"slope": fit.slope, "prefactor_exp": fit.prefactor_exp,
                      "intercept": fit.intercept, "r2": fit.r2,
-                     "target": 2.0 * args.a})
+                     "target": 2.0 * args.a, "used": list(fit.used)})
 
 
 def cmd_gauge(args, spec, run):
@@ -341,11 +341,6 @@ def cmd_gauge(args, spec, run):
 def cmd_upsilon(args, spec, run):
     alpha = _parse_alpha(args.alpha, spec.m)
     lams = _parse_grid(getattr(args, "lambda"))
-    # checked before the sweep, which would record each non-finite lambda
-    # as a failure and write it into summary.json, where strict JSON has
-    # no NaN or Infinity
-    if not np.isfinite(lams).all():
-        raise DegenerateArguments("upsilon needs finite lambda")
     run.tols = {"halfline_tol": args.tol, "eps": args.eps}
 
     def block(lams):
@@ -513,11 +508,11 @@ _GRIDS = {"lambda", "grid"}
 
 def _check_finite(args):
     """DegenerateArguments for a non-finite float option, or a non-finite
-    number in a list or matrix option or at an end of a lo:hi:n grid,
-    before the output directory is made or the potential is loaded."""
+    number in a list or matrix option or a lo:hi:n grid (whose size
+    _parse_grid bounds), before the output directory or the potential."""
     for name, value in sorted(vars(args).items()):
         if name in _GRIDS:
-            nums = [float(v) for v in value.split(":")[:2]]
+            nums = _parse_grid(value)
         elif name in _LISTS and value is not None:
             nums = _parse_list(value.replace(";", ","), _parse_complex)
         else:

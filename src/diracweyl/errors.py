@@ -24,10 +24,10 @@ class NotLagrangian(DiracWeylError):
     """alpha @ J @ alpha* deviates from zero beyond tolerance."""
 
 
-class DegenerateArguments(DiracWeylError):
-    """Sign factor or Weyl machinery called with s = t or real z, or a
-    spectral parameter outside its range: eps < 0 in upsilon, a lambda that
-    is not real or not finite in band_spectrum."""
+class DegenerateArguments(DiracWeylError, ValueError):
+    """A numeric argument outside its domain (a non-finite x, z, lambda or
+    tol, a real z, too large a grid, ...), refused by foundation.need or
+    the CLI's option check; a ValueError too, for callers that catch one."""
 
 
 # -- potential model ---------------------------------------------------------

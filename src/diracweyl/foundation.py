@@ -32,6 +32,20 @@ ALG_TOL = 1e-10
 # inv_cond above which every singularity check counts a matrix as singular
 COND_LIMIT = 1e12
 
+# the most points of a grid that need lets be made (a million 4x4 complex
+# matrices take 256 MB): gauge nodes, borg lambda, a flow's cells, lo:hi:n
+MAX_POINTS = 10 ** 6
+
+
+def need(ok, what, condition, value):
+    """The one argument check: DegenerateArguments("{what} needs
+    {condition}, got {value}") unless ok holds everywhere.  ok is a bool or
+    a bool array over value, whose first failing entry the message names;
+    write it so that NaN fails it (tol >= 0, not `not tol < 0`)."""
+    if not np.all(ok):
+        value = np.asarray(value)[~np.asarray(ok)][0] if np.ndim(ok) else value
+        raise DegenerateArguments(f"{what} needs {condition}, got {value}")
+
 
 def matnorm(x):
     """Spectral norm (largest singular value), the norm of every defect and
@@ -95,13 +109,11 @@ def mat_imag(x):
 def sigma(s, t, z):
     """Sign of (s - t) * Im(z), the orientation factor of the disk functional.
 
-    Returns +1 or -1.  Raises DegenerateArguments when s = t or z is real.
+    Returns +1 or -1 for finite s != t and a finite, non-real z.
     """
     z = complex(z)
-    if s == t:
-        raise DegenerateArguments("sigma undefined for s = t")
-    if z.imag == 0.0:
-        raise DegenerateArguments("sigma undefined for real z")
+    need(np.isfinite([s, t, z]).all() and s != t and z.imag != 0, "sigma",
+         "finite s != t and a finite, non-real z", (s, t, z))
     return 1 if (s - t) * z.imag > 0 else -1
 
 

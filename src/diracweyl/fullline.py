@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArguments, LogBranchFailure, SingularDifference
+from .errors import IntegrationFailure, LogBranchFailure, SingularDifference
 from .foundation import (
     COND_LIMIT,
     alpha_dirichlet,
     hermitize,
     inv_cond,
     matnorm,
+    need,
 )
 from .propagator import Propagator
 from .weyldisk import halfline_m
@@ -124,16 +125,12 @@ def upsilon(lam, x0, alpha, spec, eps, tol=1e-8):
     eps -> 0 limit accelerated by the two-point rule 2 Y(eps) - Y(2 eps).
 
     lam may be a scalar or a 1-D array; lam + i*eps and lam + 2i*eps are
-    evaluated as one stack of whole-line M and logs.  eps must be positive:
-    at eps < 0 the same formula gives -Upsilon, and DegenerateArguments is
-    raised before any work (eps = 0 or NaN raises it through halfline_m), as
-    it is for a non-finite lambda.
+    evaluated as one stack of whole-line M and logs.  eps must be positive
+    (at eps < 0 the formula gives -Upsilon; halfline_m refuses eps = 0).
     """
-    if eps < 0:
-        raise DegenerateArguments(f"upsilon needs eps > 0, got {eps:g}")
+    need(eps >= 0, "upsilon", "eps >= 0", eps)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if not np.isfinite(lams).all():
-        raise DegenerateArguments("upsilon needs finite lambda")
+    need(np.isfinite(lams), "upsilon", "finite lambda", lams)
     n = len(lams)
     mat = fullline_m(np.concatenate([lams + 1j * eps, lams + 2j * eps]), x0,
                      alpha, spec, tol=tol).matrix
@@ -196,14 +193,11 @@ class GreensEvaluator:
 
     def value(self, x, xp, side=None):
         """G(z, x, x') for a scalar or a 1-D array of x'; on the diagonal
-        x' = x pass side=+1 (x' = x + 0) or -1 (x' = x - 0).  A non-finite
-        x or x' raises DegenerateArguments."""
+        x' = x pass side=+1 (x' = x + 0) or -1 (x' = x - 0)."""
         xps = np.atleast_1d(np.asarray(xp, dtype=float))
-        if not (math.isfinite(x) and np.isfinite(xps).all()):
-            raise DegenerateArguments("Green's matrix needs finite x and x'")
+        need(np.isfinite([x, *xps]), "G(x, x')", "finite x and x'", [x, *xps])
         diag = xps == x
-        if diag.any() and side not in (1, -1):
-            raise ValueError("on the diagonal pass side=+1 (x'=x+0) or -1")
+        need(side in (1, -1) or not diag.any(), "G(x, x)", "side +-1", side)
         # x < x' pairs U_-(x) with U_+(x'), x > x' U_+(x) with U_-(x')
         upper = (x < xps) | (diag & (side == 1))
         plus, minus = self.full.plus.M, self.full.minus.M
@@ -215,6 +209,8 @@ class GreensEvaluator:
         right = self._transfers_bar(xps) @ np.concatenate(
             [np.broadcast_to(eye, mbar.shape), mbar], axis=-2)
         val = left @ self.dinv @ right.conj().mT
+        if not np.isfinite(val).all():       # |Im z| |x - x0| too large
+            raise IntegrationFailure(f"G(z, x, x') not finite at x = {x}")
         if np.ndim(xp) == 0:
             return GreensMatrix(z=self.z, x=float(x), xp=float(xp),
                                 value=val[0])

@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArguments, NotHermitianOmega
+from .errors import NotHermitianOmega
 from .foundation import (
+    MAX_POINTS,
     GridPiece,
     PotentialSpec,
     herm_defect,
     hermitize,
     mat_imag,
     matnorm,
+    need,
 )
 from .propagator import magnus_steps, segment_cuts
 
@@ -58,7 +60,7 @@ class GaugeFactors:
 def gauge_factors(spec, x0, x1):
     """Propagate the gauge ODE for U11, U22 with U(x0) = I to the output
     nodes: max(201, 50 (x1 - x0) + 1) equispaced points plus the piece
-    edges; x0 and x1 must be finite with x1 > x0 (DegenerateArguments).
+    edges, for finite x0 < x1.
 
     Both factors take Magnus steps as one stack (one magnus_steps call per
     segment) across the cells between consecutive cut points: output nodes
@@ -70,9 +72,8 @@ def gauge_factors(spec, x0, x1):
     decision open.  B at the output nodes comes along: cut samples inside a
     segment, one spec.eval call elsewhere.
     """
-    if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
-        raise DegenerateArguments(
-            f"gauge reduction needs finite x0 < x1, got [{x0}, {x1}]")
+    need(-math.inf < x0 < x1 and 50 * (x1 - x0) < MAX_POINTS, "gauge",
+         f"finite x0 < x1 and at most {MAX_POINTS} nodes", [x0, x1])
     m = spec.m
     segs = spec.segments(x0, x1)
     xs = np.array(sorted({

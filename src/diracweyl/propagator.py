@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateArguments,
     IntegrationFailure,
     IterationDivergence,
     MismatchedEvaluation,
     NoCompactSupport,
 )
-from .foundation import alpha_dirichlet, jmat, matnorm
+from .foundation import alpha_dirichlet, jmat, matnorm, need
 
 # per-step bound on the leading error term of the Magnus step (see
 # magnus_steps); at 1e-10 the half-line M-function of a bump sampled at
@@ -691,8 +690,8 @@ def weyl_solution_volterra(z, x, x0, spec, alpha=None, tol=1e-12,
     from scipy.signal import lfilter
 
     z = complex(z)
-    if z.imag <= 0:
-        raise DegenerateArguments("Volterra route needs Im z > 0")
+    need(np.isfinite([z, x, x0]).all() and z.imag > 0, "Volterra route",
+         "finite x, x0 and z with Im z > 0", f"z = {z}, x = {x}, x0 = {x0}")
     if spec.is_periodic or not spec.is_compactly_supported():
         raise NoCompactSupport("potential must have bounded support")
     m = spec.m

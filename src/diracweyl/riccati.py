@@ -16,13 +16,12 @@ import numpy as np
 
 from .errors import (
     ContractivityLost,
-    DegenerateArguments,
     NotContractive,
     PoleEncountered,
     SingularCayley,
     SingularDenominator,
 )
-from .foundation import COND_LIMIT, inv_cond, matnorm
+from .foundation import COND_LIMIT, MAX_POINTS, inv_cond, matnorm, need
 from .propagator import Propagator, auto_scale
 from .weyldisk import _carry, _right_solve
 
@@ -65,11 +64,12 @@ def _flow(z, w0, x0, x1, spec, n_out):
     """Orthonormal bases of span T(x <- x0) w0 on linspace(x0, x1, n_out)
     refined by the least integer factor r with h (|z| + sup ||B||) <=
     _CELL_REACH, carried by weyldisk._carry; returns the Propagator (a
-    stack of one), the grid, the bases, r and that reach.  n_out < 2
-    raises DegenerateArguments before any transfer."""
-    if n_out < 2:
-        raise DegenerateArguments(f"a flow needs n_out >= 2, not {n_out}")
+    stack of one), the grid, the bases, r and that reach."""
+    need(n_out >= 2, "flow", "n_out >= 2", n_out)
     prop, rate = Propagator(np.array([z]), spec), abs(z) + spec.bound()
+    # np.maximum keeps a NaN, so a non-finite z, x0 or x1 fails too
+    need(np.maximum(abs(x1 - x0) * rate / _CELL_REACH, n_out) <= MAX_POINTS,
+         "flow", f"finite z, x0, x1, at most {MAX_POINTS} cells", (z, x0, x1))
     r = max(1, math.ceil(abs(x1 - x0) * rate / ((n_out - 1) * _CELL_REACH)))
     xs = np.linspace(x0, x1, (n_out - 1) * r + 1)
     qs, _ = _carry(prop, np.linalg.qr(w0)[0][None], xs.tolist())

@@ -16,13 +16,12 @@ import numpy as np
 
 from .asymptotics import _combination
 from .errors import (
-    DegenerateArguments,
     DifferenceBelowNoise,
     DifferentiationFailure,
     IntegrationFailure,
     NotPeriodic,
 )
-from .foundation import alpha_dirichlet, matnorm
+from .foundation import MAX_POINTS, alpha_dirichlet, matnorm, need
 from .fullline import fullline_m, principal_logm, upsilon
 from .propagator import Propagator
 from .weyldisk import halfline_m
@@ -51,6 +50,10 @@ def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
     stacked fullline_m and one stacked principal_logm.
     """
     spec_m = spec.m
+    need(math.isfinite(x), "trace", "a finite x", x)
+    need([0 < r < math.inf for r in zmags], "trace", "0 < |z| < inf", zmags)
+    need(0 < rel_step < 1, "trace", "0 < rel_step < 1", rel_step)
+    need(tol >= 0, "trace", "tol >= 0", tol)
     lhs = 0.5 * (_combination(spec.eval(x, side=+1), spec_m)
                  + _combination(spec.eval(x, side=-1), spec_m))
     direction = cmath.exp(1j * ray_angle)
@@ -197,16 +200,13 @@ def _runs(lams, flags, interior=False):
 def band_spectrum(spec, lams, tol=1e-6):
     """Flag each real lambda in-band iff every Floquet multiplier is
     unimodular within tol * max(1, omega).  The multipliers come from one
-    stacked monodromy per block of _LAMBDA_BLOCK lambda.  A non-real or
-    non-finite lambda or a tol outside [0, inf) raises DegenerateArguments."""
+    stacked monodromy per block of _LAMBDA_BLOCK lambda."""
     if not spec.is_periodic:
         raise NotPeriodic("band structure needs a periodic potential")
     lams = np.asarray(lams)
-    if np.any(np.imag(lams) != 0) or not np.isfinite(lams).all():
-        raise DegenerateArguments("band structure needs real, finite lambda")
-    if not 0 <= tol < math.inf:
-        raise DegenerateArguments(
-            f"band structure needs 0 <= tol < inf, got {tol:g}")
+    need((np.imag(lams) == 0) & np.isfinite(lams), "band structure",
+         "real, finite lambda", lams)
+    need(0 <= tol < math.inf, "band structure", "0 <= tol < inf", tol)
     lams = np.asarray(np.real(lams), float)
     eff = tol * max(1.0, spec.period)
     mults = np.empty((len(lams), 2 * spec.m), dtype=complex)
@@ -241,6 +241,8 @@ def reflectionless_check(spec, xs, lams, eps=1e-6, tol=1e-3):
     lams should lie inside the essential spectrum (use band_spectrum for
     periodic potentials to pick them).
     """
+    need(np.isfinite(xs), "reflectionless check", "finite x", xs)
+    need(tol >= 0, "reflectionless check", "tol >= 0", tol)
     m = spec.m
     half = 0.5 * np.eye(2 * m)
     worst = 0.0
@@ -282,9 +284,10 @@ def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
         raise NotPeriodic("Borg diagnostic needs a periodic potential")
     if lam_max is None:
         lam_max = 10.0 * spec.bound() + 10.0
-    if not (grid_step > 0 and 0 < lam_max < math.inf):
-        raise ValueError("Borg grid needs grid_step > 0 and lam_max > 0, "
-                         f"lam_max finite, got {grid_step:g} and {lam_max:g}")
+    need(grid_step > 0 and 0 < 2 * lam_max < MAX_POINTS * grid_step, "Borg",
+         f"grid_step > 0 and lam_max > 0, {MAX_POINTS} lambda at most",
+         [grid_step, lam_max])
+    need(comb_tol >= 0, "Borg", "comb_tol >= 0", comb_tol)
     n = max(3, int(round(2 * lam_max / grid_step)) + 1)
     lams = np.linspace(-lam_max, lam_max, n)
     bands = band_spectrum(spec, lams, tol=band_tol)
@@ -310,7 +313,7 @@ def borg_diagnostic(spec, lam_max=None, grid_step=0.01, comb_tol=1e-8,
 class DecayFit:
     ray_angle: float
     zmags: tuple
-    norms: tuple              # ||M1 - M2|| per sample (NaN where discarded)
+    norms: tuple              # ||M1 - M2|| per sample, discarded or not
     slope: float              # s in ||dM|| ~ C |z|^-p e^{-s Im z}
     intercept: float
     prefactor_exp: float      # fitted p
@@ -337,6 +340,7 @@ def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
     potentials are indistinguishable and DifferenceBelowNoise is raised.
     Each potential takes one stacked half-line call over the ray.
     """
+    need(0 < a < math.inf, "uniqueness decay", "0 < a < inf", a)
     alpha = alpha_dirichlet(spec1.m)
     direction = cmath.exp(1j * ray_angle)
     zs = np.asarray(zmags, dtype=float) * direction
@@ -361,9 +365,7 @@ def uniqueness_decay(spec1, spec2, x0, a, ray_angle=math.pi / 2,
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    report_norms = tuple(float(d) if i in used else math.nan
-                         for i, d in enumerate(norms))
     return DecayFit(ray_angle=float(ray_angle), zmags=tuple(zmags),
-                    norms=report_norms, slope=float(coef[2]),
+                    norms=tuple(norms.tolist()), slope=float(coef[2]),
                     intercept=float(coef[0]), prefactor_exp=float(coef[1]),
                     r2=r2, used=tuple(used))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateArguments,
     DiracWeylError,
     EigenvalueHit,
     IntegrationFailure,
@@ -36,6 +35,7 @@ from .foundation import (
     inv_cond,
     jmat,
     matnorm,
+    need,
     sigma,
 )
 from .propagator import Propagator, _minus_j, auto_scale, system_matrix
@@ -54,9 +54,9 @@ def regular_m(z, c, x0, alpha, beta, spec):
     budget, which happens exactly when z is an eigenvalue of the regular
     self-adjoint problem.
     """
-    if c == x0:
-        raise DegenerateArguments("regular M needs c != x0")
     z = complex(z)
+    need(np.isfinite([z, x0, c]).all() and c != x0, "regular M",
+         "finite z, x0 and c with c != x0", f"z = {z}, [{x0}, {c}]")
     b1, b2 = (np.atleast_2d(np.asarray(b, complex)) for b in beta)
     t = Propagator(z, spec).transfer(x0, c, scale=auto_scale(z, x0, c))
     psi = t @ alpha.psi0()
@@ -111,6 +111,7 @@ def disk_membership(mat, z, c, x0, alpha, spec, tol=1e-8):
 
     The tolerance is scale-aware: tol * (1 + ||E_c||).
     """
+    need(tol >= 0, "disk membership", "tol >= 0", tol)
     e = e_c(mat, z, c, x0, alpha, spec)
     lam_max = float(np.linalg.eigvalsh(e)[-1])
     eff = tol * (1.0 + matnorm(e))
@@ -321,8 +322,7 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, _share=None):
     z may be a scalar or a 1-D array, evaluated as one stack (entries with
     Im z < 0 in a stack of their own); a scalar runs as a stack of one, and
     each row of a stacked result equals the result for that z alone, bit
-    for bit.  Any failing entry fails the whole call.  A non-finite x0 or
-    z, or a NaN or negative tol, raises DegenerateArguments before any work.
+    for bit.  Any failing entry fails the whole call.
 
     _share is a dict private to one fullline_m call.  On a periodic spec
     the first of its two calls reads off both sides in one pass and leaves
@@ -330,23 +330,16 @@ def halfline_m(z, x0, alpha, spec, sign=1, tol=1e-10, _share=None):
     runs only its own gate.  If the joint pass fails, the first call
     evaluates its own side alone, so each side raises from its own call.
     """
-    if not math.isfinite(x0):
-        raise DegenerateArguments(f"half-line M needs a finite x0, got {x0}")
-    # a NaN tol would switch the gate off: tail > NaN is False
-    if not tol >= 0:
-        raise DegenerateArguments(f"half-line M needs tol >= 0, got {tol}")
+    need(math.isfinite(x0), "half-line M", "a finite x0", x0)
+    need(tol >= 0, "half-line M", "tol >= 0", tol)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     # a NaN Im z is in neither half-plane stack, and its row would be left
     # unwritten
-    if not np.isfinite(zs).all():
-        raise DegenerateArguments("half-line M needs finite z")
-    if np.any(zs.imag == 0):
-        raise DegenerateArguments("half-line M needs Im z != 0")
+    need(np.isfinite(zs), "half-line M", "finite z", zs)
+    need(zs.imag != 0, "half-line M", "Im z != 0", zs)
     c = x0
     if not spec.is_periodic:      # the tail's inner edge
-        ends = [e for p in spec.pieces for e in (p.x_lo, p.x_hi)
-                if math.isfinite(e)]
-        c = sign * max(sign * e for e in ends + [x0])
+        c = sign * max(sign * e for e in spec._edges + [x0])
     shared = None if _share is None else _share.pop(sign, None)
     if shared is not None:
         mval, sens = shared

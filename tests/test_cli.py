@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import contextlib
 import ctypes
 import functools
 import io
@@ -10,6 +11,8 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,8 +31,9 @@ from diracweyl import (
     save_potential,
     uniqueness_decay,
 )
-from diracweyl import arraytext, cli
+from diracweyl import arraytext, cli, errors
 from diracweyl.cli import build_parser, main
+from diracweyl.foundation import MAX_POINTS
 from conftest import count_eig, edge_floats, kp2_spec, smooth_bump_spec
 
 
@@ -295,6 +299,172 @@ def test_grid_count_must_be_an_integer(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "ValueError"
 
+
+@pytest.mark.parametrize("argv", [
+    ["gauge", "--x0", "0", "--x1", "1e12"],
+    ["borg", "--lam-max", "1e300"],
+    ["borg", "--grid-step", "1e-9"],
+    ["bands", "--lambda", "0:1:1000000000000"],
+    ["upsilon", f"--lambda=0:1:{MAX_POINTS + 1}"],
+    ["upsilon", "--lambda=0:1:-1"]])
+def test_oversized_grid_is_refused_before_allocating(tmp_path, capsys, argv):
+    # gauge --x1 1e12 asked for 5e13 output nodes and borg --lam-max 1e300
+    # failed inside np.linspace with an untyped ValueError; now the grid's
+    # point count is checked against MAX_POINTS before any array is made
+    path = tmp_path / "per.json"
+    save_potential(PotentialSpec.constant(normal_form_matrix(
+        [[0.0]], [[1.0]]), 0.0, 1.0, period=1.0), path)
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--potential", str(path),
+                   "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and peak < 1 << 20
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "DegenerateArguments"
+
+
+def test_grid_points_must_be_finite(tmp_path, capsys):
+    # finite ends near the float limit overflow linspace's step to NaN
+    # points; the whole grid is checked with the other options
+    out = tmp_path / "o"
+    assert main(["upsilon", "--potential", str(tmp_path / "missing.json"),
+                 "--lambda=-1.7e308:1.7e308:5", "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["message"].startswith("--lambda must be finite")
+    assert not out.exists()
+
+
+def test_negative_order_is_refused(tmp_path, capsys):
+    # expand --order=-2 used to write the order-0 coefficient and exit 0
+    path = tmp_path / "bump.json"
+    save_potential(smooth_bump_spec(n=41), path)
+    assert main(["expand", "--potential", str(path), "--x", "0.5",
+                 "--grid", "0:1:5", "--order=-2",
+                 "--out", str(tmp_path / "o")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "DegenerateArguments", "message":
+                                "expansion needs order >= 0, got -2"}
+
+
+# per subcommand: its arguments on small inputs (potential files of the
+# fixture below by key) and the float options the property test varies;
+# --order is an integer option and takes -1, 0 or 1
+_PROPERTY_RUNS = {
+    "mfunc": (["bump", "--z", "1i,2+1i"], ["x0", "tol"]),
+    "disk": (["bump", "--z", "1i", "--c", "1", "--m-value", "1i"],
+             ["c", "x0", "tol"]),
+    "expand": (["bump", "--x", "0.5", "--grid", "0:1:5"], ["x", "order"]),
+    "fullline": (["bump", "--z", "1i"], ["x0", "tol"]),
+    "greens": (["bump", "--z", "1i", "--x", "0", "--xp", "0.5"],
+               ["x0", "x", "tol"]),
+    "trace": (["bump", "--x", "0.5", "--zmags", "10,30"],
+              ["x", "ray-angle", "rel-step", "tol"]),
+    "bands": (["per", "--lambda=-2:2:5"], ["band-tol"]),
+    "upsilon": (["per", "--lambda=0:1:2"], ["x0", "eps", "tol"]),
+    "reflectionless": (["per", "--lambda-list", "2"], ["eps", "tol"]),
+    "borg": (["per", "--lam-max", "3", "--grid-step", "0.05"],
+             ["lam-max", "grid-step", "tol", "band-tol"]),
+    "uniqueness": (["c1", "--potential2", "c2", "--a", "0.5"],
+                   ["x0", "a", "ray-angle", "tol"]),
+    "gauge": (["bump", "--x0", "0", "--x1", "1"], ["x0", "x1"]),
+}
+_EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1e-3", "-2", "1e300", "1e-300"]
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("property")
+    q1 = normal_form_matrix([[0.0]], [[1.0]])
+    specs = {
+        "bump": smooth_bump_spec(n=21),
+        "per": PotentialSpec.constant(q1, 0.0, 1.0, period=1.0),
+        "c1": PotentialSpec.constant(q1, x_lo=0.0, x_hi=3.0),
+        "c2": PotentialSpec.constant(normal_form_matrix([[0.0]], [[2.0]]),
+                                     x_lo=0.0, x_hi=3.0)}
+    for key, spec in specs.items():
+        save_potential(spec, root / f"{key}.json")
+    return root
+
+
+def _strict_json(path):
+    def refuse(const):
+        raise ValueError(f"{const} in {path}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_every_float_option_answers_or_refuses(property_files, data):
+    # one subcommand on small inputs with one float option replaced by an
+    # edge value, passed as --opt=value (argparse reads "--eps -1e-3" as a
+    # missing argument).  Either the run answers (exit 0, every CSV number
+    # finite, strict summary.json), or it exits 1 with one JSON line naming
+    # a library category, or with a partial summary whose failure records
+    # name one each; nothing escapes main
+    command = data.draw(st.sampled_from(sorted(_PROPERTY_RUNS)))
+    argv, options = _PROPERTY_RUNS[command]
+    option = data.draw(st.sampled_from(options))
+    value = data.draw(st.sampled_from(
+        ["-1", "0", "1"] if option == "order" else _EDGE_VALUES))
+    files = {key: str(property_files / f"{key}.json")
+             for key in ("bump", "per", "c1", "c2")}
+    out = tempfile.mkdtemp(dir=property_files)
+    os.rmdir(out)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--potential", files[argv[0]],
+                   *[files.get(a, a) for a in argv[1:]],
+                   f"--{option}={value}", "--out", out])
+    lines = err.getvalue().splitlines()
+    categories = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type)
+                  and issubclass(obj, errors.DiracWeylError)}
+    if not os.path.exists(os.path.join(out, "summary.json")):
+        assert rc == 1 and len(lines) == 1
+        assert json.loads(lines[0])["error"] in categories
+        return
+    assert lines == []
+    summary = _strict_json(os.path.join(out, "summary.json"))
+    assert rc == (1 if summary["partial"] else 0)
+    assert {f["category"] for f in summary.get("failures", [])} <= categories
+    for name in summary["outputs"]:
+        if name.endswith(".csv"):
+            for row in _read_csv(os.path.join(out, name))[2]:
+                for tok in row:
+                    try:
+                        num = float(tok)
+                    except ValueError:      # disk's classification
+                        continue
+                    assert math.isfinite(num), (name, row)
+
+
+@pytest.mark.parametrize("x", ["1e300", "-1e300"])
+def test_greens_far_from_x0_is_not_a_nan_row(property_files, tmp_path,
+                                               capsys, x):
+    # the transfer over |x - x0| = 1e300 overflows; the run used to exit 0
+    # with a row of NaN
+    assert main(["greens", "--potential", str(property_files / "bump.json"),
+                 "--z", "1i", f"--x={x}", "--xp", "0.5",
+                 "--out", str(tmp_path / "o")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "IntegrationFailure"
+
+
+def test_uniqueness_writes_discarded_norms(property_files, tmp_path):
+    # from x0 = -2 the potentials agree on (-2, 0), and the differences at
+    # |z| = 6, 7, 8 sit below the noise floor: their rows used to read nan
+    out = str(tmp_path / "o")
+    assert main(["uniqueness", "--potential", str(property_files / "c1.json"),
+                 "--potential2", str(property_files / "c2.json"),
+                 "--a", "2", "--x0=-2", "--out", out]) == 0
+    rows = _read_csv(os.path.join(out, "uniqueness.csv"))[2]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    assert _strict_json(os.path.join(out, "summary.json"))["info"][
+        "used"] == [0, 1, 2]
 
 def test_complex_suffix_parsing():
     assert [cli._parse_complex(t) for t in ("2+1e3i", " 1i ", "-i", "3j",
@@ -768,10 +938,9 @@ class TestValuesMatchLibrary:
                    str(tmp_path / "o")] + argv)
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateArguments"
         if argv == ["--lam-max=inf"]:   # refused with the other non-finite
-            assert err["error"] == "DegenerateArguments"
             return
-        assert err["error"] == "ValueError"
         assert "grid_step > 0 and lam_max > 0" in err["message"]
 
     def test_uniqueness(self, tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import functools
 import json
 import math
+import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +15,29 @@ from diracweyl import (
     ConstantPiece,
     GridPiece,
     PotentialSpec,
+    Propagator,
     alpha_dirichlet,
     alpha_neumann,
+    borg_diagnostic,
     check_normal_form,
+    derivative_samples,
+    disk_membership,
+    expansion_coefficients,
+    gauge_factors,
     herm_defect,
     load_potential,
     matnorm,
     normal_form_matrix,
+    reflectionless_check,
+    regular_m,
     save_potential,
     sigma,
+    trace_check,
     truncate_potential,
+    uniqueness_decay,
+    upsilon,
     validate_boundary_data,
+    weyl_solution_volterra,
 )
 from diracweyl.errors import (
     DegenerateArguments,
@@ -33,7 +48,8 @@ from diracweyl.errors import (
     OutOfDomain,
 )
 from diracweyl import arraytext
-from diracweyl.foundation import inv_cond, potential_to_dict
+from diracweyl.foundation import MAX_POINTS, inv_cond, need, potential_to_dict
+from diracweyl.riccati import integrate_cayley, integrate_riccati
 from conftest import (
     count_calls,
     edge_floats,
@@ -599,3 +615,115 @@ class TestFileRoundtrip:
         vals = vals + np.swapaxes(vals.conj(), -1, -2)
         spec = PotentialSpec.from_samples(np.arange(9.0), vals)
         assert spec.bound() == max(matnorm(v) for v in vals)
+
+
+class TestArgumentContract:
+    """need is the one argument check: every refusal is a
+    DegenerateArguments (also a ValueError) raised before any transfer."""
+
+    def test_message_and_first_offender(self):
+        vals = [1.0, math.nan, math.inf]
+        with pytest.raises(DegenerateArguments,
+                           match=r"^f needs finite x, got nan$"):
+            need(np.isfinite(vals), "f", "finite x", vals)
+        with pytest.raises(DegenerateArguments,
+                           match=r"^f needs s < t, got \(1\.0, 0\.0\)$"):
+            need(False, "f", "s < t", (1.0, 0.0))
+        need(True, "f", "anything", None)
+        need(np.ones(3, bool), "f", "anything", None)
+        need([], "f", "anything", None)
+        assert issubclass(DegenerateArguments, ValueError)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_nan_fails_a_comparison(self, tol):
+        with pytest.raises(DegenerateArguments, match="tol >= 0"):
+            need(tol >= 0, "f", "tol >= 0", tol)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, p: sigma(0.0, math.nan, 1j),
+        lambda s, p: sigma(0.0, 1.0, complex(math.nan, 1.0)),
+        lambda s, p: disk_membership(1j * np.eye(1), 1j, math.nan, 0.0,
+                                     alpha_dirichlet(1), s),
+        lambda s, p: disk_membership(1j * np.eye(1), 1j, 1.0, 0.0,
+                                     alpha_dirichlet(1), s, tol=math.nan),
+        lambda s, p: disk_membership(1j * np.eye(1), 1j, 1.0, 0.0,
+                                     alpha_dirichlet(1), s, tol=-1.0),
+        lambda s, p: regular_m(1j, math.nan, 0.0, alpha_dirichlet(1),
+                               (np.eye(1), np.zeros((1, 1))), s),
+        lambda s, p: trace_check(math.nan, s),
+        lambda s, p: trace_check(0.5, s, zmags=(1e2, math.nan)),
+        lambda s, p: trace_check(0.5, s, zmags=(1e2, -3e2)),
+        lambda s, p: trace_check(0.5, s, rel_step=math.nan),
+        lambda s, p: trace_check(0.5, s, tol=math.nan),
+        lambda s, p: borg_diagnostic(p, lam_max=math.nan),
+        lambda s, p: borg_diagnostic(p, lam_max=3.0, grid_step=math.nan),
+        lambda s, p: borg_diagnostic(p, lam_max=3.0, comb_tol=math.nan),
+        lambda s, p: reflectionless_check(s, [0.0, math.nan], [2.0]),
+        lambda s, p: reflectionless_check(s, [0.0], [2.0], tol=math.nan),
+        lambda s, p: uniqueness_decay(s, s, 0.0, math.nan),
+        lambda s, p: integrate_riccati(1j, 1j * np.eye(1), 0.0, math.nan, s),
+        lambda s, p: integrate_cayley(1j, np.zeros((1, 1)), math.nan, 1.0,
+                                      s, 1),
+        lambda s, p: derivative_samples(s, [0.0, math.nan, 1.0], 1),
+        lambda s, p: derivative_samples(s, [0.0, 1.0], 1),
+        lambda s, p: expansion_coefficients(
+            derivative_samples(s, [0.0, 0.5, 1.0], 1), 0.5, -1),
+        lambda s, p: expansion_coefficients(
+            derivative_samples(s, [0.0, 0.5, 1.0], 1), math.nan, 1),
+        lambda s, p: weyl_solution_volterra(1j, math.nan, 0.0, s),
+        lambda s, p: upsilon(0.5, 0.0, alpha_dirichlet(1), s, math.nan),
+    ])
+    def test_refused_before_any_transfer(self, call, const_q1,
+                                         const_q1_periodic, monkeypatch):
+        calls = count_calls(monkeypatch, Propagator, "transfer")
+        with pytest.raises(DegenerateArguments):
+            call(const_q1, const_q1_periodic)
+        assert calls == []
+
+    def test_only_need_and_the_cli_raise_it(self):
+        # the contract lives in one place: no module spells out its own
+        # raise DegenerateArguments
+        import diracweyl
+        src = os.path.dirname(diracweyl.__file__)
+        sites = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Raise)
+                            and isinstance(node.exc, ast.Call)
+                            and getattr(node.exc.func, "id", None)
+                            == "DegenerateArguments"):
+                        sites.append((name, fn.name))
+        assert sites == [("cli.py", "_check_finite"),
+                         ("foundation.py", "need")]
+
+
+class TestGridBound:
+    """A grid beyond MAX_POINTS is refused before any array is made."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s, p: gauge_factors(s, 0.0, 1e12),
+        lambda s, p: gauge_factors(s, 0.0, MAX_POINTS / 50),
+        lambda s, p: borg_diagnostic(p, lam_max=1e300),
+        lambda s, p: borg_diagnostic(p, lam_max=3.0, grid_step=1e-9),
+        lambda s, p: borg_diagnostic(p, lam_max=3.0, grid_step=5e-324),
+        lambda s, p: integrate_riccati(1j, 1j * np.eye(1), 0.0, 1e300, s),
+        lambda s, p: integrate_riccati(1j, 1j * np.eye(1), 0.0, 1.0, s,
+                                       n_out=10 ** 12),
+    ])
+    def test_refused_without_allocating(self, call, const_q1,
+                                        const_q1_periodic):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateArguments, match="at most"):
+                call(const_q1, const_q1_periodic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -469,7 +469,7 @@ class TestBorg:
                                     {"lam_max": math.inf},
                                     {"lam_max": math.nan}])
     def test_grid_must_be_positive(self, const_q1_periodic, kw):
-        with pytest.raises(ValueError, match="grid_step > 0"):
+        with pytest.raises(DegenerateArguments, match="grid_step > 0"):
             borg_diagnostic(const_q1_periodic, **{"lam_max": 3.0, **kw})
 
 
