@@ -522,6 +522,20 @@ def _check_finite(args):
                 f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
+# the tolerances mfunc, fullline and upsilon pass to every point of their
+# sweep: a bad one fails the run once, not once per point
+_SWEEP_TOLERANCES = {"mfunc": ("tol",), "fullline": ("tol",),
+                     "upsilon": ("tol", "eps")}
+
+
+def _check_sweep_tolerances(args):
+    """DegenerateArguments for a sweep command's negative tolerance, before
+    the output directory or the potential (_check_finite refuses NaN)."""
+    for name in _SWEEP_TOLERANCES.get(args.command, ()):
+        value = getattr(args, name)
+        need(value >= 0, f"--{name}", f"{name} >= 0", value)
+
+
 def main(argv=None):
     """Run one command (argv as for the command line) and return its exit
     status; _keep_heap first keeps freed memory resident for the kernels."""
@@ -529,6 +543,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         _check_finite(args)
+        _check_sweep_tolerances(args)
         run = _Run(args)
         args.func(args, load_potential(args.potential), run)
         return run.finish()

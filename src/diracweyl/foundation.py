@@ -7,12 +7,12 @@ condition).  All value types are immutable after construction, so they can be
 shared freely across concurrent evaluations.
 """
 
-import gc
-import itertools
 import json
+import json.decoder
+import json.scanner
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -523,7 +523,10 @@ def check_normal_form(spec, interval, tol=ALG_TOL):
 
 # ---------------------------------------------------------------------------
 # File format: {"m": int, "period": float?, "pieces": [...]}, complex entries
-# serialized as [re, im] pairs.
+# serialized as [re, im] pairs.  A grid's "x" and the pairs of a grid's
+# "values" or of a constant's "data" are number arrays: potential_to_dict
+# gives them as nested lists, load_potential decodes each one in one pass
+# into a float ndarray (_number_array), and _complex_in takes either.
 # ---------------------------------------------------------------------------
 
 def _pairs(mat):
@@ -534,27 +537,171 @@ def _pairs(mat):
 
 
 def _complex_in(data, ndim=3):
-    """Complex array from nested [re, im] pairs: a matrix for ndim 3, a
-    stack of matrices for ndim 4.  The nesting is checked level by level,
-    every list of a level having one length, and the numbers of the last
-    level are converted in one call."""
-    shape, level = [], [data]
+    """Complex array from [re, im] pairs, nested lists or a float array: a
+    matrix for ndim 3, a stack of matrices for ndim 4."""
     try:
-        for _ in range(ndim):
-            lens = set(map(len, level))
-            if len(lens) != 1:
-                raise ValueError
-            shape.append(lens.pop())
-            level = list(itertools.chain.from_iterable(level))
-        arr = np.array(level)
-    except (TypeError, ValueError):
+        arr = np.asarray(data)
+    except (TypeError, ValueError):    # ragged lists
         arr = None
-    # numbers only: a string in place of a list was split into characters
-    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf"
-            or shape[-1] != 2):
+    # numbers only, every list of a level having one length
+    if (arr is None or arr.ndim != ndim or arr.dtype.kind not in "biuf"
+            or arr.shape[-1] != 2):
         raise ValueError("matrix entries must be [re, im] pairs")
     # a bit-exact reinterpretation keeps the sign of a zero imaginary part
-    return arr.astype(float, copy=False).reshape(shape).view(complex)[..., 0]
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+# Character classes of a number array's text, four bits each: 0 any other
+# character, 1 JSON whitespace, 2 "[", 3 ",", 4 "]", 8 "-", 9 "+", 10 ".",
+# 11 "e" or "E", 12 "0", 13 "1" to "9".
+_CLASSES = bytes(dict(zip(b" \t\n\r[,]-+.eE0123456789",
+                          [1] * 4 + [2, 3, 4, 8, 9, 10, 11, 11, 12] + [13] * 9)
+                      ).get(c, 0) for c in range(256))
+
+# the classes that may follow each class of a number's characters
+_NUMBER_NEXT = {8: {12, 13}, 9: {12, 13}, 10: {12, 13}, 11: {8, 9, 12, 13},
+                12: {10, 11, 12, 13}, 13: {10, 11, 12, 13}}
+
+
+def _pair_tables():
+    """bytes.translate's tables over the codes x << 4 | y of the classes
+    of two adjacent characters.
+
+    The first table and delete set map the second character to its mark:
+    "[", "," or "]" for itself, "n" for a "-" or digit that starts a number
+    (after whitespace, "[" or ","), nothing for whitespace and a number's
+    other characters, and "!" where JSON's number grammar refuses the pair
+    or no number array has it.  The second maps a pair to the flags of the
+    leading zeros JSON refuses, which lie two pairs apart: bit 0 for
+    whitespace, "[" or "," before the start of a number, bit 1 for a "-"
+    that starts one; after a "0", bits 4 and 5 for a digit and bit 5 for
+    the end of the number.  A pair's bits 0 and 1 and the bits 4 and 5 of
+    the pair two on, shifted down, overlap at a "0" that starts a number
+    and goes on with a digit ("01", bit 0), or that follows a "-" which
+    starts one and does not go on with "." or "e" ("-01", or the integer
+    -0, which JSON reads as +0: bit 1)."""
+    out, drop = bytearray(b"!" * 256), bytearray()
+    flags = bytearray(256)
+    # the first character, the one before the array, is ":" or whitespace
+    out[2], flags[2] = ord("["), 1
+    for x in (1, 2, 3, 4, *_NUMBER_NEXT):
+        for y in (1, 2, 3, 4, *_NUMBER_NEXT):
+            code = x << 4 | y
+            if y < 8 and x in (1, 2, 3, 4, 12, 13):   # a number ends on a digit
+                if y == 1:
+                    drop.append(code)
+                else:
+                    out[code] = b" [,]"[y - 1]
+            elif x in _NUMBER_NEXT and y in _NUMBER_NEXT[x]:
+                drop.append(code)
+            elif x in (1, 2, 3) and y in (8, 12, 13):
+                out[code] = ord("n")
+            starts = x in (1, 2, 3) and y == 8      # "-" starts a number
+            digit = x == 12 and y >= 12             # "0" then a digit
+            not_fraction = digit or x == 12 and y in (1, 3, 4)
+            flags[code] = ((y in (1, 2, 3)) | starts << 1 | digit << 4
+                           | not_fraction << 5)
+    return bytes(out), bytes(drop), bytes(flags)
+
+
+_PAIR_OUT, _PAIR_DROP, _ZERO_FLAGS = _pair_tables()
+
+
+@lru_cache(maxsize=64)
+def _skeleton(shape):
+    """The skeleton of a number array of this shape: its text with each
+    number written n and no whitespace."""
+    text = b"n"
+    for n in reversed(shape):
+        text = b"[" + b",".join([text] * n) + b"]"
+    return text
+
+
+def _first_path_shape(skeleton):
+    """The shape of a number array with this skeleton, read off the first
+    list of each inner level and the skeleton's length; None where it
+    holds no number or nests deeper than 32 levels (json's recursion limit
+    refuses far deeper ones)."""
+    depth = skeleton.find(b"n")
+    if not 0 < depth <= 32:
+        return None
+    shape, size = [], 1      # size: the skeleton length of the inner level
+    for level in range(1, depth):
+        close = skeleton.find(b"]" * level)
+        n = skeleton.count(b"]" * (level - 1) + b",", 0, close) + 1
+        shape.append(n)
+        size = n * (size + 1) + 1
+    shape.append((len(skeleton) - 1) // (size + 1))
+    return tuple(reversed(shape))
+
+
+def _numbers(raw):
+    """The float ndarray of raw, the ASCII bytes of the character before
+    an array (":" or whitespace) and the array, where the array holds
+    numbers in JSON's grammar nested to any depth with one length per
+    level; every number is read as json.loads reads it.  None for any
+    other text.
+
+    The characters are classed, and each pair of adjacent classes is
+    marked (_pair_tables), so that one translation checks the nesting,
+    the whitespace and the number grammar but for leading zeros against
+    the skeleton of the shape read off the first path.  The zero flags of
+    the pairs then find the leading zeros JSON refuses, and an integer -0,
+    which is left to json.  All numbers are then converted in one
+    correctly rounded call."""
+    # each buffer as long as the text is dropped once used, and the pair
+    # codes' buffer takes the flag overlap, to keep the peak low
+    classes = np.frombuffer(raw.translate(_CLASSES), np.uint8)
+    pairs = bytearray(len(raw) - 1)
+    codes = np.frombuffer(pairs, np.uint8)
+    np.left_shift(classes[:-1], 4, out=codes)
+    codes |= classes[1:]
+    del classes
+    marks = pairs.translate(_PAIR_OUT, _PAIR_DROP)
+    shape = _first_path_shape(marks)
+    if shape is None or marks != _skeleton(shape):
+        return None
+    flags = np.frombuffer(pairs.translate(_ZERO_FLAGS), np.uint8)
+    overlap = np.right_shift(flags[2:], 4, out=codes[2:])
+    overlap &= flags[:-2]
+    if np.count_nonzero(overlap):
+        return None
+    del codes, pairs, flags, overlap
+    try:
+        arr = np.fromstring(raw.translate(None, b"[] \t\n\r:"), sep=",")
+    except ValueError:
+        return None
+    return arr.reshape(shape) if arr.size == math.prod(shape) else None
+
+
+def _number_array(s_and_end, scan_once):
+    """json's parse_array for load_potential: an array that is an object's
+    value and holds only numbers comes back as one float ndarray; every
+    other array, and every array inside one, goes to json.decoder.JSONArray.
+    A number array ends before the next '"', "{" or "}"."""
+    s, end = s_and_end
+    before = end - 2
+    while before > 0 and s[before] in " \t\n\r":
+        before -= 1
+    if before >= 0 and s[before] == ":":
+        stop = s.find('"', end)
+        stop = len(s) if stop < 0 else stop
+        for brace in "{}":
+            found = s.find(brace, end, stop)
+            stop = stop if found < 0 else found
+        close = s.rfind("]", end, stop) + 1
+        # a character that is not ASCII becomes "?", which no array holds
+        arr = (_numbers(s[end - 2:close].encode("ascii", "replace"))
+               if close else None)
+        if arr is not None:
+            return arr, close
+    return json.decoder.JSONArray(s_and_end, scan_once)
+
+
+# json's own pure-Python scanner with _number_array in it, built once
+_DECODER = json.JSONDecoder()
+_DECODER.parse_array = _number_array
+_DECODER.scan_once = json.scanner.py_make_scanner(_DECODER)
 
 
 def _edge_out(v):
@@ -607,22 +754,16 @@ def potential_from_dict(doc):
 
 
 def load_potential(path):
-    # cyclic GC passes over the decoded document, an acyclic tree of lists
-    # that dies on return, free nothing: pause GC, re-enable it if it was on
-    enabled = gc.isenabled()
-    gc.disable()
+    """The potential of a JSON file, decoded as json.load decodes it but
+    with each number array read in one pass (_number_array)."""
+    with open(path) as fh:
+        doc = _DECODER.decode(fh.read())
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        try:
-            return potential_from_dict(doc)
-        except NonHermitianPiece:
-            raise
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed potential file {path}: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
+        return potential_from_dict(doc)
+    except NonHermitianPiece:
+        raise
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed potential file {path}: {exc}") from exc
 
 
 # the stand-in for a number array in save_potential's dumped document

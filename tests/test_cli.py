@@ -290,6 +290,24 @@ def test_non_finite_text_option_is_refused(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("upsilon", ["--lambda=0:1:1000"]),
+    ("mfunc", ["--z", "1i,2i"]),
+    ("fullline", ["--z", "1i,2i"])])
+def test_negative_sweep_tolerance_fails_once(tmp_path, capsys, q1_file,
+                                             command, argv):
+    # a negative tolerance used to fail every point of the sweep alone:
+    # 1000 identical DegenerateArguments records for upsilon's grid.  It
+    # is refused once, before the output directory is made
+    out = tmp_path / "o"
+    assert main([command, "--potential", q1_file, *argv, "--tol=-1",
+                 "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "DegenerateArguments",
+                                "message": "--tol needs tol >= 0, got -1.0"}
+    assert not out.exists()
+
+
 def test_grid_count_must_be_an_integer(tmp_path, capsys):
     # a grid count that is not an integer is malformed, not non-finite
     path = tmp_path / "bump.json"
@@ -753,15 +771,17 @@ class TestUpsilonSweep:
         assert counts[0] == counts[1] == 3
 
 
-    def test_negative_eps_fails_every_point(self, q1_file, tmp_path):
-        # eps < 0 would write -Upsilon; each point fails alone instead
+    def test_negative_eps_fails_once(self, q1_file, tmp_path, capsys):
+        # eps < 0 would write -Upsilon; each point used to fail alone, and
+        # now the run fails once, before any point or output
         out = str(tmp_path / "o")
         assert main(["upsilon", "--potential", q1_file, "--lambda=0:2:3",
                      "--eps=-1e-3", "--out", out]) == 1
-        summary = _summary(out)
-        assert [(f["lambda"], f["category"]) for f in summary["failures"]] \
-            == [(lam, "DegenerateArguments") for lam in (0.0, 1.0, 2.0)]
-        assert _read_csv(os.path.join(out, "upsilon.csv"))[2] == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "DegenerateArguments",
+                                    "message": "--eps needs eps >= 0, "
+                                               "got -0.001"}
+        assert not os.path.exists(out)
 
     def test_nan_eps_fails_every_point(self, tmp_path, capsys):
         # lambda + i NaN used to give finite rows read from unwritten

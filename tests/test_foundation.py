@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diracweyl import (
     ALG_TOL,
@@ -47,8 +49,14 @@ from diracweyl.errors import (
     NotNormalized,
     OutOfDomain,
 )
-from diracweyl import arraytext
-from diracweyl.foundation import MAX_POINTS, inv_cond, need, potential_to_dict
+from diracweyl import arraytext, foundation
+from diracweyl.foundation import (
+    MAX_POINTS,
+    inv_cond,
+    need,
+    potential_from_dict,
+    potential_to_dict,
+)
 from diracweyl.riccati import integrate_cayley, integrate_riccati
 from conftest import (
     count_calls,
@@ -399,6 +407,29 @@ class TestNormalFormCheck:
         assert not check_normal_form(spec, (0.0, 1.0))
 
 
+# a constant piece's text with its data array spelled as given, right
+# after the ":" (test_malformed_grid_sample puts a space before it)
+_CONSTANT = ('{"m": 1, "pieces": [{"x_lo": 0.0, "x_hi": 1.0, '
+             '"kind": "constant", "data":%s}]}')
+# number arrays json.loads refuses or reads as a non-number: spellings
+# outside JSON's grammar, two numbers in one slot, a trailing comma, an
+# unclosed array, NaN and Infinity (non-finite), and an object
+_BAD_ARRAYS = {
+    "plus": "[[[+1, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "lead-dot": "[[[.5, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "trail-dot": "[[[1., 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "dot-exponent": "[[[1.e5, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "lead-zero": "[[[01, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "minus-lead-zero": "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [-01, 0]]]",
+    "two": "[[[1 1, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "trail-comma": "[[[0.0, 0.0,], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "unclosed": "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]",
+    "nan": "[[[NaN, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
+    "infinity": "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [Infinity, 0]]]",
+    "object": "[[[0.0, 0.0], [1.0, {}]], [[1.0, 0.0], [0.0, 0.0]]]",
+}
+
+
 class TestFileRoundtrip:
     def test_roundtrip(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 5)
@@ -512,17 +543,16 @@ class TestFileRoundtrip:
             "x_lo": 0.0, "x_hi": 1.0, "kind": "constant",
             "data": [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]}]}),
          NonHermitianPiece),
-    ], ids=["ok", "json", "key", "hermitian"])
-    def test_load_restores_gc_state(self, tmp_path, monkeypatch, gc_on, text,
-                                    error):
-        # the cyclic collector is paused while the file is decoded and left
-        # as it was found, also when the decode raises
+        *((_CONSTANT % bad, ValueError) for bad in _BAD_ARRAYS.values()),
+        # a leading zero first in a flat array right after the ":"
+        ('{"m":1,"pieces":[{"x_lo":0,"x_hi":1,"kind":"grid","data":{"x":'
+         '[00,1],"values":[[[[0,0],[1,0]],[[1,0],[0,0]]],'
+         '[[[0,0],[1,0]],[[1,0],[0,0]]]]}}]}', ValueError),
+    ], ids=["ok", "json", "key", "hermitian", *_BAD_ARRAYS, "lead-zero-x"])
+    def test_load_restores_gc_state(self, tmp_path, gc_on, text, error):
+        # the load leaves the cyclic collector as it was found, also when
+        # the decode raises
         import gc
-        from diracweyl import foundation
-        seen = []
-        decode = foundation.potential_from_dict
-        monkeypatch.setattr(foundation, "potential_from_dict", lambda doc: (
-            seen.append(gc.isenabled()), decode(doc))[1])
         path = tmp_path / "p.json"
         path.write_text(text)
         was = gc.isenabled()
@@ -536,8 +566,18 @@ class TestFileRoundtrip:
             assert gc.isenabled() == gc_on
         finally:
             (gc.enable if was else gc.disable)()
-        # the truncated text never reaches the decoder
-        assert seen == ([] if text.endswith("[") else [False])
+
+    def test_integer_minus_zero_reads_as_json_reads_it(self, tmp_path):
+        # JSON reads the integer -0 as 0: its part comes back +0.0, while
+        # the float -0.0 keeps its sign
+        text = _CONSTANT % "[[[0, -0], [1, -0.0]], [[1, 0.0], [-0, -0]]]"
+        path = tmp_path / "z.json"
+        path.write_text(text)
+        got = load_potential(path).pieces[0].value
+        want = potential_from_dict(json.loads(text)).pieces[0].value
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.signbit(got.imag).tolist() == [[False, True], [False, False]]
+        assert not np.signbit(got[1, 1].real)
 
     @staticmethod
     def _grid_doc(values):
@@ -553,13 +593,127 @@ class TestFileRoundtrip:
         [[0.0, 1.0], [1.0, 0.0]],                                 # not pairs
         # pairs of length 3 and 1: ragged, though the float count is right
         [[[0.0, 0.0, 0.0], [1.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        # the sample spelled as text (_BAD_ARRAYS)
+        *_BAD_ARRAYS.values(),
     ])
     def test_malformed_grid_sample(self, tmp_path, bad):
         good = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        text = json.dumps(self._grid_doc([good, "@", good]))
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(self._grid_doc([good, bad, good])))
+        path.write_text(text.replace(
+            '"@"', bad if isinstance(bad, str) else json.dumps(bad)))
         with pytest.raises(ValueError):
             load_potential(path)
+
+    # entries: signed zeros, integer values, short and long decimals, and
+    # magnitudes near the ends of %.17g's and repr's fixed notation
+    _ENTRIES = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -3.0, 0.1, -1e-05, 1e16, 2.5e-300]),
+        st.integers(-1000, 1000).map(float),
+        st.floats(-1e6, 1e6, allow_nan=False))
+
+    @classmethod
+    def _hermitian(cls, data, d):
+        """A d x d Hermitian matrix of drawn entries; each diagonal imaginary
+        part a signed zero, each conjugate its own sign of zero."""
+        re = np.array(data.draw(st.lists(cls._ENTRIES, min_size=d * d,
+                                         max_size=d * d))).reshape(d, d)
+        im = np.array(data.draw(st.lists(cls._ENTRIES, min_size=d * d,
+                                         max_size=d * d))).reshape(d, d)
+        im[np.diag_indices(d)] = np.copysign(0.0, np.diag(im))
+        upper = np.triu(np.ones((d, d), bool), 1)
+        re = np.where(upper.T, re.T, re)
+        im = np.where(upper.T, -im.T, im)
+        return re + 1j * im
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_decode_matches_json(self, tmp_path, data):
+        # whatever the writer, the one-pass decode gives the numbers json
+        # gives, bit for bit: save_potential's %.17g text, json.dump's repr
+        # text with integer-valued entries as integers, the same laid out
+        # over lines by indent=2, and with no space after ":" and ","
+        m = data.draw(st.sampled_from([1, 2]))
+        pieces, x = [], 0.0
+        for kind in data.draw(st.lists(st.sampled_from(["grid", "constant"]),
+                                       min_size=1, max_size=2)):
+            if kind == "constant":
+                pieces.append(ConstantPiece(x, x + 1.0,
+                                            self._hermitian(data, 2 * m)))
+            else:
+                n = data.draw(st.integers(2, 5))
+                xs = x + np.cumsum([0.0] + data.draw(st.lists(
+                    st.sampled_from([0.25, 0.5, 1.0, 0.1]),
+                    min_size=n - 1, max_size=n - 1)))
+                pieces.append(GridPiece(xs, np.array(
+                    [self._hermitian(data, 2 * m) for _ in xs])))
+            x = pieces[-1].x_hi
+        spec = PotentialSpec(m=m, pieces=tuple(pieces))
+        doc = json.loads(json.dumps(potential_to_dict(spec)),
+                         parse_float=lambda t: (int(float(t))
+                                                if float(t).is_integer()
+                                                and abs(float(t)) < 1e15
+                                                else float(t)))
+        path = tmp_path / "p.json"
+        save_potential(spec, path)
+        for text in (path.read_text(), json.dumps(doc),
+                     json.dumps(doc, indent=2),
+                     json.dumps(doc, separators=(",", ":"))):
+            path.write_text(text)
+            got = load_potential(path)
+            with open(path) as fh:
+                want = potential_from_dict(json.load(fh))
+            assert got.m == want.m and len(got.pieces) == len(want.pieces)
+            for p, q in zip(got.pieces, want.pieces):
+                assert (p.kind, p.x_lo, p.x_hi) == (q.kind, q.x_lo, q.x_hi)
+                if p.kind == "grid":
+                    assert np.array_equal(_bits(p.xs), _bits(q.xs))
+                    assert np.array_equal(_bits(p.values), _bits(q.values))
+                else:
+                    assert np.array_equal(_bits(p.value), _bits(q.value))
+
+    # number spellings JSON takes and refuses, for the grammar test
+    _TOKENS = ["0", "-0", "1", "-1", "10", "01", "00", "-01", "0.5", "-0.5",
+               ".5", "-.5", "1.", "1.e5", "1e5", "1E-05", "0e0", "-0e-0",
+               "1.5e+3", "+1", "1e", "1e+", "-", "--1", "1-2", "1.2.3",
+               "-0.0", "1 1", "", "NaN", "9007199254740993", "1e400"]
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(data=st.data())
+    def test_number_arrays_follow_json(self, data):
+        # a random nest of spellings, maybe with a character added or
+        # dropped, as an object's value: the decoder refuses what json
+        # refuses and reads what json reads, bit for bit
+        text = data.draw(st.recursive(
+            st.sampled_from(self._TOKENS),
+            lambda inner: st.tuples(
+                st.sampled_from([",", ", ", " ,", ",\n  "]),
+                st.lists(inner, max_size=3)).map(
+                    lambda sep_items: "[" + sep_items[0].join(sep_items[1])
+                    + "]"),
+            max_leaves=8))
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["", "[", "]", ",", " ", "0", "-",
+                                          ".", "e", "drop"]))
+        text = (text[:at] + text[at + 1:] if edit == "drop"
+                else text[:at] + edit + text[at:])
+        doc = '{"a"' + data.draw(st.sampled_from([":", ": ", ":\n "])) + text + "}"
+        try:
+            want = json.loads(doc)["a"]
+        except ValueError:
+            with pytest.raises(ValueError):
+                foundation._DECODER.decode(doc)
+            return
+        got = foundation._DECODER.decode(doc)["a"]
+        if isinstance(got, np.ndarray):
+            want = np.array(want, dtype=float)
+            assert want.shape == got.shape
+            assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+        else:
+            assert repr(got) == repr(want)
 
     def test_grid_hermiticity_defect_per_sample(self, rng, tmp_path):
         # the load reports the worst per-sample defect of herm_defect
