@@ -607,14 +607,16 @@ def _pair_tables():
 _PAIR_OUT, _PAIR_DROP, _ZERO_FLAGS = _pair_tables()
 
 
-@lru_cache(maxsize=64)
 def _skeleton(shape):
     """The skeleton of a number array of this shape: its text with each
-    number written n and no whitespace."""
-    text = b"n"
-    for n in reversed(shape):
-        text = b"[" + b",".join([text] * n) + b"]"
-    return text
+    number written n and no whitespace.  Only an element's skeleton is
+    kept, not a whole grid's."""
+    return b"[" + b",".join([_element_skeleton(shape[1:])] * shape[0]) + b"]"
+
+
+@lru_cache(maxsize=64)
+def _element_skeleton(shape):
+    return _skeleton(shape) if shape else b"n"
 
 
 def _first_path_shape(skeleton):
@@ -757,7 +759,13 @@ def load_potential(path):
     """The potential of a JSON file, decoded as json.load decodes it but
     with each number array read in one pass (_number_array)."""
     with open(path) as fh:
-        doc = _DECODER.decode(fh.read())
+        text = fh.read()
+    try:
+        doc = _DECODER.decode(text)
+    except RecursionError as exc:
+        # json's pure-Python scanner takes a few frames per level of nesting
+        raise ValueError(f"malformed potential file {path}: nested too "
+                         "deep") from exc
     try:
         return potential_from_dict(doc)
     except NonHermitianPiece:

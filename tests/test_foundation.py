@@ -427,6 +427,8 @@ _BAD_ARRAYS = {
     "nan": "[[[NaN, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]",
     "infinity": "[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [Infinity, 0]]]",
     "object": "[[[0.0, 0.0], [1.0, {}]], [[1.0, 0.0], [0.0, 0.0]]]",
+    # nested past the scanner's recursion limit (json itself reads 400)
+    "deep": "[" * 400 + "0" + "]" * 400,
 }
 
 
