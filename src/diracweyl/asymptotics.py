@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedFit, InsufficientDerivatives, SectorViolation
-from .foundation import matnorm, need
+from .foundation import MAX_POINTS, matnorm, need
 
 _SECTOR_ANGLE, _MIN_RATIO = 0.1, 4.0    # fit_expansion's sector, |z| spread
 
@@ -43,12 +43,20 @@ def derivative_samples(spec, xs, order):
     need(np.isfinite(xs), "derivative samples", "a finite grid", xs)
     need(np.diff(xs) > 0, "derivative samples", "an increasing grid", xs[1:])
     need(order < 1 or len(xs) > 2, "derivatives", "3 grid nodes", len(xs))
+    need(order * len(xs) <= MAX_POINTS, "derivative samples",
+         f"order * (grid nodes) <= {MAX_POINTS}", order)
     b = spec.eval(xs)
     derivs = []
     cur = b
-    for _ in range(order):
-        cur = np.gradient(cur, xs, axis=0, edge_order=2)
-        derivs.append(cur)
+    # an overflow is caught below, as a derivative that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            cur = np.gradient(cur, xs, axis=0, edge_order=2)
+            if not np.all(np.isfinite(cur)):
+                raise InsufficientDerivatives(
+                    f"B^({k}) is not finite on this grid: repeated "
+                    "differences overflow")
+            derivs.append(cur)
     return DerivativeSamples(xs=xs, b=b, derivs=tuple(derivs))
 
 
@@ -60,6 +68,15 @@ class ExpansionCoefficients:
     order: int
 
 
+def check_order(order, n):
+    """DegenerateArguments unless order >= 0 and the recursion's work, about
+    order^2 stacked m x m products over n grid nodes, fits MAX_POINTS."""
+    need(order >= 0, "expansion", "order >= 0", order)
+    need(order * order * n <= MAX_POINTS, "expansion",
+         f"order^2 * (grid nodes) <= {MAX_POINTS}", f"order {order} on "
+         f"{n} nodes")
+
+
 def expansion_coefficients(derivs, x, order, sign=1):
     """Coefficients m_{+-,0..order}(x) from the quadratic recursion.
 
@@ -69,8 +86,10 @@ def expansion_coefficients(derivs, x, order, sign=1):
                         + B12 m_k + m_k B21 ].
     The derivative term is taken by differentiating the lower coefficient on
     the sample grid, so order N needs derivative data through order N - 1.
+    The order is bounded by check_order, and a coefficient that is not
+    finite at x (the recursion overflowed) raises InsufficientDerivatives.
     """
-    need(order >= 0, "expansion", "order >= 0", order)
+    check_order(order, len(derivs.xs))
     if order >= 1 and derivs.order < order - 1:
         raise InsufficientDerivatives(
             f"order {order} needs B derivatives through order {order - 1}, "
@@ -91,18 +110,25 @@ def expansion_coefficients(derivs, x, order, sign=1):
     mk = [sign * 1j * eye.copy()]
     if order >= 1:
         mk.append(-0.5 * (b12 + b21) + sign * 0.5j * (b11 - b22))
-    for k in range(1, order):
-        dmk = np.gradient(mk[k], xs, axis=0, edge_order=2)
-        quad = np.zeros_like(mk[0])
-        for ell in range(1, k + 1):
-            quad = quad + mk[ell] @ mk[k + 1 - ell]
-        for ell in range(0, k + 1):
-            quad = quad + mk[ell] @ b22 @ mk[k - ell]
-        nxt = sign * 0.5j * (dmk + quad + b12 @ mk[k] + mk[k] @ b21)
-        mk.append(nxt)
+    # an overflow is caught below, as a coefficient that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order):
+            dmk = np.gradient(mk[k], xs, axis=0, edge_order=2)
+            quad = np.zeros_like(mk[0])
+            for ell in range(1, k + 1):
+                quad = quad + mk[ell] @ mk[k + 1 - ell]
+            for ell in range(0, k + 1):
+                quad = quad + mk[ell] @ b22 @ mk[k - ell]
+            nxt = sign * 0.5j * (dmk + quad + b12 @ mk[k] + mk[k] @ b21)
+            mk.append(nxt)
 
-    return ExpansionCoefficients(sign=sign, x=float(xs[idx]),
-                                 coeffs=tuple(c[idx] for c in mk),
+    coeffs = tuple(c[idx] for c in mk)
+    bad = [k for k, c in enumerate(coeffs) if not np.all(np.isfinite(c))]
+    if bad:
+        raise InsufficientDerivatives(
+            f"coefficient m_{bad[0]} at x = {xs[idx]} is not finite: the "
+            f"recursion overflows before order {order}")
+    return ExpansionCoefficients(sign=sign, x=float(xs[idx]), coeffs=coeffs,
                                  order=order)
 
 

@@ -34,7 +34,11 @@ import time
 import numpy as np
 
 from . import __version__, gauge
-from .asymptotics import derivative_samples, expansion_coefficients
+from .asymptotics import (
+    check_order,
+    derivative_samples,
+    expansion_coefficients,
+)
 from .errors import DegenerateArguments, DiracWeylError
 from .foundation import (
     MAX_POINTS,
@@ -221,6 +225,7 @@ def cmd_disk(args, spec, run):
 def cmd_expand(args, spec, run):
     xs = _parse_grid(args.grid)
     sign = 1 if args.sign == "+" else -1
+    check_order(args.order, len(xs))
     derivs = derivative_samples(spec, xs, max(args.order - 1, 0))
     coeffs = expansion_coefficients(derivs, args.x, args.order, sign=sign)
     run.tols = {"derivative_order": derivs.order}

@@ -128,7 +128,8 @@ class LogBranchFailure(DiracWeylError):
 # -- asymptotics -------------------------------------------------------------
 
 class InsufficientDerivatives(DiracWeylError):
-    """Expansion order exceeds the derivative data available."""
+    """Expansion order exceeds the derivative data available, or a
+    derivative or coefficient overflows on the sample grid."""
 
 
 class IllConditionedFit(DiracWeylError):

@@ -245,8 +245,11 @@ class GridPiece:
     def __post_init__(self):
         xs = np.array(self.xs, dtype=float)
         vals = np.array(self.values, dtype=complex)
-        if xs.ndim != 1 or len(xs) < 2 or np.any(np.diff(xs) <= 0):
-            raise ValueError("grid nodes must be strictly increasing, n >= 2")
+        # a NaN fails every comparison, so only "all > 0" refuses it
+        if (xs.ndim != 1 or len(xs) < 2 or not np.all(np.isfinite(xs))
+                or not np.all(np.diff(xs) > 0)):
+            raise ValueError("grid nodes must be finite and strictly "
+                             "increasing, n >= 2")
         if vals.ndim != 3 or vals.shape[0] != len(xs):
             raise ValueError("one sample matrix per grid node required")
         if not np.all(np.isfinite(vals)):

@@ -2,9 +2,10 @@
 
 The diagonal gauge factors solve a linear ODE with skew-Hermitian generator,
 propagated by the same fourth-order Magnus steps as the transfer matrices
-(so they stay unitary), both as one stack; their drift takes an SVD only
-where cheap norm bounds leave it open, and B at the output nodes comes
-from the cut samples.  The transformed off-diagonal datum
+(so they stay unitary), both as one stack whose ordered products come from
+one log-depth prefix scan; their drift takes an SVD only where cheap norm
+bounds leave it open, and B at the output nodes comes from the cut
+samples.  The transformed off-diagonal datum
 U11^{-1} [(B12 + B21) - i(B11 - B22)] U22, taken at all nodes at once,
 splits into the Hermitian blocks of the reduced potential.  A constant
 Hermitian twist omega acts on that datum from both sides and parametrizes
@@ -28,7 +29,7 @@ from .foundation import (
     matnorm,
     need,
 )
-from .propagator import magnus_steps, segment_cuts
+from .propagator import _mul, _prefix, magnus_steps, segment_cuts
 
 _REUNIT_TOL = 1e-10
 
@@ -48,6 +49,28 @@ def _polar_unitary(u):
     return u @ (v * (w ** -0.5)[..., None, :]) @ v.conj().mT
 
 
+def _screen(h):
+    """For h = U*U - I of both factors at a run of nodes, a (2, n, m, m)
+    stack: the first node r where a factor's spectral norm exceeds
+    _REUNIT_TOL (n if none), the mask of the factors that exceed it there
+    (None if none), and the largest spectral norm over nodes [:r + 1].
+    The norm lies between the largest column norm and the Frobenius norm;
+    one SVD is taken where these bounds, widened against rounding, leave
+    open whether a node passes the tol or holds the largest norm (a node
+    over the tol puts the largest over [:r + 1] above it)."""
+    c2 = (h.conj() * h).real.sum(axis=-2)       # squared column norms
+    up = np.sqrt(c2.sum(axis=-1)) * (1 + 1e-9)
+    low = np.sqrt(c2.max(axis=-1)) * (1 - 1e-9)
+    undecided = ~(up <= _REUNIT_TOL) | (up >= low.max(initial=0.0))
+    d = np.zeros(up.shape)
+    d[undecided] = matnorm(h[undecided])
+    over = d > _REUNIT_TOL
+    hit = over.any(axis=0)
+    r = int(np.argmax(hit)) if hit.any() else len(hit)
+    return (r, over[:, r] if r < len(hit) else None,
+            float(d[:, :r + 1].max(initial=0.0)))
+
+
 @dataclass(frozen=True, eq=False)
 class GaugeFactors:
     xs: np.ndarray
@@ -64,13 +87,14 @@ def gauge_factors(spec, x0, x1):
 
     Both factors take Magnus steps as one stack (one magnus_steps call per
     segment) across the cells between consecutive cut points: output nodes
-    and sample nodes.  At the first output node where a factor's drift
-    exceeds 1e-10 it is re-projected onto the unitary group, and the
-    product resumes from there; the worst pre-projection drift is reported.
-    The drift ||U*U - I||_2 lies between the largest column norm and the
-    Frobenius norm; an SVD is taken only where these bounds leave a
-    decision open.  B at the output nodes comes along: cut samples inside a
-    segment, one spec.eval call elsewhere.
+    and sample nodes.  The products of the cells up to each output node
+    come from one work-efficient scan (propagator._prefix, 2 log2(cells)
+    stacked products), which groups them otherwise than a cell-by-cell
+    loop and so differs from it at roundoff.  At the first output node
+    where a factor's drift exceeds 1e-10 (_screen) it is re-projected onto
+    the unitary group, and the product resumes from there; the worst
+    pre-projection drift is reported.  B at the output nodes comes along:
+    cut samples inside a segment, one spec.eval call elsewhere.
     """
     need(-math.inf < x0 < x1 and 50 * (x1 - x0) < MAX_POINTS, "gauge",
          f"finite x0 < x1 and at most {MAX_POINTS} nodes", [x0, x1])
@@ -80,11 +104,11 @@ def gauge_factors(spec, x0, x1):
         *np.linspace(x0, x1, max(201, int(50 * (x1 - x0)) + 1)).tolist(),
         *(seg[0] for seg in segs)}))
     cuts = [segment_cuts(spec, *seg, extra=xs) for seg in segs]
-    # per cell: the (2, m, m) pair of Magnus factors, and the output node
-    # the cell ends on (-1 for none)
+    # the Magnus factors of both factors, a (2, cells, m, m) stack, and per
+    # cell the output node it ends on (-1 for none)
     steps = np.concatenate([
         magnus_steps(ts, np.stack([_generator(v, m, j) for j in (1, 2)]))
-        for ts, v in cuts], axis=1).swapaxes(0, 1).copy()
+        for ts, v in cuts], axis=1)
     ends = np.concatenate([ts[1:] for ts, _ in cuts])
     k = np.searchsorted(xs, ends)
     node = np.where(xs[np.minimum(k, len(xs) - 1)] == ends, k, -1)
@@ -99,33 +123,27 @@ def gauge_factors(spec, x0, x1):
     b[node[own]] = np.concatenate([v[1:] for _, v in cuts])[own]
     rest = np.bincount(node[own], minlength=len(xs)) == 0
     b[rest] = spec.eval(xs[rest])
-    us = np.empty((len(xs), 2, m, m), dtype=complex)
-    us[0] = np.eye(m)
-    fs, nodes = list(steps), node.tolist()
-    drift, first, cell = 0.0, 0, 0
+    # the product of the cells up to each output node, both factors at once
+    us = np.empty((2, len(xs), m, m), dtype=complex)
+    us[:, 0] = np.eye(m)
+    at = np.flatnonzero(node >= 0)
+    us[:, node[at]] = _prefix(steps)[:, at]
+    drift, first = 0.0, 0
     while True:
-        u = us[first]
-        for f, i in zip(fs[cell:], nodes[cell:]):
-            u = f @ u if i < 0 else np.matmul(f, u, out=us[i])
-        h = us[first + 1:].conj().mT @ us[first + 1:] - np.eye(m)
-        # one SVD where the bounds, widened against rounding, leave open
-        # whether a node passes the tol or holds the largest drift (a
-        # re-projection at row r puts the largest over [:r + 1] above tol)
-        c2 = (h.conj() * h).real.sum(axis=-2)       # squared column norms
-        up = np.sqrt(c2.sum(axis=-1)) * (1 + 1e-9)
-        low = np.sqrt(c2.max(axis=-1)) * (1 - 1e-9)
-        undecided = ~(up <= _REUNIT_TOL) | (up >= low.max(initial=0.0))
-        d = np.zeros(up.shape)
-        d[undecided] = matnorm(h[undecided])
-        over = d > _REUNIT_TOL
-        r = int(np.argmax(over.any(axis=1))) if over.any() else len(d)
-        drift = max(drift, float(d[:r + 1].max(initial=0.0)))
-        if r == len(d):
-            return GaugeFactors(xs=xs, u11=us[:, 0], u22=us[:, 1],
-                                drift=drift, b=b)
+        tail = us[:, first + 1:]
+        r, over, d = _screen(_mul(tail.conj().mT, tail) - np.eye(m))
+        drift = max(drift, d)
+        if over is None:
+            return GaugeFactors(xs=xs, u11=us[0], u22=us[1], drift=drift,
+                                b=b)
+        # U_i U_r^{-1} is the product of the cells from node r to node i,
+        # so U_i U_r^{-1} W resumes it from the projected factor W at r
         first += r + 1
-        us[first, over[r]] = _polar_unitary(us[first, over[r]])
-        cell = int(np.flatnonzero(node == first)[0]) + 1
+        u = us[over, first]
+        w = _polar_unitary(u)
+        us[over, first + 1:] = _mul(us[over, first + 1:],
+                                    np.linalg.solve(u, w)[:, None])
+        us[over, first] = w
 
 
 def _reduce(spec, x0, x1, twist, name):
@@ -136,7 +154,7 @@ def _reduce(spec, x0, x1, twist, name):
     factors = gauge_factors(spec, x0, x1)
     b = factors.b
     datum = (b[:, :m, m:] + b[:, m:, :m]) - 1j * (b[:, :m, :m] - b[:, m:, m:])
-    y = np.linalg.solve(factors.u11, datum) @ factors.u22
+    y = _mul(np.linalg.solve(factors.u11, datum), factors.u22)
     if twist is not None:
         y = twist @ y @ twist
     b11, b12 = -0.5 * mat_imag(y), 0.5 * hermitize(y)

@@ -461,6 +461,17 @@ def _commutator(a, b):
             - np.add.reduce(b[:, :, None] * a[None], axis=1))
 
 
+def _prefix(f):
+    """Ordered products along axis -3, later factors on the left, in place:
+    entry k becomes f[k] ... f[0].  Work-efficient scan (Blelloch,
+    CMU-CS-90-190, 1990): 2 log2(n) stacked _mul calls."""
+    if f.shape[-3] > 1:
+        f[..., 1::2, :, :] = _mul(f[..., 1::2, :, :], f[..., :-1:2, :, :])
+        _prefix(f[..., 1::2, :, :])
+        f[..., 2::2, :, :] = _mul(f[..., 2::2, :, :], f[..., 1:-1:2, :, :])
+    return f
+
+
 class Propagator:
     """Transfer matrices for one spec at one z or at a 1-D array of z.  For
     an array of z every coefficient and transfer carries a leading z axis;

@@ -23,11 +23,10 @@ from .errors import (
 )
 from .foundation import COND_LIMIT, MAX_POINTS, inv_cond, matnorm, need
 from .propagator import Propagator, auto_scale
-from .weyldisk import _carry, _right_solve
+from .weyldisk import _CELL_REACH, _carry, _right_solve
 
 _POLE_LIMIT = 1e8
 _CONTRACT_TOL = 1e-9
-_CELL_REACH = 0.25       # bound on h (|z| + sup ||B||) per carry cell
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -42,6 +42,8 @@ from .propagator import Propagator, _minus_j, auto_scale, system_matrix
 
 _STEP_COND = 3e6        # bisect carry steps above this R condition
 _MIN_SEG = 1e-9
+_MAX_DEPTH = 80         # bisection levels of one carry step
+_CELL_REACH = 0.25      # bound on h (|z| + sup ||B||) per carry cell
 _EPS = np.finfo(float).eps
 
 
@@ -141,7 +143,8 @@ def _carry(prop, q, xs, depth=0):
     forms T q under auto_scale's factor, a scalar the QR cancels, and takes
     one QR; the entries whose product is not finite or whose R is worse
     conditioned than _STEP_COND bisect that step (only they recurse, on a
-    Propagator of their z)."""
+    Propagator of their z), at most _MAX_DEPTH levels deep, unless
+    _hopeless shows at once that the bisection fails."""
     qs = [q]
     kappa = np.zeros(len(q))
     for a, b in zip(xs[:-1], xs[1:]):
@@ -156,16 +159,36 @@ def _carry(prop, q, xs, depth=0):
             k[fin] = inv_cond(r, matnorm(t[fin]))
         bad = k > _STEP_COND
         if bad.any():
-            if abs(b - a) < _MIN_SEG or depth > 80:
+            sub = prop if bad.all() else Propagator(prop.z[bad], prop.spec)
+            if (abs(b - a) < _MIN_SEG or depth > _MAX_DEPTH
+                    or _hopeless(sub, qs[-1][bad], a, b, depth)):
                 raise IntegrationFailure(
                     f"carry step on [{a}, {b}] stayed ill-conditioned")
-            sub = prop if bad.all() else Propagator(prop.z[bad], prop.spec)
             sq, k[bad] = _carry(sub, qs[-1][bad], [a, 0.5 * (a + b), b],
                                 depth + 1)
             out[bad] = sq[-1]
         qs.append(out)
         kappa = np.maximum(kappa, k)
     return np.array(qs), kappa
+
+
+def _hopeless(prop, q, a, b, depth):
+    """Whether the bisection of the failing carry step [a, b] at depth
+    must fail.  Its first branch halves the step from a down to length
+    h = (b - a) / 2^(_MAX_DEPTH + 1 - depth), the first past the depth
+    cap.  Where h (|z| + sup ||B||) > _CELL_REACH, the step of length h
+    from a is formed: if its product is not finite, neither is that of any
+    longer step of the branch (an overflow only grows with the span), so
+    each of them fails and the bisection ends at the cap.  Within that
+    reach a step's growth is bounded, the bisection may succeed, and
+    nothing is formed."""
+    h = (b - a) / 2.0 ** (_MAX_DEPTH + 1 - depth)
+    rate = np.abs(prop.z).max() + prop.spec.bound()
+    if not abs(h) * rate > _CELL_REACH:
+        return False
+    t = prop.transfer(a, a + h, scale=auto_scale(prop.z[0], a, a + h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.all(np.isfinite(t @ q))
 
 
 def _invariant_subspace(mat, m, sort=None):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from diracweyl import (
     GreensEvaluator,
     PotentialSpec,
+    Propagator,
     borg_diagnostic,
     load_potential,
     matnorm,
@@ -34,7 +36,13 @@ from diracweyl import (
 from diracweyl import arraytext, cli, errors
 from diracweyl.cli import build_parser, main
 from diracweyl.foundation import MAX_POINTS
-from conftest import count_eig, edge_floats, kp2_spec, smooth_bump_spec
+from conftest import (
+    count_calls,
+    count_eig,
+    edge_floats,
+    kp2_spec,
+    smooth_bump_spec,
+)
 
 
 @pytest.fixture
@@ -367,6 +375,41 @@ def test_negative_order_is_refused(tmp_path, capsys):
                                 "expansion needs order >= 0, got -2"}
 
 
+@pytest.mark.parametrize("order", ["800", str(10 ** 30)])
+def test_huge_order_is_refused_before_derivatives(tmp_path, capsys,
+                                                  monkeypatch, order):
+    # order 800 on 11 nodes used to take about 2 s of np.gradient and
+    # products, then write NaN rows and exit 0; order^2 * nodes is bounded
+    # by MAX_POINTS before any derivative is taken
+    path = tmp_path / "bump.json"
+    save_potential(smooth_bump_spec(n=21, tail_q=1.0), path)
+    gradients = count_calls(monkeypatch, np, "gradient")
+    start = time.perf_counter()
+    assert main(["expand", "--potential", str(path), "--x", "0.5",
+                 "--grid", "0:1:11", f"--order={order}",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 0.1
+    assert gradients == []
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "DegenerateArguments"
+    assert "order^2 * (grid nodes)" in json.loads(line)["message"]
+    assert not (tmp_path / "o" / "expand.csv").exists()
+
+
+def test_overflowing_coefficient_is_typed(tmp_path, capsys):
+    # within the order bound the recursion can still overflow (m_k grows
+    # like |B|^k): one typed JSON line and no row of NaN
+    path = tmp_path / "big.json"
+    save_potential(PotentialSpec.constant(
+        normal_form_matrix([[0.0]], [[1e3]]), x_lo=0.0, x_hi=1.0), path)
+    assert main(["expand", "--potential", str(path), "--x", "0.5",
+                 "--grid", "0:1:5", "--order=120",
+                 "--out", str(tmp_path / "o")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "InsufficientDerivatives"
+    assert not (tmp_path / "o" / "expand.csv").exists()
+
+
 # per subcommand: its arguments on small inputs (potential files of the
 # fixture below by key) and the float options the property test varies;
 # --order is an integer option and takes -1, 0 or 1
@@ -470,6 +513,30 @@ def test_greens_far_from_x0_is_not_a_nan_row(property_files, tmp_path,
                  "--out", str(tmp_path / "o")]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "IntegrationFailure"
+
+
+@pytest.mark.parametrize("argv, category", [
+    (["trace", "--x=1e300", "--zmags", "10,30"], "DifferentiationFailure"),
+    (["mfunc", "--x0=-1e300", "--z", "1i"], "IntegrationFailure")])
+def test_hopeless_carry_fails_in_few_transfers(tmp_path, capsys, monkeypatch,
+                                               argv, category):
+    # a carry over 1e300 cannot succeed; it used to bisect 80 levels deep
+    # (82 transfers, seconds) before failing with the same category.  trace
+    # fails the run; mfunc records the point, after retrying its failed
+    # block point by point (two carries)
+    path = tmp_path / "bump.json"
+    save_potential(smooth_bump_spec(n=21, tail_q=1.0), path)
+    transfers = count_calls(monkeypatch, Propagator, "transfer")
+    out = tmp_path / "o"
+    assert main([argv[0], "--potential", str(path), *argv[1:],
+                 "--out", str(out)]) == 1
+    assert len(transfers) <= 4
+    if argv[0] == "trace":
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == category
+    else:
+        [failure] = _summary(out)["failures"]
+        assert failure["category"] == category
 
 
 def test_uniqueness_writes_discarded_norms(property_files, tmp_path):

@@ -224,6 +224,23 @@ class TestPotential:
         with pytest.raises(ValueError):
             PotentialSpec.constant(np.array([[np.nan, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("xs", [[0.0, math.nan, 1.0],
+                                    [0.0, 1.0, math.inf],
+                                    [-math.inf, 0.0, 1.0]])
+    def test_nonfinite_grid_nodes_rejected(self, tmp_path, xs):
+        # a NaN node makes every difference test False, so "any <= 0"
+        # let it through; a file with it (json reads NaN) is refused too
+        vals = np.zeros((3, 2, 2))
+        with pytest.raises(ValueError, match="finite and strictly"):
+            GridPiece(np.array(xs), vals)
+        doc = {"m": 1, "pieces": [{
+            "x_lo": 0.0, "x_hi": 1.0, "kind": "grid",
+            "data": {"x": xs, "values": [[[[0.0, 0.0]] * 2] * 2] * 3}}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="finite and strictly"):
+            load_potential(path)
+
     def test_periodic_requires_exact_tiling(self):
         from diracweyl import ConstantPiece
         piece = ConstantPiece(0.0, 0.7, normal_form_matrix([[0.0]], [[1.0]]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from diracweyl import (
     normal_form,
     normal_form_matrix,
 )
-from diracweyl import gauge
+from diracweyl import gauge, propagator
 from diracweyl.cli import main
 from diracweyl.errors import DegenerateArguments, NotHermitianOmega
 from diracweyl.foundation import save_potential
-from diracweyl.propagator import magnus_steps, segment_cuts
+from diracweyl.propagator import segment_cuts
 from conftest import count_calls, random_hermitian
 
 
@@ -35,8 +36,9 @@ def random_hermitian_spec(rng, m, x1=1.0, n=201, scale=0.4):
 
 
 def reference_factors(spec, x0, x1):
-    """Both gauge factors one at a time, node by node: the reference for
-    the stacked product and its re-projection rule."""
+    """Both gauge factors one at a time, cell by cell and node by node, from
+    gauge.magnus_steps (so that a patch of it reaches both): the reference
+    for the log-depth product and its re-projection rule."""
     m = spec.m
     segs = spec.segments(x0, x1)
     xs = np.array(sorted({
@@ -51,8 +53,8 @@ def reference_factors(spec, x0, x1):
         i = 0
         for seg in segs:
             ts, vals = segment_cuts(spec, *seg, extra=xs)
-            for t, f in zip(ts[1:], magnus_steps(
-                    ts, gauge._generator(vals, m, j))):
+            for t, f in zip(ts[1:], gauge.magnus_steps(ts, np.stack([
+                    gauge._generator(vals, m, k) for k in (1, 2)]))[j - 1]):
                 u = f @ u
                 if t != xs[i + 1]:
                     continue
@@ -64,6 +66,12 @@ def reference_factors(spec, x0, x1):
                 i += 1
                 out[j][i] = u
     return xs, out[1], out[2], drift, projections
+
+
+# the log-depth product against the loop's node-by-node one: measured at
+# most 4.4e-15 in the factors and 7.4e-15 in the drift over six generator
+# seeds of test_stacked_matches_per_node_loop's cases (about 45 eps here)
+_PRODUCT_GATE = 1e-14
 
 
 def unprojected_defects(spec, x0, x1):
@@ -150,11 +158,13 @@ class TestGaugeFactors:
     def test_stacked_matches_per_node_loop(self, rng, monkeypatch, m, tol):
         # a grid piece, a constant piece and a gap, so that several
         # segments carry the product; at tol 2e-16 the re-projection fires
-        # at many nodes, in one factor or both.  The drift takes an SVD only
-        # where its norm bounds leave a decision open: at "split" the
-        # tol lies between a node's spectral and Frobenius defect, and at
-        # "argmax" no node is projected and the largest Frobenius defect is
-        # not at the node of the largest spectral one
+        # at many nodes, in one factor or both.  At "split" the tol lies
+        # between a node's spectral and Frobenius defect, and at "argmax"
+        # no node is projected and the largest Frobenius defect is not at
+        # the node of the largest spectral one (both as the loop rounds;
+        # test_screen_* checks those decisions on exact stacks).  The
+        # log-depth product rounds otherwise than the loop, so the factors
+        # and the drift agree to _PRODUCT_GATE, the nodes exactly
         grid = random_hermitian_spec(rng, m, x1=2.0, n=81).pieces[0]
         spec = PotentialSpec(m=m, pieces=(
             grid, ConstantPiece(2.0, 2.6, random_hermitian(rng, 2 * m, 0.4)),
@@ -173,15 +183,145 @@ class TestGaugeFactors:
         if tol is not None:
             monkeypatch.setattr(gauge, "_REUNIT_TOL", tol)
         xs, u11, u22, drift, projections = reference_factors(spec, 0.0, x1)
+        polar = count_calls(monkeypatch, gauge, "_polar_unitary")
         gf = gauge_factors(spec, 0.0, x1)
         assert np.array_equal(gf.xs, xs)
-        assert np.array_equal(gf.u11, u11)
-        assert np.array_equal(gf.u22, u22)
-        assert gf.drift == drift
+        assert np.abs(gf.u11 - u11).max() <= _PRODUCT_GATE
+        assert np.abs(gf.u22 - u22).max() <= _PRODUCT_GATE
+        assert abs(gf.drift - drift) <= _PRODUCT_GATE
         if tol is not None:
-            assert projections > 20
+            assert projections > 20 and len(polar) > 20
         else:
-            assert projections == 0
+            assert projections == 0 and polar == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reprojection_at_perturbed_node(self, rng, monkeypatch, m):
+        # the cell ending on node 60 has its U11 factor scaled by 1 + 1e-6,
+        # a drift of 2e-6 there, far above both the tol and roundoff.
+        # U11 is projected at exactly that node and nowhere else, onto the
+        # polar factor of the unprojected product; U22 and the nodes before
+        # are the unprojected product bit for bit; after it the product
+        # resumes from the projected factor, as the loop's does
+        spec = random_hermitian_spec(rng, m, x1=4.0, n=81)
+        node = 60
+        xs = gauge_factors(spec, 0.0, 4.0).xs
+        steps = gauge.magnus_steps
+
+        def perturbed(ts, lcoef):
+            out = steps(ts, lcoef)
+            out[0, np.flatnonzero(ts[1:] == xs[node])] *= 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(gauge, "magnus_steps", perturbed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gauge, "_REUNIT_TOL", math.inf)
+            raw = gauge_factors(spec, 0.0, 4.0)
+        _, u11, u22, drift, projections = reference_factors(spec, 0.0, 4.0)
+        polar = count_calls(monkeypatch, gauge, "_polar_unitary")
+        gf = gauge_factors(spec, 0.0, 4.0)
+        assert projections == 1 and polar == [(1, m, m)]
+        eye = np.eye(m)
+        defect = matnorm(raw.u11[node].conj().T @ raw.u11[node] - eye)
+        assert 1e-6 < defect < 3e-6
+        assert math.isclose(gf.drift, defect, rel_tol=1e-9)
+        assert math.isclose(gf.drift, drift, rel_tol=1e-9)
+        assert np.array_equal(gf.u11[:node], raw.u11[:node])
+        assert np.array_equal(gf.u22, raw.u22)
+        assert np.array_equal(gf.u11[node],
+                              gauge._polar_unitary(raw.u11[node:node + 1])[0])
+        assert matnorm(gf.u11[node].conj().T @ gf.u11[node] - eye) < 1e-14
+        after = gf.u11[node + 1:]
+        assert np.abs(after - u11[node + 1:]).max() <= _PRODUCT_GATE
+        assert np.abs(after - raw.u11[node + 1:]).max() > 1e-8
+        assert np.abs(gf.u22 - u22).max() <= _PRODUCT_GATE
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_screen_split(self, monkeypatch, m):
+        # node 1 of U11 has spectral defect 0.9 tol and Frobenius defect
+        # 0.9 sqrt(m) tol: only the SVD passes it.  Node 3 of U22 is over
+        # the tol; the larger defect of node 4 lies past that first node
+        # over it and does not count.  The SVD takes these three, the
+        # zero nodes need none
+        tol = gauge._REUNIT_TOL
+        eye = np.eye(m)
+        h = np.zeros((2, 6, m, m), dtype=complex)
+        h[0, 1] = 0.9 * tol * eye
+        h[1, 3, 0, 0] = 2 * tol
+        h[0, 4] = 5 * tol * eye
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        r, over, drift = gauge._screen(h)
+        assert r == 3 and over.tolist() == [False, True]
+        assert drift == 2 * tol
+        assert svd == [(3, m, m)]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_screen_argmax(self, monkeypatch, m):
+        # no node is over the tol; the largest spectral defect, b at node 5
+        # of U22, is not at the node of the largest Frobenius defect,
+        # a sqrt(m) > b at node 2 of U11.  Only these two need the SVD
+        a, b = 1e-12, 1.2e-12
+        h = np.zeros((2, 8, m, m), dtype=complex)
+        h[0, 2] = a * np.eye(m)
+        h[1, 5, 0, 0] = b
+        h[:, 6] = 0.5 * a * np.eye(m)
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        r, over, drift = gauge._screen(h)
+        assert r == 8 and over is None
+        assert drift == b
+        assert svd == [(2, m, m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_prefix_matches_loop_in_place(self, rng, m):
+        # every stack length's odd and even branches, against the ordered
+        # loop; on the 410-cell stack of gauge-sampled's size, less than
+        # one extra copy of the stack is alive at once
+        for n in (1, 2, 3, 4, 5, 7, 8, 410):
+            f = np.stack([np.linalg.qr(rng.normal(size=(n, m, m))
+                                       + 1j * rng.normal(size=(n, m, m)))[0]
+                          for _ in range(2)])
+            want = f.copy()
+            for k in range(1, n):
+                want[:, k] = want[:, k] @ want[:, k - 1]
+            tracemalloc.start()
+            try:
+                got = propagator._prefix(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got is f
+            assert np.abs(got - want).max() <= _PRODUCT_GATE
+            if n == 410:
+                assert peak < f.nbytes
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_product_calls_are_log_depth(self, rng, monkeypatch, m):
+        # the cell factors are multiplied in 2 log2(cells) stacked products
+        # (the work-efficient scan), not one per cell; one more forms the
+        # Gram U*U - I.  Products inside the Magnus kernel do not count
+        spec = random_hermitian_spec(rng, m, x1=10.0, n=401)
+        calls, inside, steps = [], [False], gauge.magnus_steps
+        mul = propagator._mul
+
+        def counted(a, b):
+            if not inside[0]:
+                calls.append(np.shape(a))
+            return mul(a, b)
+
+        def kernel(*args):
+            inside[0] = True
+            try:
+                return steps(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(propagator, "_mul", counted)
+        monkeypatch.setattr(gauge, "_mul", counted)
+        monkeypatch.setattr(gauge, "magnus_steps", kernel)
+        gf = gauge_factors(spec, 0.0, 10.0)
+        cells = len(np.union1d(spec.pieces[0].xs, gf.xs)) - 1
+        assert cells > 800
+        assert len(calls) <= 2 * math.ceil(math.log2(cells)) + 1
+        assert gf.drift < 1e-13
 
     @pytest.mark.parametrize("x0, x1", [
         (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0),

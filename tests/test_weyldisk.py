@@ -547,6 +547,19 @@ class TestConstantOverflow:
         want = mplus_const_q(z, 1.0)
         assert abs(h.M[0, 0] - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("z, x0, sign", [
+        (1j, -1e300, 1), (1j, 1e300, -1), (10j, -1e200, 1),
+        (2 - 1j, -1e250, 1)])
+    def test_hopeless_carry_fails_at_once(self, monkeypatch, z, x0, sign):
+        # every step of the bisection's first branch down to the depth cap
+        # overflows, so the carry used to take 82 transfers to fail; now
+        # the failing step and the first step past the cap
+        spec = smooth_bump_spec(n=21, tail_q=1.0)
+        transfers = count_calls(monkeypatch, Propagator, "transfer")
+        with pytest.raises(IntegrationFailure, match="ill-conditioned"):
+            halfline_m(z, x0, alpha_dirichlet(1), spec, sign=sign)
+        assert len(transfers) == 2
+
     @pytest.mark.parametrize("z", [3j, -3j])
     def test_walk_products_silent(self, z):
         # at +-3i an overflowing Pade factor of the m = 2 window meets zero
