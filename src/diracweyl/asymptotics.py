@@ -132,13 +132,27 @@ def expansion_coefficients(derivs, x, order, sign=1):
                                  order=order)
 
 
+def inverse_power_fit(zs, values, order):
+    """Least-squares coefficients c_0..c_order, stacked, of the model
+    sum_k c_k z^{-k} through values[i] at zs[i] (a 1-D array).  Rows are
+    weighted by |z|^order to equalize the conditioning of the Vandermonde
+    system in 1/z, with |z| scaled by the power of two near max |z| (exact)
+    so that the weights stay finite."""
+    mags = np.abs(zs)
+    w = np.ldexp(mags, -np.frexp(mags.max())[1]) ** order
+    design = np.vander(1.0 / zs, order + 1, increasing=True) * w[:, None]
+    sol, *_ = np.linalg.lstsq(design, values.reshape(len(zs), -1) * w[:, None],
+                              rcond=None)
+    return sol.reshape((order + 1,) + values.shape[1:])
+
+
 def fit_expansion(samples, order):
-    """Weighted least squares for the model sum_k c_k z^{-k} on M samples.
+    """Weighted least squares (inverse_power_fit) for the model
+    sum_k c_k z^{-k} on M samples.
 
     samples: iterable of (z, M).  All z must lie in the sector
     _SECTOR_ANGLE < arg z < pi - _SECTOR_ANGLE, with a magnitude spread of
-    at least _MIN_RATIO.  Rows are weighted by |z|^order to equalize the
-    conditioning of the Vandermonde system in 1/z.
+    at least _MIN_RATIO.
 
     Returns (coeffs, residuals): coefficient matrices c_0..c_order and the
     per-sample model residual norms.
@@ -158,32 +172,25 @@ def fit_expansion(samples, order):
         raise IllConditionedFit(
             f"|z| spread {mags.max() / mags.min():.2f} below {_MIN_RATIO}")
 
-    w = mags ** order
-    design = np.vander(1.0 / zs, order + 1, increasing=True) * w[:, None]
-    rhs = mats.reshape(len(zs), -1) * w[:, None]
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    mdim = mats.shape[1]
-    coeffs = tuple(sol[k].reshape(mdim, mdim) for k in range(order + 1))
-
-    residuals = []
-    for z, mat in samples:
-        model = sum(c / complex(z) ** k for k, c in enumerate(coeffs))
-        residuals.append(matnorm(np.atleast_2d(np.asarray(mat)) - model))
-    return coeffs, residuals
+    coeffs = inverse_power_fit(zs, mats, order)
+    model = np.einsum("nk,kij->nij",
+                      np.vander(1.0 / zs, order + 1, increasing=True), coeffs)
+    return tuple(coeffs), matnorm(mats - model).tolist()
 
 
-def _combination(b, m):
-    b11, b12 = b[:m, :m], b[:m, m:]
-    b21, b22 = b[m:, :m], b[m:, m:]
-    top = np.hstack([b11 - b22, b12 + b21])
-    bot = np.hstack([b12 + b21, b22 - b11])
-    return np.vstack([top, bot])
+def averaged_combination(spec, x):
+    """[comb(B(x+0)) + comb(B(x-0))] / 2, the one-sided combination matrices
+    comb(B) = [[B11 - B22, B12 + B21], [B12 + B21, B22 - B11]] averaged."""
+    m = spec.m
+    total = 0
+    for side in (+1, -1):
+        b = spec.eval(x, side=side)
+        d, s = b[:m, :m] - b[m:, m:], b[:m, m:] + b[m:, :m]
+        total = total + np.block([[d, s], [s, -d]])
+    return 0.5 * total
 
 
 def fullline_first_coeff(spec, x):
     """Leading 1/z coefficient of the whole-line M: the averaged one-sided
-    combination matrix -(i/8)[comb(B(x+0)) + comb(B(x-0))]."""
-    m = spec.m
-    plus = _combination(spec.eval(x, side=+1), m)
-    minus = _combination(spec.eval(x, side=-1), m)
-    return -0.125j * (plus + minus)
+    combination matrix times -i/4."""
+    return -0.25j * averaged_combination(spec, x)

@@ -44,6 +44,7 @@ from .foundation import (
     MAX_POINTS,
     alpha_dirichlet,
     load_potential,
+    matnorm,
     need,
     save_potential,
     validate_boundary_data,
@@ -51,6 +52,7 @@ from .foundation import (
 from .fullline import GreensEvaluator, fullline_m, upsilon
 from .gauge import gauge_with_omega, normal_form
 from .spectral import (
+    TRACE_ZMAGS,
     band_spectrum,
     borg_diagnostic,
     reflectionless_check,
@@ -262,15 +264,16 @@ def cmd_greens(args, spec, run):
 
 def cmd_trace(args, spec, run):
     mags = _parse_list(args.zmags, float)
-    run.tols = {"halfline_tol": args.tol, "rel_step": args.rel_step}
+    run.tols = {"halfline_tol": args.tol}
     tc = trace_check(args.x, spec, ray_angle=args.ray_angle, zmags=mags,
-                     rel_step=args.rel_step, tol=args.tol)
+                     tol=args.tol)
     n = 2 * spec.m
     run.table("trace.csv", ["z_re", "z_im", "residual"] + _cols("T", n),
               [[z.real, z.imag, res, *_flat(rhs)]
                for z, rhs, res in zip(tc.zs, tc.rhs, tc.residuals)])
     run.table("trace_limit.csv", _cols("L", n), [_flat(tc.lhs)])
-    run.info["residuals"] = [float(r) for r in tc.residuals]
+    run.info["residuals"] = list(tc.residuals)
+    run.info["limit_residual"] = matnorm(tc.limit - tc.lhs)
 
 
 def cmd_bands(args, spec, run):
@@ -421,8 +424,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--ray-angle", type=float, default=math.pi / 2)
-    sp.add_argument("--zmags", default="100,300,1000")
-    sp.add_argument("--rel-step", type=float, default=1e-3)
+    sp.add_argument("--zmags", default=",".join(map(str, TRACE_ZMAGS)))
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=cmd_trace)
 

@@ -36,10 +36,6 @@ class NonHermitianPiece(DiracWeylError):
     """A potential piece evaluates to a non-Hermitian matrix."""
 
 
-class OutOfDomain(DiracWeylError):
-    """Evaluation point outside the declared domain of the potential."""
-
-
 class EmptyWindow(DiracWeylError):
     """Truncation window [x0, y0] with y0 <= x0."""
 
@@ -141,10 +137,6 @@ class SectorViolation(DiracWeylError):
 
 
 # -- spectral analysis -------------------------------------------------------
-
-class DifferentiationFailure(DiracWeylError):
-    """Numerical z-derivative of log M unusable (samples too noisy)."""
-
 
 class NotPeriodic(DiracWeylError):
     """Operation requires a periodic potential."""

@@ -22,7 +22,6 @@ from .errors import (
     NonHermitianPiece,
     NotLagrangian,
     NotNormalized,
-    OutOfDomain,
 )
 
 # Default tolerance for algebraic identity checks (double precision products
@@ -301,8 +300,7 @@ class PotentialSpec:
     """Piecewise description of the Hermitian coefficient B(x).
 
     Outside its pieces the potential is zero (the locally integrable
-    extension), unless a hard ``domain`` is declared, in which case
-    evaluation beyond it raises OutOfDomain.  If ``period`` is set the
+    extension).  If ``period`` is set the
     pieces must tile exactly one period, each meeting the next within 1e-9
     (ValueError otherwise), and evaluation wraps.
     """
@@ -311,7 +309,6 @@ class PotentialSpec:
     pieces: tuple = ()
     period: float = None
     name: str = ""
-    domain: tuple = None
 
     def __post_init__(self):
         pieces = tuple(self.pieces)
@@ -431,10 +428,6 @@ class PotentialSpec:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return self.eval(x[None], side)[0]
-        if self.domain is not None:
-            bad = x[~((self.domain[0] <= x) & (x <= self.domain[1]))]
-            if len(bad):
-                raise OutOfDomain(f"x = {bad[0]} outside domain {self.domain}")
         out = np.zeros((len(x), 2 * self.m, 2 * self.m), dtype=complex)
         # locate resolves each point; each piece evaluates all it owns
         located = [self.locate(t, side) for t in x.tolist()]

@@ -158,33 +158,42 @@ class GreensMatrix:
 class GreensEvaluator:
     """Green's matrix G(z, x, x') of the whole-line operator for fixed z.
 
-    Holds the whole-line M at x0, whose half-line M-functions give the Weyl
-    solutions U_+-(z, x) = Psi(z, x, x0) (I; M_+-).  value() takes one x and
-    a scalar or a 1-D array of x': it makes one transfer to x, and on each
-    side of x0 it reaches the x' in order of distance from x0, each from
-    its neighbour, so every cell between x0 and the x' is propagated once.
-    Only the canonical boundary data (I_m 0) is supported.
+    Holds the whole-line M at x0 (full) and at the last x that value() was
+    asked for.  The half-line M-functions at x give the Weyl solutions
+    U_+-(z, x) = (I; M_+-(x)) with no transfer, so the decaying solution
+    is never carried away from where it is read.  value() takes one x and a
+    scalar or a 1-D array of x': on each side of x it reaches the x' in
+    order of distance from x, each from its neighbour, so every cell
+    between x and the x' is propagated once.  Only the canonical boundary
+    data (I_m 0) is supported.
     """
 
     def __init__(self, z, x0, spec, tol=1e-10):
         self.z = complex(z)
         self.x0 = float(x0)
         self.spec = spec
+        self.tol = tol
         self.alpha = alpha_dirichlet(spec.m)
-        self.full = fullline_m(z, x0, self.alpha, spec, tol=tol)
-        self.dinv = self.full.m11        # (M_- - M_+)^{-1}
-        self._prop = Propagator(self.z, spec)
+        self.full = self._last = fullline_m(z, x0, self.alpha, spec, tol=tol)
         self._prop_bar = Propagator(np.conj(self.z), spec)
 
-    def _transfers_bar(self, xps):
-        """T(x' <- x0) at conj(z) for each x', chained outward from x0:
-        T(x'_k <- x0) = T(x'_k <- x'_{k-1}) T(x'_{k-1} <- x0)."""
+    def _fullline_at(self, x):
+        """The whole-line M at x: full at x0, else the one of the last x,
+        formed anew when x changes."""
+        if x not in (self.x0, self._last.x0):
+            self._last = fullline_m(self.z, x, self.alpha, self.spec,
+                                    tol=self.tol)
+        return self.full if x == self.x0 else self._last
+
+    def _transfers_bar(self, x, xps):
+        """T(x' <- x) at conj(z) for each x', chained outward from x:
+        T(x'_k <- x) = T(x'_k <- x'_{k-1}) T(x'_{k-1} <- x)."""
         d = 2 * self.spec.m
         out = np.empty((len(xps), d, d), dtype=complex)
-        for side in (xps >= self.x0, xps < self.x0):
+        for side in (xps >= x, xps < x):
             idx = np.flatnonzero(side)
-            prev, t = self.x0, np.eye(d)
-            order = np.argsort(np.abs(xps[idx] - self.x0), kind="stable")
+            prev, t = x, np.eye(d)
+            order = np.argsort(np.abs(xps[idx] - x), kind="stable")
             for i in idx[order]:
                 xp = float(xps[i])
                 t = self._prop_bar.transfer(prev, xp) @ t
@@ -194,27 +203,27 @@ class GreensEvaluator:
     def value(self, x, xp, side=None):
         """G(z, x, x') for a scalar or a 1-D array of x'; on the diagonal
         x' = x pass side=+1 (x' = x + 0) or -1 (x' = x - 0)."""
+        x = float(x)
         xps = np.atleast_1d(np.asarray(xp, dtype=float))
         need(np.isfinite([x, *xps]), "G(x, x')", "finite x and x'", [x, *xps])
         diag = xps == x
         need(side in (1, -1) or not diag.any(), "G(x, x)", "side +-1", side)
         # x < x' pairs U_-(x) with U_+(x'), x > x' U_+(x) with U_-(x')
         upper = (x < xps) | (diag & (side == 1))
-        plus, minus = self.full.plus.M, self.full.minus.M
+        full = self._fullline_at(x)
+        plus, minus = full.plus.M, full.minus.M
         eye = np.eye(self.spec.m)
-        tx = self._prop.transfer(self.x0, x)
-        left = np.where(upper[:, None, None], tx @ np.vstack([eye, minus]),
-                        tx @ np.vstack([eye, plus]))
+        left = np.where(upper[:, None, None], np.vstack([eye, minus]),
+                        np.vstack([eye, plus]))
         mbar = np.where(upper[:, None, None], plus.conj().T, minus.conj().T)
-        right = self._transfers_bar(xps) @ np.concatenate(
+        right = self._transfers_bar(x, xps) @ np.concatenate(
             [np.broadcast_to(eye, mbar.shape), mbar], axis=-2)
-        val = left @ self.dinv @ right.conj().mT
-        if not np.isfinite(val).all():       # |Im z| |x - x0| too large
+        val = left @ full.m11 @ right.conj().mT
+        if not np.isfinite(val).all():       # |Im z| |x - x'| too large
             raise IntegrationFailure(f"G(z, x, x') not finite at x = {x}")
         if np.ndim(xp) == 0:
-            return GreensMatrix(z=self.z, x=float(x), xp=float(xp),
-                                value=val[0])
-        return GreensMatrix(z=self.z, x=float(x), xp=xps, value=val)
+            return GreensMatrix(z=self.z, x=x, xp=float(xp), value=val[0])
+        return GreensMatrix(z=self.z, x=x, xp=xps, value=val)
 
     def diagonal_m(self, x):
         """[G(z, x, x+0) + G(z, x, x-0)] / 2, the block M matrix at x."""

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _combination
-from .errors import (
-    DifferenceBelowNoise,
-    DifferentiationFailure,
-    IntegrationFailure,
-    NotPeriodic,
-)
+from .asymptotics import averaged_combination, inverse_power_fit
+from .errors import DifferenceBelowNoise, IntegrationFailure, NotPeriodic
 from .foundation import MAX_POINTS, alpha_dirichlet, matnorm, need
 from .fullline import fullline_m, principal_logm, upsilon
 from .propagator import Propagator
@@ -34,49 +29,45 @@ class TraceCheck:
     x: float
     lhs: np.ndarray           # averaged one-sided combination matrix of B(x)
     zs: tuple
-    rhs: tuple                # 2 z^2 d/dz log M(z, x) per sample
+    rhs: tuple                # 2 z^2 d/dz of the fitted log M per sample
     residuals: tuple
+    limit: np.ndarray         # -2 c_1, the fitted limit of the rhs
 
 
-def trace_check(x, spec, ray_angle=math.pi / 2, zmags=(1e2, 3e2, 1e3),
-                rel_step=1e-3, tol=1e-12):
+# trace_check's default |z|: six geometric magnitudes from 100 to 1450
+TRACE_ZMAGS = tuple(np.geomspace(100.0, 1450.0, 6).tolist())
+
+
+def trace_check(x, spec, ray_angle=math.pi / 2, zmags=TRACE_ZMAGS,
+                tol=1e-12):
     """Check the trace identity: 2 z^2 (d/dz) log M(z, x) converges to the
     one-sided combination matrix of B at x along a ray in the upper half
     plane, for Dirichlet data at x.
 
-    The derivative is a central difference with step |z| * rel_step along
-    the ray (a complex-step scheme is pointless here because M itself comes
-    out of a solver); the 2 len(zmags) points z (1 +- rel_step) take one
-    stacked fullline_m and one stacked principal_logm.
+    log M at the len(zmags) ray points takes one stacked fullline_m and one
+    stacked principal_logm.  The model sum_{k<=K} c_k z^{-k},
+    K = min(distinct |z| - 1, 4), is fitted through them
+    (inverse_power_fit); each rhs is 2 z^2 times its derivative,
+    -2 sum_k k c_k z^{1-k}, and the limit is -2 c_1.  Where B jumps the
+    lhs is the average of the one-sided combinations, which is not that
+    limit.
     """
-    spec_m = spec.m
     need(math.isfinite(x), "trace", "a finite x", x)
     need([0 < r < math.inf for r in zmags], "trace", "0 < |z| < inf", zmags)
-    need(0 < rel_step < 1, "trace", "0 < rel_step < 1", rel_step)
+    order = min(len(set(zmags)) - 1, 4)
+    need(order >= 1, "trace", "2 distinct |z|", zmags)
     need(tol >= 0, "trace", "tol >= 0", tol)
-    lhs = 0.5 * (_combination(spec.eval(x, side=+1), spec_m)
-                 + _combination(spec.eval(x, side=-1), spec_m))
-    direction = cmath.exp(1j * ray_angle)
-    zs = [mag * direction for mag in zmags]
-    try:
-        logs = principal_logm(fullline_m(
-            np.array([z * (1 + rel_step) for z in zs]
-                     + [z * (1 - rel_step) for z in zs]),
-            x, alpha_dirichlet(spec_m), spec, tol=tol).matrix)
-    except Exception as exc:
-        raise DifferentiationFailure(
-            f"log M derivative failed for |z| in {tuple(zmags)}: {exc}"
-        ) from exc
-    rhs, residuals = [], []
-    for mag, z, lp, lm in zip(zmags, zs, logs, logs[len(zs):]):
-        val = 2.0 * z * z * ((lp - lm) / (2.0 * rel_step * z))
-        if not np.all(np.isfinite(val)):
-            raise DifferentiationFailure(
-                f"non-finite derivative at |z| = {mag:g}")
-        rhs.append(val)
-        residuals.append(matnorm(val - lhs))
-    return TraceCheck(x=float(x), lhs=lhs, zs=tuple(zs), rhs=tuple(rhs),
-                      residuals=tuple(residuals))
+    lhs = averaged_combination(spec, x)
+    zs = np.asarray(zmags, float) * cmath.exp(1j * ray_angle)
+    logs = principal_logm(fullline_m(zs, x, alpha_dirichlet(spec.m), spec,
+                                     tol=tol).matrix)
+    c = inverse_power_fit(zs, logs, order)
+    k = np.arange(1, order + 1)
+    rhs = -2.0 * np.einsum("k,nk,kij->nij", k, zs[:, None] ** (1 - k), c[1:])
+    return TraceCheck(x=float(x), lhs=lhs, zs=tuple(zs.tolist()),
+                      rhs=tuple(rhs),
+                      residuals=tuple(matnorm(rhs - lhs).tolist()),
+                      limit=-2.0 * c[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,17 @@ class TestFit:
         samples = [(1j * y, np.eye(1)) for y in (10.0, 10.5, 11.0, 11.5)]
         with pytest.raises(IllConditionedFit):
             fit_expansion(samples, 2)
+
+    def test_weights_stay_finite(self):
+        # the row weights |z|^4 overflow at |z| = 1e80: unscaled, they gave
+        # NaN rows and LinAlgError from lstsq
+        c0, c1 = np.array([[1j]]), np.array([[0.5 - 2j]])
+        zs = 1e80j * np.array([10.0, 20.0, 40.0, 80.0, 160.0, 320.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, resid = fit_expansion([(z, c0 + c1 / z) for z in zs], 4)
+        assert np.isfinite(coeffs).all() and np.isfinite(resid).all()
+        assert matnorm(coeffs[0] - c0) < 1e-15
 
     def test_sample_count_policy(self):
         samples = [(1j * y, np.eye(1)) for y in (10.0, 40.0)]

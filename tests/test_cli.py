@@ -11,7 +11,6 @@ import platform
 import re
 import subprocess
 import sys
-import tempfile
 import time
 import tracemalloc
 import warnings
@@ -422,7 +421,7 @@ _PROPERTY_RUNS = {
     "greens": (["bump", "--z", "1i", "--x", "0", "--xp", "0.5"],
                ["x0", "x", "tol"]),
     "trace": (["bump", "--x", "0.5", "--zmags", "10,30"],
-              ["x", "ray-angle", "rel-step", "tol"]),
+              ["x", "ray-angle", "tol"]),
     "bands": (["per", "--lambda=-2:2:5"], ["band-tol"]),
     "upsilon": (["per", "--lambda=0:1:2"], ["x0", "eps", "tol"]),
     "reflectionless": (["per", "--lambda-list", "2"], ["eps", "tol"]),
@@ -433,6 +432,10 @@ _PROPERTY_RUNS = {
     "gauge": (["bump", "--x0", "0", "--x1", "1"], ["x0", "x1"]),
 }
 _EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1e-3", "-2", "1e300", "1e-300"]
+_PROPERTY_TRIPLES = [
+    (command, option, value) for command in sorted(_PROPERTY_RUNS)
+    for option in _PROPERTY_RUNS[command][1]
+    for value in (["-1", "0", "1"] if option == "order" else _EDGE_VALUES)]
 
 
 @pytest.fixture(scope="module")
@@ -457,24 +460,19 @@ def _strict_json(path):
         return json.load(fh, parse_constant=refuse)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(data=st.data())
-def test_every_float_option_answers_or_refuses(property_files, data):
+@pytest.mark.parametrize("command, option, value", _PROPERTY_TRIPLES)
+def test_every_float_option_answers_or_refuses(property_files, tmp_path,
+                                               command, option, value):
     # one subcommand on small inputs with one float option replaced by an
     # edge value, passed as --opt=value (argparse reads "--eps -1e-3" as a
     # missing argument).  Either the run answers (exit 0, every CSV number
     # finite, strict summary.json), or it exits 1 with one JSON line naming
     # a library category, or with a partial summary whose failure records
     # name one each; nothing escapes main
-    command = data.draw(st.sampled_from(sorted(_PROPERTY_RUNS)))
-    argv, options = _PROPERTY_RUNS[command]
-    option = data.draw(st.sampled_from(options))
-    value = data.draw(st.sampled_from(
-        ["-1", "0", "1"] if option == "order" else _EDGE_VALUES))
+    argv = _PROPERTY_RUNS[command][0]
     files = {key: str(property_files / f"{key}.json")
              for key in ("bump", "per", "c1", "c2")}
-    out = tempfile.mkdtemp(dir=property_files)
-    os.rmdir(out)
+    out = str(tmp_path / "o")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main([command, "--potential", files[argv[0]],
@@ -516,7 +514,7 @@ def test_greens_far_from_x0_is_not_a_nan_row(property_files, tmp_path,
 
 
 @pytest.mark.parametrize("argv, category", [
-    (["trace", "--x=1e300", "--zmags", "10,30"], "DifferentiationFailure"),
+    (["trace", "--x=1e300", "--zmags", "10,30"], "IntegrationFailure"),
     (["mfunc", "--x0=-1e300", "--z", "1i"], "IntegrationFailure")])
 def test_hopeless_carry_fails_in_few_transfers(tmp_path, capsys, monkeypatch,
                                                argv, category):
@@ -732,6 +730,34 @@ class TestOtherCommands:
         assert rc == 0
         info = _summary(out)["info"]
         assert info["residuals"][0] < 1e-2
+
+    def test_trace_default_zmags_limit(self, q1_file, tmp_path):
+        # six geometric |z| from 100 to 1450 by default; the fitted limit
+        # is within 1e-8 of the comb (measured 2.2e-10)
+        out = str(tmp_path / "out")
+        assert main(["trace", "--potential", q1_file, "--x", "0.5",
+                     "--out", out]) == 0
+        summary = _summary(out)
+        mags = [float(v) for v in summary["inputs"]["zmags"].split(",")]
+        assert mags == np.geomspace(100.0, 1450.0, 6).tolist()
+        assert "rel_step" not in summary["tolerances"]
+        info = summary["info"]
+        assert info["limit_residual"] < 1e-8
+        assert len(info["residuals"]) == 6
+        rows = _read_csv(os.path.join(out, "trace.csv"))[2]
+        assert [math.hypot(float(r[0]), float(r[1])) for r in rows] == \
+            pytest.approx(mags, rel=1e-15)
+
+    def test_greens_far_from_x0(self, tmp_path):
+        # Im z |x - x0| = 100: G11 used to read 9.3e70 - 3.1e70i
+        path = tmp_path / "bump.json"
+        save_potential(smooth_bump_spec(n=401, tail_q=1.0), path)
+        out = str(tmp_path / "out")
+        assert main(["greens", "--potential", str(path), "--z", "2+5i",
+                     "--x0", "0", "--x", "20", "--xp", "20",
+                     "--out", out]) == 0
+        [row] = _read_csv(os.path.join(out, "greens.csv"))[2]
+        assert abs(complex(float(row[2]), float(row[3])) - 0.5j) <= 1e-12
 
     def test_expand(self, q1_file, tmp_path):
         out = str(tmp_path / "out")

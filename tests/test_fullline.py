@@ -124,6 +124,31 @@ class TestGreens:
         want = 0.5j * math.exp(-1.0) * np.array([[1.0, 1j], [-1j, 1.0]])
         assert matnorm(g.value - want) < 1e-10
 
+    def test_read_off_at_x_far_from_x0(self):
+        # M_+- are read off at x, not transferred there from x0: with
+        # Im z |x - x0| = 100 the transfer used to give G11 = 9.3e70
+        z, spec = 2 + 5j, smooth_bump_spec(n=401, tail_q=1.0)
+        ev = GreensEvaluator(z, 0.0, spec)
+        g = ev.value(20.0, 20.0, side=1).value
+        assert abs(g[0, 0] - 0.5j) <= 1e-12
+        for x in np.arange(1.0, 21.0):
+            want = GreensEvaluator(z, x, spec).value(x, x, side=1).value
+            got = ev.value(x, x, side=1).value
+            assert matnorm(got - want) <= 1e-12 * matnorm(want)
+
+    @pytest.mark.parametrize("xp, side", [(20.0, 1), (20.0, -1),
+                                          (20.5, None), (21.0, None)])
+    def test_free_closed_form_far_from_x0(self, zero1, xp, side):
+        # G(z, x, x') = (i/2) e^{iz|x - x'|} (1, +-i; -+i, 1), the upper
+        # signs for x < x'; the error grows like eps e^{2 Im z |x - x'|}
+        # (measured 1.6e-16 on the diagonal, 2.3e-14 at 20.5, 2.5e-12 at 21)
+        z = 2 + 5j
+        g = GreensEvaluator(z, 0.0, zero1).value(20.0, xp, side=side).value
+        sign = 1 if side == 1 or xp > 20.0 else -1
+        want = (0.5j * np.exp(1j * z * abs(xp - 20.0))
+                * np.array([[1, sign * 1j], [-sign * 1j, 1]]))
+        assert matnorm(g - want) <= 1e-11 * matnorm(want)
+
     def test_diagonal_average_matches_fullline(self, const_q1):
         z = 0.8 + 1.1j
         ev = GreensEvaluator(z, 0.0, const_q1)
@@ -587,22 +612,25 @@ class TestSharedPeriodicPass:
 
 class TestGreensSweep:
     """GreensEvaluator.value over an array of x' chains the transfers
-    outward from x0; its rows agree with scalar calls, each of which takes
-    its own transfer from x0."""
+    outward from x; its rows agree with scalar calls, each of which takes
+    its own transfer from x."""
 
     SPECS = {"q1": _q1_periodic, "kp2": kp2_spec, "bump": smooth_bump_spec,
              "bump401": lambda: smooth_bump_spec(n=401)}
-    # name: (number of x', gate); 200 x' cut the 400 cells of the 401-node
-    # bump often enough that its rows differ from scalar calls by the
-    # split's Magnus step error, 8.7e-11
+    # name: (number of x', floor of the gate); 200 x' cut the 400 cells of
+    # the 401-node bump often enough that its rows differ from scalar calls
+    # by the split's Magnus step error, 1.6e-10
     SWEEPS = {"bump401": (200, 2e-10)}
     Z, X = 2 + 1j, 0.5
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_rows_match_scalar_calls(self, name):
         # chaining cuts the cells of a grid piece at every earlier x', so
-        # the rows agree to the Magnus steps' error, not bit for bit
-        n, gate = self.SWEEPS.get(name, (41, 1e-12))
+        # the rows agree to the Magnus steps' error, not bit for bit; and
+        # both transfer the decaying solution from x, which loses digits
+        # like eps e^{2 Im z |x - x'|} (measured at most 2.4e-15 times that
+        # factor off bump401)
+        n, floor = self.SWEEPS.get(name, (41, 0.0))
         ev = GreensEvaluator(self.Z, 0.0, self.SPECS[name]())
         xps = np.linspace(-3.0, 3.0, n)
         g = ev.value(self.X, xps)
@@ -610,6 +638,8 @@ class TestGreensSweep:
         assert np.array_equal(g.xp, xps)
         for xp, row in zip(xps, g.value):
             one = ev.value(self.X, float(xp)).value
+            gate = max(floor, 1e-14 * math.exp(2 * self.Z.imag
+                                               * abs(self.X - xp)))
             assert matnorm(row - one) <= gate * matnorm(one)
 
     def test_diagonal_honours_side(self, const_q1_window):
@@ -633,8 +663,11 @@ class TestGreensSweep:
 
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_one_transfer_per_point(self, n, monkeypatch):
-        # one transfer to x, then each x' from its neighbour nearer x0
+        # with the whole-line M at x formed, each x' from its neighbour
+        # nearer x and no transfer to x
         ev = GreensEvaluator(self.Z, 0.0, kp2_spec())
+        ev.value(self.X, self.X, side=1)
+        fulls = count_calls(monkeypatch, fullline, "fullline_m")
         spans = []
         transfer = Propagator.transfer
 
@@ -645,7 +678,8 @@ class TestGreensSweep:
         monkeypatch.setattr(Propagator, "transfer", counted_transfer)
         xps = np.linspace(1.7, -2.3, n)
         ev.value(self.X, xps)
-        assert len(spans) == n + 1
-        # every cell between x0 = 0 and the farthest x' on each side once
-        walked = sum(abs(xb - xa) for xa, xb in spans[1:])
-        assert walked == pytest.approx(max(xps.max(), 0) - min(xps.min(), 0))
+        assert len(spans) == n and fulls == []
+        # every cell between x and the farthest x' on each side once
+        walked = sum(abs(xb - xa) for xa, xb in spans)
+        assert walked == pytest.approx(max(xps.max(), self.X)
+                                       - min(xps.min(), self.X))

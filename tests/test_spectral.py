@@ -25,7 +25,8 @@ from diracweyl.errors import (
     IntegrationFailure,
     NotPeriodic,
 )
-from conftest import count_calls, kp2_spec
+from diracweyl.propagator import Propagator
+from conftest import count_calls, kp2_spec, smooth_bump_spec
 
 
 @pytest.fixture
@@ -57,21 +58,40 @@ class TestTraceFormula:
         assert matnorm(tc.lhs - want) < 1e-14
         assert tc.residuals[-1] < 0.01 * matnorm(want)
 
-    def test_differentiation_failure(self, const_q1):
-        from diracweyl.errors import DifferentiationFailure
-        # a ray on the real axis cannot support the z-derivative of log M
-        with pytest.raises(DifferentiationFailure):
-            trace_check(0.5, const_q1, ray_angle=0.0, zmags=(100.0,))
+    @pytest.mark.parametrize("ray_angle, zmags", [
+        (math.pi / 2, (100.0,)), (math.pi / 2, (100.0, 100.0)),
+        (0.0, (100.0, 300.0))], ids=["one", "repeated", "real-ray"])
+    def test_unfittable_ray_is_refused(self, const_q1, monkeypatch,
+                                       ray_angle, zmags):
+        # a fit in 1/z needs two distinct |z|, and M needs Im z != 0; both
+        # are refused before any transfer
+        calls = count_calls(monkeypatch, Propagator, "transfer")
+        with pytest.raises(DegenerateArguments):
+            trace_check(0.5, const_q1, ray_angle=ray_angle, zmags=zmags)
+        assert calls == []
 
     def test_one_stacked_call(self, const_q1, monkeypatch):
-        # the 2 len(zmags) points z (1 +- rel_step) take one whole-line M
-        # and one log between them
+        # the len(zmags) ray points take one whole-line M and one log
         import diracweyl.spectral as sp
         fulls = count_calls(monkeypatch, sp, "fullline_m")
         logs = count_calls(monkeypatch, sp, "principal_logm")
         tc = trace_check(0.5, const_q1, zmags=(1e2, 3e2, 1e3))
-        assert fulls == [(6,)] and logs == [(6, 2, 2)]
+        assert fulls == [(3,)] and logs == [(3, 2, 2)]
         assert len(tc.rhs) == len(tc.residuals) == 3
+
+    @pytest.mark.parametrize("name, x, gate", [
+        ("q1", 0.5, 1e-8), ("kp2", 0.3, 1e-8),
+        ("bump", 0.25, 1e-7), ("bump", 0.2503, 1e-7)])
+    def test_fitted_limit(self, const_q1, name, x, gate):
+        # the -2 c_1 of the fit in 1/z through the six default |z| (100 to
+        # 1450 on arg pi/2) against the comb of B at a continuity point;
+        # measured 2.2e-10 (q1), 3.0e-10 (kp2), 1.4e-8 and 2.8e-8 (bump)
+        spec = (const_q1 if name == "q1" else
+                {"kp2": kp2_spec, "bump": smooth_bump_spec}[name]())
+        tc = trace_check(x, spec)
+        assert np.allclose(np.abs(tc.zs), np.geomspace(100.0, 1450.0, 6))
+        assert matnorm(tc.limit - tc.lhs) <= gate
+        assert all(a > b for a, b in zip(tc.residuals, tc.residuals[1:]))
 
 
 class TestFloquet:
