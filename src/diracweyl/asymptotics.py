@@ -137,7 +137,8 @@ def inverse_power_fit(zs, values, order):
     sum_k c_k z^{-k} through values[i] at zs[i] (a 1-D array).  Rows are
     weighted by |z|^order to equalize the conditioning of the Vandermonde
     system in 1/z, with |z| scaled by the power of two near max |z| (exact)
-    so that the weights stay finite."""
+    so that the weights stay finite.  lstsq drops a column below its
+    cutoff: the data cannot resolve that c_k, which reads about 0."""
     mags = np.abs(zs)
     w = np.ldexp(mags, -np.frexp(mags.max())[1]) ** order
     design = np.vander(1.0 / zs, order + 1, increasing=True) * w[:, None]

@@ -64,10 +64,6 @@ class EigenvalueHit(DiracWeylError):
     """beta @ Phi(z, c) is (numerically) singular: z is an eigenvalue of the
     regular boundary value problem on [x0, c]."""
 
-    def __init__(self, msg, cond=None):
-        super().__init__(msg)
-        self.cond = cond
-
 
 class NoConvergence(DiracWeylError):
     """Half-line decaying subspace unresolved: best is M, tail its estimate."""

@@ -158,32 +158,37 @@ class GreensMatrix:
 class GreensEvaluator:
     """Green's matrix G(z, x, x') of the whole-line operator for fixed z.
 
-    Holds the whole-line M at x0 (full) and at the last x that value() was
-    asked for.  The half-line M-functions at x give the Weyl solutions
-    U_+-(z, x) = (I; M_+-(x)) with no transfer, so the decaying solution
-    is never carried away from where it is read.  value() takes one x and a
-    scalar or a 1-D array of x': on each side of x it reaches the x' in
-    order of distance from x, each from its neighbour, so every cell
-    between x and the x' is propagated once.  Only the canonical boundary
-    data (I_m 0) is supported.
+    Holds the whole-line M of the last x asked for (x0 for full), formed
+    on first use; G does not depend on x0.  The half-line M-functions at x
+    give the Weyl solutions U_+-(z, x) = (I; M_+-(x)) with no transfer, so
+    the decaying solution is never carried away from where it is read.
+    value() takes one x and a scalar or a 1-D array of x': on each side of
+    x it reaches the x' in order of distance from x, each from its
+    neighbour, so every cell between x and the x' is propagated once.  Only
+    the canonical boundary data (I_m 0) is supported.
     """
 
     def __init__(self, z, x0, spec, tol=1e-10):
+        need(math.isfinite(x0), "G(x, x')", "a finite x0", x0)
         self.z = complex(z)
         self.x0 = float(x0)
         self.spec = spec
         self.tol = tol
         self.alpha = alpha_dirichlet(spec.m)
-        self.full = self._last = fullline_m(z, x0, self.alpha, spec, tol=tol)
+        self._last = None
         self._prop_bar = Propagator(np.conj(self.z), spec)
 
+    @property
+    def full(self):
+        """The whole-line M at x0."""
+        return self._fullline_at(self.x0)
+
     def _fullline_at(self, x):
-        """The whole-line M at x: full at x0, else the one of the last x,
-        formed anew when x changes."""
-        if x not in (self.x0, self._last.x0):
+        """The whole-line M at x, formed anew when x changes."""
+        if getattr(self._last, "x0", None) != x:
             self._last = fullline_m(self.z, x, self.alpha, self.spec,
                                     tol=self.tol)
-        return self.full if x == self.x0 else self._last
+        return self._last
 
     def _transfers_bar(self, x, xps):
         """T(x' <- x) at conj(z) for each x', chained outward from x:

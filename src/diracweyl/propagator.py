@@ -574,7 +574,8 @@ class Propagator:
         if spec.is_periodic and abs(xb - xa) > 2 * spec.period:
             w = spec.period
             span = xb - xa
-            k = math.floor(span / w)
+            # k rounds toward zero: r keeps the span's sign, xb is not passed
+            k = math.trunc(span / w)
             r = span - k * w
             if abs(r) < 1e-12 * max(1.0, abs(span)):
                 r = 0.0

@@ -48,9 +48,9 @@ def trace_check(x, spec, ray_angle=math.pi / 2, zmags=TRACE_ZMAGS,
     stacked principal_logm.  The model sum_{k<=K} c_k z^{-k},
     K = min(distinct |z| - 1, 4), is fitted through them
     (inverse_power_fit); each rhs is 2 z^2 times its derivative,
-    -2 sum_k k c_k z^{1-k}, and the limit is -2 c_1.  Where B jumps the
-    lhs is the average of the one-sided combinations, which is not that
-    limit.
+    -2 sum_k k c_k z^{1-k}, and the limit is -2 c_1 (up to five distinct
+    |z| the model interpolates the samples).  Where B jumps the lhs is the
+    average of the one-sided combinations, which is not that limit.
     """
     need(math.isfinite(x), "trace", "a finite x", x)
     need([0 < r < math.inf for r in zmags], "trace", "0 < |z| < inf", zmags)

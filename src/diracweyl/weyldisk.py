@@ -70,8 +70,7 @@ def regular_m(z, c, x0, alpha, beta, spec):
     if cond > COND_LIMIT:
         raise EigenvalueHit(
             f"beta Phi(z, c={c}) is singular (cond {cond:.2e}): "
-            "z is an eigenvalue of the regular boundary value problem",
-            cond=cond)
+            "z is an eigenvalue of the regular boundary value problem")
     return -np.linalg.solve(bphi, btheta)
 
 

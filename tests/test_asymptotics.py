@@ -126,6 +126,17 @@ class TestFit:
         assert np.isfinite(coeffs).all() and np.isfinite(resid).all()
         assert matnorm(coeffs[0] - c0) < 1e-15
 
+    @pytest.mark.parametrize("lo", [1e2, 1e4, 1e8, 1e12])
+    def test_first_coefficient_at_large_z(self, lo):
+        # the columns 1/z^k span 1 to |z|^-4; where lstsq's cutoff drops
+        # the smallest, c_1 still comes out to about eps |z|
+        c = [np.array([[1j]]), np.array([[0.5 - 2j]]),
+             np.array([[3.0 + 1j]]), np.array([[-7.0 + 2j]])]
+        zs = 1j * np.geomspace(lo, 14.5 * lo, 6) * np.exp(0.1j)
+        coeffs, _ = fit_expansion(
+            [(z, sum(ck / z ** k for k, ck in enumerate(c))) for z in zs], 4)
+        assert matnorm(coeffs[1] - c[1]) <= 1e-12 * lo * matnorm(c[1])
+
     def test_sample_count_policy(self):
         samples = [(1j * y, np.eye(1)) for y in (10.0, 40.0)]
         with pytest.raises(IllConditionedFit):

@@ -32,7 +32,7 @@ from diracweyl import (
     save_potential,
     uniqueness_decay,
 )
-from diracweyl import arraytext, cli, errors
+from diracweyl import arraytext, cli, errors, fullline
 from diracweyl.cli import build_parser, main
 from diracweyl.foundation import MAX_POINTS
 from conftest import (
@@ -758,6 +758,22 @@ class TestOtherCommands:
                      "--out", out]) == 0
         [row] = _read_csv(os.path.join(out, "greens.csv"))[2]
         assert abs(complex(float(row[2]), float(row[3])) - 0.5j) <= 1e-12
+
+    def test_greens_ignores_hopeless_x0(self, tmp_path, monkeypatch):
+        # G does not depend on x0, and the whole-line M there is formed
+        # only if asked for: x0 = 1e300 used to fail the run with
+        # IntegrationFailure
+        path = tmp_path / "bump.json"
+        save_potential(smooth_bump_spec(n=21, tail_q=1.0), path)
+        fulls = count_calls(monkeypatch, fullline, "fullline_m")
+        rows = []
+        for x0 in ("0", "1e300"):
+            out = str(tmp_path / f"out{len(rows)}")
+            assert main(["greens", "--potential", str(path), "--z", "1i",
+                         f"--x0={x0}", "--x", "0.25", "--xp", "0.5",
+                         "--out", out]) == 0
+            rows.append(_read_csv(os.path.join(out, "greens.csv"))[2])
+        assert rows[0] == rows[1] and len(fulls) == 2
 
     def test_expand(self, q1_file, tmp_path):
         out = str(tmp_path / "out")

@@ -149,6 +149,18 @@ class TestGreens:
                 * np.array([[1, sign * 1j], [-sign * 1j, 1]]))
         assert matnorm(g - want) <= 1e-11 * matnorm(want)
 
+    def test_whole_line_m_formed_when_asked(self, const_q1, monkeypatch):
+        # one slot, the last x asked for (x0 for full), filled on first use
+        fulls = count_calls(monkeypatch, fullline, "fullline_m")
+        ev = GreensEvaluator(1j, 0.0, const_q1)
+        assert fulls == []
+        ev.value(0.5, [0.2, 0.9])
+        ev.value(0.5, 0.7)
+        assert len(fulls) == 1
+        assert ev.full.x0 == 0.0 and ev.full is ev.full
+        ev.value(0.0, 0.7)
+        assert len(fulls) == 2
+
     def test_diagonal_average_matches_fullline(self, const_q1):
         z = 0.8 + 1.1j
         ev = GreensEvaluator(z, 0.0, const_q1)
@@ -617,20 +629,17 @@ class TestGreensSweep:
 
     SPECS = {"q1": _q1_periodic, "kp2": kp2_spec, "bump": smooth_bump_spec,
              "bump401": lambda: smooth_bump_spec(n=401)}
-    # name: (number of x', floor of the gate); 200 x' cut the 400 cells of
-    # the 401-node bump often enough that its rows differ from scalar calls
-    # by the split's Magnus step error, 1.6e-10
+    # name: (number of x', gate); 200 x' cut the 400 cells of the 401-node
+    # bump often enough that its rows differ from scalar calls by the
+    # split's Magnus step error, 1.6e-10
     SWEEPS = {"bump401": (200, 2e-10)}
     Z, X = 2 + 1j, 0.5
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_rows_match_scalar_calls(self, name):
         # chaining cuts the cells of a grid piece at every earlier x', so
-        # the rows agree to the Magnus steps' error, not bit for bit; and
-        # both transfer the decaying solution from x, which loses digits
-        # like eps e^{2 Im z |x - x'|} (measured at most 2.4e-15 times that
-        # factor off bump401)
-        n, floor = self.SWEEPS.get(name, (41, 0.0))
+        # the rows agree to the Magnus steps' error, not bit for bit
+        n, gate = self.SWEEPS.get(name, (41, 1e-12))
         ev = GreensEvaluator(self.Z, 0.0, self.SPECS[name]())
         xps = np.linspace(-3.0, 3.0, n)
         g = ev.value(self.X, xps)
@@ -638,8 +647,6 @@ class TestGreensSweep:
         assert np.array_equal(g.xp, xps)
         for xp, row in zip(xps, g.value):
             one = ev.value(self.X, float(xp)).value
-            gate = max(floor, 1e-14 * math.exp(2 * self.Z.imag
-                                               * abs(self.X - xp)))
             assert matnorm(row - one) <= gate * matnorm(one)
 
     def test_diagonal_honours_side(self, const_q1_window):

@@ -148,6 +148,27 @@ class TestFundamentalSystem:
         t_unr_b = Propagator(z, unrolled).transfer(x1, x0)
         assert matnorm(t_per_b - t_unr_b) < 1e-9 * matnorm(t_unr_b)
 
+    @pytest.mark.parametrize("z", [2 + 1j, 2 - 1j, 0.3 + 2j])
+    def test_period_power_carries_decaying_solution(self, z):
+        # on a constant periodic q = 1 an eigenvector v of A = -J (zI + B)
+        # is carried exactly, T(xa + d <- xa) v = e^{lam d} v; with lam the
+        # eigenvalue that decays along the span, the error may grow like
+        # eps e^{2 |Re lam d|} but no faster, in either direction.  A
+        # backward span that overshot xb by a period and came back lost
+        # up to 20 times that
+        spec = PotentialSpec.constant(normal_form_matrix([[0.0]], [[1.0]]),
+                                      period=1.0)
+        lam, vec = np.linalg.eig(system_matrix(z, spec.pieces[0].value))
+        prop = Propagator(z, spec)
+        for d in np.concatenate([np.linspace(2.05, 6.0, 30),
+                                 -np.linspace(2.05, 6.0, 30)]):
+            i = np.argmin((lam * d).real)
+            want = np.exp(lam[i] * d) * vec[:, i]
+            for xa in (0.0, 0.3, 0.5):
+                got = prop.transfer(xa, xa + d) @ vec[:, i]
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert err <= 5e-16 * np.exp(2 * abs((lam[i] * d).real))
+
     def test_periodic_sampled_potential(self):
         # sampled (grid-piece) period cell through the powering path
         xs = np.linspace(0.0, 1.0, 41)
