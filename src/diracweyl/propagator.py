@@ -266,14 +266,17 @@ def _expm_ham(x, y, lam):
     and the traces giving tau and D as quadratics in lam) is done once per
     call, so a caller with many lam pays it once per stack it passes.  Per
     lam only scalars and an elementwise sum are formed, so a row rounds
-    exactly as a stack of one."""
+    exactly as a stack of one.  The sum goes lam-major into the result,
+    (pieces, lam, 16): odd = se (X + lam Y) + so (PX + lam (PY + QX + lam
+    QY)) in place, then even = co (P + lam Q) + ce I in one reused
+    temporary; each complex scalar intermediate is dropped once used."""
     sq = np.stack([x @ x, x @ y + y @ x, y @ y])
     t = np.trace(sq, axis1=-2, axis2=-1)[..., None] / 4
     p, q = sq[:2] - t[:2, ..., None] * np.eye(4)
     d = np.trace(np.stack([p @ p, 2 * (p @ q), q @ q]),
                  axis1=-2, axis2=-1)[..., None] / 4
-    # the matrices go by entry, with lambda last: (pieces, 16, lambda)
-    p, q, x, y, px, pyqx, qy = (a.reshape(-1, 16, 1) for a in (
+    # the matrices go by entry, with lambda ahead: (pieces, 1, 16)
+    p, q, x, y, px, pyqx, qy = (a.reshape(-1, 1, 16) for a in (
         p, q, x, y, p @ x, p @ y + q @ x, q @ y))
     # overflow to inf is an expected probe outcome that callers detect
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -282,12 +285,16 @@ def _expm_ham(x, y, lam):
         r1, r2 = np.sqrt(tau + root), np.sqrt(tau - root)
         r2 = np.where(r1.real * r2.real + r1.imag * r2.imag < 0, -r2, r2)
         sig, dlt = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
+        del tau, root, r1, r2
         r = np.stack([sig, dlt, sig + dlt, sig - dlt])       # and r1, r2
         e = np.exp(r[:2])
         ex = np.concatenate([e, [e[0] * e[1], e[0] / e[1]]])
         ch = 0.5 * (ex + (inv := 1 / ex))
-        sh = _taylor_or(r, _SINHC_SERIES, _SINHC_TAYLOR,
-                        lambda c: (ex[c] - inv[c]) / (2 * r[c]))
+        ex -= inv
+        del e, inv
+        ex /= 2 * r         # sinhc(r), used where |r| >= _SINHC_SERIES
+        sh = _taylor_or(r, _SINHC_SERIES, _SINHC_TAYLOR, lambda c: ex[c])
+        del ex
         ratio = dlt / np.where(sig == 0, 1, sig)
         near = np.abs(ratio) <= 0.5
         so = np.empty_like(sig)
@@ -299,13 +306,25 @@ def _expm_ham(x, y, lam):
         g = u * u * _taylor_or(u, 1, _SINHC1_TAYLOR,
                                lambda c: v[c] / u[c] ** 2)
         so[~near] = (g[0] - g[1]) / (4 * sig[~near] * dlt[~near])
-        ce, co, se, so = (c.real[:, None] for c in (
+        ce, co, se, so = (c.real[..., None] for c in (
             ch[0] * ch[1], 0.5 * sh[0] * sh[1], 0.5 * (sh[2] + sh[3]), so))
-        even = co * (p + lam * q)
-        even[:, ::5] += ce
-        odd = se * (x + lam * y) + so * (px + lam * (pyqx + lam * qy))
-        out = (even + odd).transpose(0, 2, 1)
-    return np.ascontiguousarray(out).reshape(len(x), -1, 4, 4)
+        del ch, sh, r, sig, dlt, ratio, u, v, f, g, q2
+        lam = lam[:, None]
+        out = lam * qy
+        out += pyqx
+        out *= lam
+        out += px
+        out *= so
+        tmp = np.multiply(lam, y, out=np.empty_like(out))
+        tmp += x
+        tmp *= se
+        out += tmp
+        np.multiply(lam, q, out=tmp)
+        tmp += p
+        tmp *= co
+        tmp[..., ::5] += ce
+        out += tmp
+    return out.reshape(out.shape[:2] + (4, 4))
 
 
 def _diag(x, shape, dtype):

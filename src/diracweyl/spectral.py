@@ -16,7 +16,7 @@ import numpy as np
 
 from .asymptotics import averaged_combination, inverse_power_fit
 from .errors import DifferenceBelowNoise, IntegrationFailure, NotPeriodic
-from .foundation import MAX_POINTS, alpha_dirichlet, matnorm, need
+from .foundation import ALG_TOL, MAX_POINTS, alpha_dirichlet, matnorm, need
 from .fullline import fullline_m, principal_logm, upsilon
 from .propagator import Propagator
 from .weyldisk import halfline_m
@@ -49,14 +49,19 @@ def trace_check(x, spec, ray_angle=math.pi / 2, zmags=TRACE_ZMAGS,
     K = min(distinct |z| - 1, 4), is fitted through them
     (inverse_power_fit); each rhs is 2 z^2 times its derivative,
     -2 sum_k k c_k z^{1-k}, and the limit is -2 c_1 (up to five distinct
-    |z| the model interpolates the samples).  Where B jumps the lhs is the
-    average of the one-sided combinations, which is not that limit.
+    |z| the model interpolates the samples).  Where B jumps the average of
+    the one-sided combinations is not that limit: an x where B(x+0) and
+    B(x-0) differ by more than ALG_TOL max(1, |B|) raises DegenerateArguments.
     """
     need(math.isfinite(x), "trace", "a finite x", x)
     need([0 < r < math.inf for r in zmags], "trace", "0 < |z| < inf", zmags)
     order = min(len(set(zmags)) - 1, 4)
     need(order >= 1, "trace", "2 distinct |z|", zmags)
     need(tol >= 0, "trace", "tol >= 0", tol)
+    sides = [spec.eval(x, side=side) for side in (+1, -1)]
+    need(matnorm(sides[0] - sides[1])
+         <= ALG_TOL * max(1.0, *map(matnorm, sides)),
+         "trace", "an x where B does not jump", x)
     lhs = averaged_combination(spec, x)
     zs = np.asarray(zmags, float) * cmath.exp(1j * ray_angle)
     logs = principal_logm(fullline_m(zs, x, alpha_dirichlet(spec.m), spec,
@@ -167,15 +172,14 @@ class BandStructure:
 
 
 # lambda per stacked monodromy in band_spectrum; it bounds memory, traced on
-# kp2 over 4001 lambda: one stack peaks at 9.07 MB, blocks of 1024 at
-# 2.57 MB, of 512 at 1.45 MB and of 256 at 0.89 MB.  Each block pays a
+# kp2 over 4001 lambda: one stack peaks at 3.98 MB, blocks of 1024 at
+# 1.23 MB, of 512 at 0.77 MB and of 256 at 0.58 MB.  Each block pays a
 # fixed cost (the Propagator and _expm_ham's lambda-free products), which
-# blocks of 512 pay 8 times on the 4001-lambda grid; bands-kp2's sweep_s
-# read 0.0160 s with them against 0.0157 s for blocks of 1024 that
-# _expm_ham split into 512-lambda chunks (medians of 10 pairs), too close
-# to pay for a second constant.  The CLI's sweeps keep their own block,
-# cli._SWEEP_BLOCK
-_LAMBDA_BLOCK = 512
+# blocks of 1024 pay 4 times on the 4001-lambda grid: band_spectrum took
+# 9.3 ms with them against 10.2 ms with blocks of 512 (medians of 200
+# alternating passes on a 2-core host).  The CLI's sweeps keep their own
+# block, cli._SWEEP_BLOCK
+_LAMBDA_BLOCK = 1024
 
 
 def _runs(lams, flags, interior=False):

@@ -14,6 +14,7 @@ from diracweyl import (
     matnorm,
     normal_form_matrix,
 )
+from diracweyl.asymptotics import inverse_power_fit
 from diracweyl.errors import (
     IllConditionedFit,
     InsufficientDerivatives,
@@ -136,6 +137,20 @@ class TestFit:
         coeffs, _ = fit_expansion(
             [(z, sum(ck / z ** k for k, ck in enumerate(c))) for z in zs], 4)
         assert matnorm(coeffs[1] - c[1]) <= 1e-12 * lo * matnorm(c[1])
+
+    @pytest.mark.parametrize("lo, c1_gate", [
+        (1e2, None), (1e4, 1e-9), (1e8, 1e-6), (1e12, None)])
+    def test_inverse_power_fit_at_large_z(self, lo, c1_gate):
+        # six geometric |z| from lo to 14.5 lo on arg pi/2, K = 4: c_0 stays
+        # at rounding; the relative error of c_1 measured 6.2e-12, 1.4e-10,
+        # 6.8e-8 and 7.7e-4 at lo = 1e2, 1e4, 1e8 and 1e12
+        c = np.array([1j, 1 + 2j, -3.0, 0.5j])
+        zs = 1j * np.geomspace(lo, 14.5 * lo, 6)
+        got = inverse_power_fit(zs, sum(ck * zs ** -k
+                                        for k, ck in enumerate(c)), 4)
+        assert abs(got[0] - c[0]) <= 1e-14 * abs(c[0])
+        if c1_gate is not None:
+            assert abs(got[1] - c[1]) <= c1_gate * abs(c[1])
 
     def test_sample_count_policy(self):
         samples = [(1j * y, np.eye(1)) for y in (10.0, 40.0)]

@@ -748,6 +748,18 @@ class TestOtherCommands:
         assert [math.hypot(float(r[0]), float(r[1])) for r in rows] == \
             pytest.approx(mags, rel=1e-15)
 
+    def test_trace_at_a_jump_is_refused(self, tmp_path, capsys):
+        # kp2 jumps at x = 0.5: the run used to exit 0 with
+        # limit_residual 0.447
+        path = tmp_path / "kp2.json"
+        save_potential(kp2_spec(), path)
+        out = tmp_path / "out"
+        assert main(["trace", "--potential", str(path), "--x", "0.5",
+                     "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "DegenerateArguments"
+        assert not (out / "trace.csv").exists()
+
     def test_greens_far_from_x0(self, tmp_path):
         # Im z |x - x0| = 100: G11 used to read 9.3e70 - 3.1e70i
         path = tmp_path / "bump.json"

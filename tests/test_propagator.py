@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,6 +49,7 @@ from diracweyl.propagator import (
     magnus_steps,
 )
 from conftest import (
+    KP2_PIECES,
     const_transfer_eig,
     count_calls,
     count_eig,
@@ -602,6 +604,25 @@ class TestExpmHam:
         for i, lam in enumerate(lams):
             assert np.array_equal(stacked[:, i],
                                   _expm_ham(x, y, lams[i:i + 1])[:, 0])
+
+    def test_kp2_block_memory(self):
+        # kp2's two pieces at 1024 lambda, a 256 KB result: the kernel
+        # traced 2240 KB (8.75 times it) when it summed (pieces, 16, lambda)
+        # temporaries and copied them transposed, 858 KB assembling
+        # lambda-major in place
+        x, y = (np.stack(a) for a in zip(*[
+            (_minus_j(b.real) * (hi - lo), _minus_j(np.eye(4)) * (hi - lo))
+            for lo, hi, b in KP2_PIECES]))
+        lams = np.linspace(-8.0, 8.0, 1024)
+        _expm_ham(x, y, lams[:8])
+        tracemalloc.start()
+        try:
+            out = _expm_ham(x, y, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 256 * 2 ** 10
+        assert peak < 6 * out.nbytes
 
 
 class TestWorkCounts:

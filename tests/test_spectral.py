@@ -79,6 +79,20 @@ class TestTraceFormula:
         assert fulls == [(3,)] and logs == [(3, 2, 2)]
         assert len(tc.rhs) == len(tc.residuals) == 3
 
+    @pytest.mark.parametrize("name, x", [
+        ("kp2", 0.5), ("kp2", 0.0), ("bump tail", 1.0)])
+    def test_jump_of_b_is_refused(self, monkeypatch, name, x):
+        # at a jump the fitted limit is not the average of the one-sided
+        # combs (kp2 at x = 0.5 answered with a limit 0.447 off), so the x
+        # is refused before any transfer; kp2 at x = 0.3, where B is
+        # continuous, answers (test_fitted_limit)
+        spec = (kp2_spec() if name == "kp2"
+                else smooth_bump_spec(n=21, tail_q=1.0))
+        calls = count_calls(monkeypatch, Propagator, "transfer")
+        with pytest.raises(DegenerateArguments, match="B does not jump"):
+            trace_check(x, spec)
+        assert calls == []
+
     @pytest.mark.parametrize("name, x, gate", [
         ("q1", 0.5, 1e-8), ("kp2", 0.3, 1e-8),
         ("bump", 0.25, 1e-7), ("bump", 0.2503, 1e-7)])
@@ -207,8 +221,8 @@ class TestFloquet:
             assert np.array_equal(mono.multipliers[i], one.multipliers)
 
     def test_block_bounds_memory(self):
-        # blocks of 512 lambda trace 1.45 MB here, of 1024 2.57 MB and one
-        # stack over all 4001 lambda 9.07 MB
+        # blocks of 1024 lambda trace 1.23 MB here, of 512 0.77 MB and one
+        # stack over all 4001 lambda 3.98 MB
         spec = kp2_spec()
         lams = np.linspace(-8.0, 8.0, 4001)
         band_spectrum(spec, lams[:8])
